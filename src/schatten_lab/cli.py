@@ -50,18 +50,17 @@ def _parse_p(raw: str) -> float:
 
 
 def _build_spec(norm: str, p_raw: str | None) -> NormSpec:
-    if norm == "schatten":
-        p = _parse_p(p_raw) if p_raw is not None else 2.0
-        return NormSpec.schatten(p)
-    if norm == "induced":
-        p = _parse_p(p_raw) if p_raw is not None else 2.0
-        return NormSpec.induced(p)
-    if norm == "lp":
-        p = _parse_p(p_raw) if p_raw is not None else 2.0
-        return NormSpec.lp(p)
     if norm == "max":
         return NormSpec.max_norm()
-    raise CliError(f"unknown norm {norm!r}")
+    make = {"schatten": NormSpec.schatten, "induced": NormSpec.induced,
+            "lp": NormSpec.lp}.get(norm)
+    if make is None:
+        raise CliError(f"unknown norm {norm!r}")
+    p = _parse_p(p_raw) if p_raw is not None else 2.0
+    try:
+        return make(p)
+    except ValueError as exc:
+        raise CliError(f"invalid --p value {p_raw!r}: {exc}") from exc
 
 
 def load_matrix(path: str) -> tuple[str, np.ndarray]:

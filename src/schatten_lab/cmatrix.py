@@ -21,8 +21,6 @@ import numpy as np
 
 # Singular values below RANK_RTOL * s_max count as zero in rank decisions.
 RANK_RTOL = 1e-10
-# Budget for factorization residuals, relative to the Frobenius norm.
-FACTOR_TOL = 1e-10
 # Gate for inputs that must be Hermitian (Loewner comparisons).
 HERMITIAN_RTOL = 1e-8
 
@@ -150,7 +148,7 @@ def abs_power(a, t: float) -> np.ndarray:
     f = svd(a)
     s = f.singular_values
     cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
-    st = np.where(s > cutoff, np.power(s, t, where=s > cutoff), 0.0)
+    st = np.power(s, t, out=np.zeros_like(s), where=s > cutoff)
     m = (f.v * st) @ f.v.conj().T
     return 0.5 * (m + m.conj().T)
 

@@ -30,12 +30,6 @@ KINDS = (
     "commuting_kernel_pair",
 )
 
-#: Kinds whose draw is a single matrix rather than a pair.
-SINGLE_KINDS = ("ginibre", "psd", "unitary", "projection", "nilpotent",
-                "partial_isometry")
-#: Kinds whose draw is an (a, b) pair.
-PAIR_KINDS = ("disjoint_pair", "dependent_pair", "commuting_kernel_pair")
-
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     """Independent deterministic stream for a (seed, coordinates...) tuple."""
@@ -97,15 +91,6 @@ def normal_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     radii = 0.25 + 1.75 * rng.uniform(size=n)
     spectrum = radii * np.exp(2j * np.pi * rng.uniform(size=n))
     return u @ np.diag(spectrum) @ u.conj().T
-
-
-def right_disjoint_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair with orthogonal row spaces (a b* = 0) but generically a* b != 0."""
-    k = int(rng.integers(1, n))
-    v = haar_unitary(rng, n)
-    g1 = _complex_gaussian(rng, (n, k)) / np.sqrt(2.0 * n)
-    g2 = _complex_gaussian(rng, (n, n - k)) / np.sqrt(2.0 * n)
-    return g1 @ v[:, :k].conj().T, g2 @ v[:, k:].conj().T
 
 
 def both_disjoint_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .search import circle_max, golden_section_max, multistart_ascent
+from .search import golden_section_max, multistart_ascent
 
 INF = math.inf
 
@@ -95,11 +95,47 @@ class RadiusResult:
     tolerance: float
 
 
-def _check_p(p, low_open: float | None = None) -> float:
+def _check_p(p) -> float:
     p = float(p)
     if math.isnan(p):
         raise ValueError("p must not be NaN")
     return p
+
+
+def _lp_normalize(x, p: float) -> np.ndarray:
+    """Scale a vector, or each row of a (k, n) stack, onto the unit lp sphere.
+
+    A (numerically) zero vector is replaced by the normalized all-ones vector.
+    """
+    x = np.asarray(x, dtype=complex)
+    nrm = (np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+    zero = nrm < 1e-300
+    if zero.any():
+        x = np.where(zero, 1.0 + 0j, x)
+        nrm = np.where(zero, float(x.shape[-1]) ** (1.0 / p), nrm)
+    return x / nrm
+
+
+def _sharpen_phase(m: np.ndarray, x: np.ndarray, val: float, value):
+    """Sharpen a maximizer of ``|x* m x|`` on the unit l2 sphere.
+
+    Alternates the phase ``t`` that makes ``e^{it} x* m x`` real positive with
+    the top eigenvector of the Hermitian part of ``e^{it} m``, for at most 80
+    rounds, while ``value`` gains more than ``1e-15 max(1, val)``.  Returns the
+    sharpened ``(x, val)``.
+    """
+    mh = m.conj().T
+    for _ in range(80):
+        f = complex(x.conj() @ (m @ x))
+        t = -np.angle(f) if abs(f) > 0 else 0.0
+        h = 0.5 * (np.exp(1j * t) * m + np.exp(-1j * t) * mh)
+        cand = _lp_normalize(np.linalg.eigh(h)[1][:, -1], 2.0)
+        vc = float(value(cand))
+        if vc > val + 1e-15 * max(1.0, val):
+            x, val = cand, vc
+        else:
+            break
+    return x, val
 
 
 def schatten_norm(a, p) -> float:
@@ -196,22 +232,19 @@ def induced_norm(a, p, *, starts: int = 64, max_steps: int = 400,
 
     n = a.shape[1]
     real = bool(np.all(a.imag == 0))
+    at, ac = a.T, a.conj()
 
     def normalize(x):
-        nrm = np.sum(np.abs(x) ** p) ** (1.0 / p)
-        if nrm < 1e-300:
-            x = np.ones(n, dtype=complex)
-            nrm = float(n) ** (1.0 / p)
-        return x / nrm
+        return _lp_normalize(x, p)
 
     def value(x):
-        return float(np.sum(np.abs(a @ x) ** p) ** (1.0 / p))
+        return (np.abs(x @ at) ** p).sum(axis=-1) ** (1.0 / p)
 
     def grad(x):
-        y = a @ x
+        y = x @ at
         ay = np.abs(y)
         z = np.where(ay > 0, np.maximum(ay, 1e-300) ** (p - 2) * y, 0.0)
-        return a.conj().T @ z
+        return z @ ac
 
     extra = [e for e in np.eye(n, dtype=complex)]
     val, x = multistart_ascent(value, grad, normalize, n, starts=starts,
@@ -292,11 +325,15 @@ def numerical_radius_hilbert(a) -> RadiusResult:
 
 
 def _lp_radius_terms(a: np.ndarray, x: np.ndarray, p: float):
-    """Functional value F(x) = sum_i conj(x_i)|x_i|^{p-2}(Ax)_i on the lp sphere."""
-    y = a @ x
+    """Functional value F(x) = sum_i conj(x_i)|x_i|^{p-2}(Ax)_i on the lp sphere.
+
+    ``x`` is a vector or a (k, n) stack of rows; returns F per row together
+    with ``Ax``, ``|x|`` and the functional's coefficients ``u``.
+    """
+    y = x @ a.T
     ax = np.abs(x)
     u = np.where(ax > 0, np.conj(x) * np.maximum(ax, 1e-300) ** (p - 2), 0.0)
-    return complex(u @ y), y, ax
+    return (u * y).sum(axis=-1), y, ax, u
 
 
 def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
@@ -316,29 +353,25 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
         raise ValueError(f"lp numerical radius needs 1 < p < inf, got {p}")
     n = a.shape[0]
     real = bool(np.all(a.imag == 0))
+    ac = a.conj()
 
     def normalize(x):
-        nrm = np.sum(np.abs(x) ** p) ** (1.0 / p)
-        if nrm < 1e-300:
-            x = np.ones(n, dtype=complex)
-            nrm = float(n) ** (1.0 / p)
-        return x / nrm
+        return _lp_normalize(x, p)
 
     def value(x):
-        f, _, _ = _lp_radius_terms(a, x, p)
-        return abs(f)
+        return np.abs(_lp_radius_terms(a, x, p)[0])
 
     def grad(x):
-        f, y, ax = _lp_radius_terms(a, x, p)
-        if abs(f) < 1e-300:
-            return a.conj().T @ y
+        f, y, ax, u = _lp_radius_terms(a, x, p)
+        af = np.abs(f)[..., None]
+        f = f[..., None]
         safe = np.maximum(ax, 1e-9)
         hp2 = safe ** (p - 2)
-        u = np.where(ax > 0, np.conj(x) * np.maximum(ax, 1e-300) ** (p - 2), 0.0)
         df_dconj = 0.5 * p * hp2 * y
         phase2 = np.where(ax > 0, (np.conj(x) / safe) ** 2, 0.0)
-        df_dx = 0.5 * (p - 2) * hp2 * phase2 * y + a.T @ u
-        return (np.conj(f) * df_dconj + f * np.conj(df_dx)) / (2.0 * abs(f))
+        df_dx = 0.5 * (p - 2) * hp2 * phase2 * y + u @ a
+        g = (np.conj(f) * df_dconj + f * np.conj(df_dx)) / (2.0 * np.maximum(af, 1e-300))
+        return np.where(af < 1e-300, y @ ac, g)
 
     extra = [e for e in np.eye(n, dtype=complex)]
     val, x = multistart_ascent(value, grad, normalize, n, starts=starts,
@@ -347,17 +380,8 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
 
     if p == 2:
         # Phase/eigenvector alternation sharpens the l2 case to spectral accuracy.
-        for _ in range(80):
-            f, _, _ = _lp_radius_terms(a, x, 2.0)
-            t = -np.angle(f) if abs(f) > 0 else 0.0
-            h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * a.conj().T)
-            cand = np.linalg.eigh(h)[1][:, -1]
-            vc = value(normalize(cand))
-            if vc > val + 1e-15 * max(1.0, val):
-                x, val = normalize(cand), vc
-            else:
-                break
+        x, val = _sharpen_phase(a, x, val, value)
 
-    f, _, _ = _lp_radius_terms(a, x, p)
+    f = _lp_radius_terms(a, x, p)[0]
     phase = complex(np.conj(f) / abs(f)) if abs(f) > 0 else 1.0 + 0j
     return RadiusResult(float(val), x, phase, 1e-8 * max(1.0, val))

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .norms import (INF, NormSpec, SPECTRAL, TRACE, induced_norm, norm_value,
-                    norm_value_batch, numerical_radius_banach,
-                    numerical_radius_hilbert, schatten_norm, vector_norm)
+from .norms import (INF, NormSpec, SPECTRAL, TRACE, _lp_normalize, _sharpen_phase,
+                    induced_norm, norm_value, norm_value_batch,
+                    numerical_radius_banach, numerical_radius_hilbert,
+                    schatten_norm, vector_norm)
 from .ortho import PREDICATE_RTOL, sip_trace_core
 from .search import circle_max, hill_climb, multistart_ascent
 
@@ -115,7 +116,7 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
     na = norm_value(a, spec)
     nb = norm_value(b, spec)
     target = na + nb
-    tol = tol_rel * max(1.0, target)
+    tol = tol_rel * target
     if na == 0.0 or nb == 0.0:
         return ParallelVerdict(True, 1.0 + 0j, target, target, tol, degenerate=True)
 
@@ -238,11 +239,11 @@ def parallel_identity_radius(a, spec: NormSpec = SPECTRAL, *, seed: int = 0) -> 
     if spec.kind == "schatten" and spec.p == INF:
         radius = numerical_radius_hilbert(a)
         nrm = schatten_norm(a, INF)
-        tol = 1e-7 * max(1.0, nrm)
+        tol = 1e-7 * nrm
     elif spec.kind == "induced_lp" and 1 < spec.p < INF:
         radius = numerical_radius_banach(a, spec.p, seed=seed)
         nrm = induced_norm(a, spec.p).value
-        tol = 1e-6 * max(1.0, nrm)
+        tol = 1e-6 * nrm
     else:
         raise ValueError(
             "radius characterization needs the operator norm or an induced "
@@ -349,11 +350,7 @@ def norming_set(a, spec: NormSpec = SPECTRAL, *, starts: int = 64,
     out_spec = NormSpec.lp(p)
 
     def normalize(x):
-        nrm = np.sum(np.abs(x) ** p) ** (1.0 / p)
-        if nrm < 1e-300:
-            x = np.ones(n, dtype=complex)
-            nrm = float(n) ** (1.0 / p)
-        return x / nrm
+        return _lp_normalize(x, p)
 
     def value(x):
         return vector_norm(a @ x, out_spec)
@@ -386,42 +383,26 @@ def hilbert_parallel_witness(a, b, *, starts: int = 64, seed: int = 0,
     m = b.conj().T @ a
     n = m.shape[0]
     real = bool(np.all(a.imag == 0) and np.all(b.imag == 0))
+    mt, mc = m.T, m.conj()
 
     def normalize(x):
-        nrm = np.linalg.norm(x)
-        if nrm < 1e-300:
-            x = np.ones(n, dtype=complex)
-            nrm = np.sqrt(n)
-        return x / nrm
-
-    def form(x):
-        return complex(x.conj() @ (m @ x))
+        return _lp_normalize(x, 2.0)
 
     def value(x):
-        return abs(form(x))
+        return np.abs((x.conj() * (x @ mt)).sum(axis=-1))
 
     def grad(x):
-        f = form(x)
-        if abs(f) == 0.0:
-            return m @ x + m.conj().T @ x
-        return np.conj(f) * (m @ x) + f * (m.conj().T @ x)
+        mx, mhx = x @ mt, x @ mc
+        f = (x.conj() * mx).sum(axis=-1)[..., None]
+        return np.where(f == 0.0, mx + mhx, np.conj(f) * mx + f * mhx)
 
     val, x = multistart_ascent(value, grad, normalize, n, starts=starts,
                                seed=seed, real=real,
                                extra_starts=[e for e in np.eye(n, dtype=complex)])
-    for _ in range(80):
-        f = form(x)
-        t = -np.angle(f) if abs(f) > 0 else 0.0
-        h = 0.5 * (np.exp(1j * t) * m + np.exp(-1j * t) * m.conj().T)
-        cand = normalize(np.linalg.eigh(h)[1][:, -1])
-        vc = value(cand)
-        if vc > val + 1e-15 * max(1.0, val):
-            x, val = cand, vc
-        else:
-            break
+    x, val = _sharpen_phase(m, x, val, value)
 
     ceiling = schatten_norm(a, INF) * schatten_norm(b, INF)
-    tol = tol_rel * max(1.0, ceiling)
+    tol = tol_rel * ceiling
     return WitnessReport(float(val), x, bool(ceiling - val <= tol), tol)
 
 

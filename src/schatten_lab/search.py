@@ -8,7 +8,10 @@ Three optimization shapes recur across the package:
   orthogonality) -- 16x16 polar grid evaluated in one batch, then an
   in-repo two-dimensional Nelder-Mead refinement (no SciPy dependency);
 * maximize a functional over a norm sphere (induced norms, Banach radius,
-  norm attainment sets) -- seeded multistart ascent.
+  the Hilbert witness) -- seeded multistart gradient ascent, all starts
+  advancing together as one (k, n) stack, so its callbacks take a stack of
+  rows and return per-row values or gradients; norm attainment sets use a
+  gradient-free, one-start-at-a-time hill climb.
 
 Every routine is deterministic for a fixed seed; multistart reductions keep
 the earliest start on ties so results do not depend on iteration order.
@@ -202,49 +205,70 @@ def multistart_ascent(value_fn, grad_fn, normalize_fn, n: int, *, starts: int = 
                       extra_starts=None) -> tuple[float, np.ndarray]:
     """Projected gradient ascent with backtracking from seeded random starts.
 
-    ``grad_fn`` returns an ascent direction (Wirtinger gradient with respect
-    to conj(x) for complex problems).  Steps are renormalized through
-    ``normalize_fn``; only improving steps are accepted.  The best start wins,
-    ties resolved in favor of the earliest start index.
+    All starts advance together as one (k, n) stack: ``extra_starts`` first,
+    then ``sphere_starts``.  Each callback receives a (k, n) stack of rows;
+    ``value_fn`` returns the k values, ``grad_fn`` the k ascent directions
+    (Wirtinger gradients with respect to conj(x) for complex problems) and
+    ``normalize_fn`` the rows mapped back onto the sphere.  Only rows still
+    searching are passed.  Per start: a step is accepted only if it improves
+    the value; an accepted step doubles (capped at 1), a rejected one halves
+    (at most 60 times); a start stops on a non-finite or vanishing gradient,
+    when backtracking fails, or after 3 consecutive gains below
+    ``1e-14 |v|``.  The best start wins, ties resolved in favor of the
+    earliest start index.
     """
-    pts = list(sphere_starts(n, starts, seed, real))
+    x = sphere_starts(n, starts, seed, real)
     if extra_starts is not None:
-        pts = [np.asarray(e, dtype=complex) for e in extra_starts] + pts
-    best_v = -np.inf
-    best_x = None
-    for x0 in pts:
-        x = normalize_fn(x0)
-        v = value_fn(x)
-        step = 0.5
-        stall = 0
-        for _ in range(max_steps):
-            g = grad_fn(x)
-            gn = np.linalg.norm(g)
-            if not np.isfinite(gn) or gn < 1e-300:
+        x = np.concatenate([np.asarray(extra_starts, dtype=complex).reshape(-1, n), x])
+    x = normalize_fn(x)
+    v = np.asarray(value_fn(x), dtype=float)
+    # The rows still ascending, compacted: start index, point, value, step, stalls.
+    ids, xa, va = np.arange(len(v)), x.copy(), v.copy()
+    step, stall = np.full(len(v), 0.5), np.zeros(len(v), dtype=int)
+
+    def keep_only(keep):
+        # Write the rows that stop back into x, v and drop them from the stack.
+        nonlocal ids, xa, va, step, stall
+        gone = ~keep
+        x[ids[gone]], v[ids[gone]] = xa[gone], va[gone]
+        ids, xa, va, step, stall = ids[keep], xa[keep], va[keep], step[keep], stall[keep]
+
+    for _ in range(max_steps):
+        if ids.size == 0:
+            break
+        g = grad_fn(xa)
+        gn = np.sqrt((g.conj() * g).real.sum(axis=1))
+        ok = np.isfinite(gn) & (gn >= 1e-300)
+        if not ok.all():
+            keep_only(ok)
+            g, gn = g[ok], gn[ok]
+            if ids.size == 0:
                 break
-            d = g / gn
-            s = step
-            gained = 0.0
-            for _ in range(60):
-                xn = normalize_fn(x + s * d)
-                vn = value_fn(xn)
-                if vn > v:
-                    gained = vn - v
-                    x, v = xn, vn
-                    step = min(2.0 * s, 1.0)
+        v0 = va.copy()
+        # Backtrack on the rows still searching (positions ``pos`` of the
+        # active rows), compacted as they accept.
+        pos, xr, vr, dr, sr = np.arange(ids.size), xa, v0, g / gn[:, None], step
+        for _ in range(60):
+            xn = normalize_fn(xr + sr[:, None] * dr)
+            vn = np.asarray(value_fn(xn), dtype=float)
+            up = vn > vr
+            if up.any():
+                won = pos[up]
+                xa[won], va[won] = xn[up], vn[up]
+                step[won] = np.minimum(2.0 * sr[up], 1.0)
+                keep = ~up
+                pos, xr, vr, dr, sr = pos[keep], xr[keep], vr[keep], dr[keep], sr[keep]
+                if pos.size == 0:
                     break
-                s *= 0.5
-            if gained == 0.0:
-                break
-            if gained <= 1e-14 * max(abs(v), 1e-300):
-                stall += 1
-                if stall >= 3:
-                    break
-            else:
-                stall = 0
-        if v > best_v:
-            best_v, best_x = v, x
-    return float(best_v), best_x
+            sr = 0.5 * sr
+        gained = va - v0
+        stall = np.where(gained <= 1e-14 * np.maximum(np.abs(va), 1e-300), stall + 1, 0)
+        keep = (gained > 0.0) & (stall < 3)
+        if not keep.all():
+            keep_only(keep)
+    keep_only(np.zeros(ids.size, dtype=bool))  # rows still ascending at max_steps
+    best = int(np.argmax(np.where(np.isnan(v), -np.inf, v)))
+    return float(v[best]), x[best]
 
 
 def hill_climb(value_fn, normalize_fn, n: int, *, starts: int = 64, rounds: int = 64,

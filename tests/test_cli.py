@@ -182,6 +182,14 @@ class TestCheckCommand:
         assert code == 2
         assert "invalid --p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("norm, p", [("induced", "0.5"), ("schatten", "nan"),
+                                         ("induced", "nan")])
+    def test_p_out_of_range_is_usage_error(self, files, capsys, norm, p):
+        a = files("a", np.eye(2))
+        code = main(["check", "parallel", a, a, "--norm", norm, "--p", p])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestMatrixFileErrors:
     def _expect(self, capsys, argv, fragment):

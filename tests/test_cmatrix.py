@@ -1,6 +1,7 @@
 """Tests for complex-matrix primitives: factorizations, modulus, supports."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,13 @@ class TestPolarAndModulus:
         a = np.diag([3.0, 4.0]).astype(complex)
         assert np.allclose(abs_power(a, 2.0), np.diag([9.0, 16.0]), atol=1e-12)
         assert np.allclose(abs_power(a, 0.5), np.diag([math.sqrt(3), 2.0]), atol=1e-12)
+
+    def test_abs_power_rank_deficient_sets_every_entry(self):
+        a = np.diag([2.0, 0.0, 0.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = abs_power(a, 0.5)
+        assert np.array_equal(p, np.diag([math.sqrt(2.0), 0.0, 0.0]))
 
     def test_abs_power_one_is_modulus(self):
         rng = _rng(9)

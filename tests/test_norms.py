@@ -12,6 +12,7 @@ from schatten_lab.norms import (
     NormSpec,
     SPECTRAL,
     TRACE,
+    _lp_normalize,
     induced_norm,
     norm_value,
     norm_value_batch,
@@ -238,6 +239,26 @@ class TestHilbertRadius:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             numerical_radius_hilbert(np.ones((2, 3)))
+
+
+class TestLpNormalize:
+    def test_vector_and_stack_agree(self):
+        rng = _rng(61)
+        stack = _draw(rng, (5, 4))
+        for p in (1.5, 2.0, 3.0):
+            rows = _lp_normalize(stack, p)
+            assert rows.shape == (5, 4)
+            assert np.allclose(np.sum(np.abs(rows) ** p, axis=1), 1.0, rtol=1e-13)
+            for x, row in zip(stack, rows):
+                assert np.array_equal(_lp_normalize(x, p), row)
+
+    def test_zero_falls_back_to_ones(self):
+        ones = np.full(4, 4.0 ** (-1.0 / 3.0), dtype=complex)
+        assert np.array_equal(_lp_normalize(np.zeros(4), 3.0), ones)
+        stack = np.array([np.zeros(4), np.arange(4.0)], dtype=complex)
+        rows = _lp_normalize(stack, 3.0)
+        assert np.array_equal(rows[0], ones)
+        assert np.array_equal(rows[1], _lp_normalize(stack[1], 3.0))
 
 
 class TestBanachRadius:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from schatten_lab.ensembles import ginibre
 from schatten_lab.norms import (
     FROBENIUS,
     INF,
@@ -316,6 +317,31 @@ class TestHilbertWitness:
             assert rep.holds == ver.holds
             # The two maxima agree: sup |<ax, bx>| = max_lambda ||a+lb|| gap.
             assert rep.value <= schatten_norm(a, INF) * schatten_norm(b, INF) + 1e-9
+
+
+class TestScaleInvariance:
+    """Parallelism is homogeneous: an independent pair is not parallel, and
+    a scale common to both operands must not change that verdict."""
+
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(5)
+        return ginibre(rng, 4), ginibre(rng, 4)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-7, 1e-8])
+    def test_definitional_frobenius(self, s):
+        a, b = self._pair()
+        assert not parallel_definitional(s * a, s * b, FROBENIUS).holds
+
+    @pytest.mark.parametrize("s", [1.0, 1e-7, 1e-8])
+    def test_identity_radius(self, s):
+        a, _ = self._pair()
+        assert not parallel_identity_radius(s * a)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-7, 1e-8])
+    def test_hilbert_witness(self, s):
+        a, b = self._pair()
+        assert not hilbert_parallel_witness(s * a, s * b).holds
 
 
 class TestIsometryTransfer:
