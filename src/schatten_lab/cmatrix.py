@@ -59,6 +59,15 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_pair(a, b, *, vector: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two operands of one shape: matrices, or vectors if ``vector``."""
+    convert = as_vector if vector else as_matrix
+    a, b = convert(a), convert(b)
+    if a.shape != b.shape:
+        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
+    return a, b
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Reduced singular value decomposition ``a = u @ diag(s) @ v*``.

@@ -1045,7 +1045,6 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     src_b = uinv @ beta @ umap
     t.track(umap, src_a, src_b)
     rep = epsilon_isometry_transfer(src_a, src_b, umap, eps)
-    t.check("near-isometry validated", rep.validated)
     t.check(
         "conjugated pair parallel", rep.conjugated_parallel.holds,
         rep.conjugated_parallel.gap,
@@ -1058,7 +1057,6 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     if offset == 0:
         a0, b0 = ensembles.shared_top_direction_pair(rng, n)
         rep0 = epsilon_isometry_transfer(u @ a0 @ uh, u @ b0 @ uh, uh, 0.0)
-        t.check("exact isometry validated", rep0.validated)
         t.check(
             "exact isometry attains the full sum",
             rep0.conjugated_parallel.holds and rep0.lower_bound_ok is True,

@@ -6,13 +6,18 @@ A ``NormSpec`` names the norm every predicate works under:
 * ``schatten`` with ``0 < p <= inf`` -- singular value p-sums (quasi-norm for
   p < 1, operator norm at p = inf);
 * ``induced_lp`` with ``1 <= p <= inf`` -- operator norm induced by the
-  vector lp norm (exact for p in {1, 2, inf}, certified-lower-bound ascent
-  otherwise);
+  vector lp norm (exact for p in {1, 2, inf}; otherwise
+  ``search.multistart_ascent`` over the lp sphere, whose value is attained at
+  a unit vector and so is a certified lower bound, computed at the same
+  effort for single operands and for stacks);
 * ``vector_lp`` / ``vector_max`` -- norms of vector operands.
 
 Radius computations return a ``RadiusResult`` carrying the value, a witness
 vector, and the phase that makes the defining functional real positive at
-the witness.
+the witness.  The lp numerical radius runs the same sphere ascent on the
+norming functional; ``search`` owns the lp sphere (normalization and
+tangent step), so the callers here pass only the exponent and their value
+and gradient.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .search import golden_section_max, multistart_ascent
+from .search import _lp_normalize, golden_section_max, multistart_ascent
 
 INF = math.inf
 
@@ -100,42 +105,6 @@ def _check_p(p) -> float:
     if math.isnan(p):
         raise ValueError("p must not be NaN")
     return p
-
-
-def _lp_normalize(x, p: float) -> np.ndarray:
-    """Scale a vector, or each row of a (k, n) stack, onto the unit lp sphere.
-
-    A (numerically) zero vector is replaced by the normalized all-ones vector.
-    """
-    x = np.asarray(x, dtype=complex)
-    nrm = (np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
-    zero = nrm < 1e-300
-    if zero.any():
-        x = np.where(zero, 1.0 + 0j, x)
-        nrm = np.where(zero, float(x.shape[-1]) ** (1.0 / p), nrm)
-    return x / nrm
-
-
-def _sharpen_phase(m: np.ndarray, x: np.ndarray, val: float, value):
-    """Sharpen a maximizer of ``|x* m x|`` on the unit l2 sphere.
-
-    Alternates the phase ``t`` that makes ``e^{it} x* m x`` real positive with
-    the top eigenvector of the Hermitian part of ``e^{it} m``, for at most 80
-    rounds, while ``value`` gains more than ``1e-15 max(1, val)``.  Returns the
-    sharpened ``(x, val)``.
-    """
-    mh = m.conj().T
-    for _ in range(80):
-        f = complex(x.conj() @ (m @ x))
-        t = -np.angle(f) if abs(f) > 0 else 0.0
-        h = 0.5 * (np.exp(1j * t) * m + np.exp(-1j * t) * mh)
-        cand = _lp_normalize(np.linalg.eigh(h)[1][:, -1], 2.0)
-        vc = float(value(cand))
-        if vc > val + 1e-15 * max(1.0, val):
-            x, val = cand, vc
-        else:
-            break
-    return x, val
 
 
 def schatten_norm(a, p) -> float:
@@ -234,9 +203,6 @@ def induced_norm(a, p, *, starts: int = 64, max_steps: int = 400,
     real = bool(np.all(a.imag == 0))
     at, ac = a.T, a.conj()
 
-    def normalize(x):
-        return _lp_normalize(x, p)
-
     def value(x):
         return (np.abs(x @ at) ** p).sum(axis=-1) ** (1.0 / p)
 
@@ -246,10 +212,9 @@ def induced_norm(a, p, *, starts: int = 64, max_steps: int = 400,
         z = np.where(ay > 0, np.maximum(ay, 1e-300) ** (p - 2) * y, 0.0)
         return z @ ac
 
-    extra = [e for e in np.eye(n, dtype=complex)]
-    val, x = multistart_ascent(value, grad, normalize, n, starts=starts,
+    val, x = multistart_ascent(value, grad, p, n, starts=starts,
                                max_steps=max_steps, seed=seed, real=real,
-                               extra_starts=extra)
+                               extra_starts=list(np.eye(n, dtype=complex)))
     return RadiusResult(val, x, 1.0 + 0j, 1e-8 * max(1.0, val))
 
 
@@ -281,10 +246,8 @@ def norm_value_batch(stack: np.ndarray, spec: NormSpec) -> np.ndarray:
         return np.abs(stack).sum(axis=-1).max(axis=-1)
     if spec.p == 2:
         return cmatrix.singular_values_batch(stack)[..., 0]
-    # Generic induced p: no batched formula; reduced-effort ascent per entry.
-    return np.array([
-        induced_norm(m, spec.p, starts=8, max_steps=150).value for m in stack
-    ])
+    # Generic induced p: no batched formula; one full ascent per entry.
+    return np.array([induced_norm(m, spec.p).value for m in stack])
 
 
 def numerical_radius_hilbert(a) -> RadiusResult:
@@ -355,9 +318,6 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
     real = bool(np.all(a.imag == 0))
     ac = a.conj()
 
-    def normalize(x):
-        return _lp_normalize(x, p)
-
     def value(x):
         return np.abs(_lp_radius_terms(a, x, p)[0])
 
@@ -373,14 +333,24 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
         g = (np.conj(f) * df_dconj + f * np.conj(df_dx)) / (2.0 * np.maximum(af, 1e-300))
         return np.where(af < 1e-300, y @ ac, g)
 
-    extra = [e for e in np.eye(n, dtype=complex)]
-    val, x = multistart_ascent(value, grad, normalize, n, starts=starts,
+    val, x = multistart_ascent(value, grad, p, n, starts=starts,
                                max_steps=max_steps, seed=seed, real=real,
-                               extra_starts=extra)
+                               extra_starts=list(np.eye(n, dtype=complex)))
 
     if p == 2:
-        # Phase/eigenvector alternation sharpens the l2 case to spectral accuracy.
-        x, val = _sharpen_phase(a, x, val, value)
+        # Sharpen the l2 case to spectral accuracy: alternate the phase ``t``
+        # making ``e^{it} x* a x`` real positive with the top eigenvector of
+        # the Hermitian part of ``e^{it} a``, while the value still gains.
+        ah = a.conj().T
+        for _ in range(80):
+            f = complex(x.conj() @ (a @ x))
+            t = -np.angle(f) if abs(f) > 0 else 0.0
+            h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
+            cand = _lp_normalize(np.linalg.eigh(h)[1][:, -1], 2.0)
+            vc = float(value(cand))
+            if not vc > val + 1e-15 * max(1.0, val):
+                break
+            x, val = cand, vc
 
     f = _lp_radius_terms(a, x, p)[0]
     phase = complex(np.conj(f) / abs(f)) if abs(f) > 0 else 1.0 + 0j

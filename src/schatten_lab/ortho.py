@@ -88,18 +88,6 @@ def _bj_spec_ok(spec: NormSpec) -> None:
         )
 
 
-def _operands(a, b, spec: NormSpec):
-    if spec.is_vector:
-        a = cmatrix.as_vector(a)
-        b = cmatrix.as_vector(b)
-    else:
-        a = cmatrix.as_matrix(a)
-        b = cmatrix.as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Verdict:
     """Birkhoff-James orthogonality of ``a`` to ``b`` under ``spec``.
 
@@ -113,7 +101,7 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     verdict.  Not symmetric in general.
     """
     _bj_spec_ok(spec)
-    a, b = _operands(a, b, spec)
+    a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     na = norm_value(a, spec)
     nb = norm_value(b, spec)
     tol = tol_rel * max(na, nb)
@@ -144,10 +132,7 @@ def sip_trace_core(b, a, p: float) -> complex:
     Null singular directions of ``a`` contribute nothing for every p >= 1
     (the p = 1 power ``|a|^0`` is the support projection).
     """
-    a = cmatrix.as_matrix(a)
-    b = cmatrix.as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
+    a, b = cmatrix.as_pair(a, b)
     f = cmatrix.svd(a)
     s = f.singular_values
     cutoff = cmatrix.RANK_RTOL * (s[0] if s.size else 0.0)
@@ -199,10 +184,7 @@ def isosceles(a, b, p: float, complex_mode: bool = True,
     p = float(p)
     if not p >= 1:
         raise ValueError(f"isosceles orthogonality needs p >= 1, got {p}")
-    a = cmatrix.as_matrix(a)
-    b = cmatrix.as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
+    a, b = cmatrix.as_pair(a, b)
     scale = max(schatten_norm(a, p) + schatten_norm(b, p), 1e-300)
     ok = abs(schatten_norm(a + b, p) - schatten_norm(a - b, p)) <= tol_rel * scale
     if complex_mode and ok:
@@ -212,10 +194,7 @@ def isosceles(a, b, p: float, complex_mode: bool = True,
 
 
 def disjoint_supports(a, b, tol: float = SUPPORT_RTOL) -> SupportReport:
-    a = cmatrix.as_matrix(a)
-    b = cmatrix.as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
+    a, b = cmatrix.as_pair(a, b)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -234,10 +213,7 @@ def clarkson_gap(a, b, p: float) -> float:
     p = float(p)
     if not (0 < p < INF):
         raise ValueError(f"clarkson gap needs finite p > 0, got {p}")
-    a = cmatrix.as_matrix(a)
-    b = cmatrix.as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
+    a, b = cmatrix.as_pair(a, b)
     return float(
         schatten_norm(a + b, p) ** p + schatten_norm(a - b, p) ** p
         - 2.0 * (schatten_norm(a, p) ** p + schatten_norm(b, p) ** p)
@@ -252,10 +228,7 @@ def norm_additivity(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
     p = float(p)
     if not (0 < p < INF):
         raise ValueError(f"norm additivity needs finite p > 0, got {p}")
-    a = cmatrix.as_matrix(a)
-    b = cmatrix.as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
+    a, b = cmatrix.as_pair(a, b)
     base = schatten_norm(a, p) ** p + schatten_norm(b, p) ** p
     scale = max(base, 1e-300)
     return bool(

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .norms import (INF, NormSpec, SPECTRAL, TRACE, _lp_normalize, _sharpen_phase,
-                    induced_norm, norm_value, norm_value_batch,
-                    numerical_radius_banach, numerical_radius_hilbert,
-                    schatten_norm, vector_norm)
+from .norms import (INF, NormSpec, SPECTRAL, induced_norm, norm_value,
+                    norm_value_batch, numerical_radius_banach,
+                    numerical_radius_hilbert, schatten_norm, vector_norm)
 from .ortho import PREDICATE_RTOL, sip_trace_core
-from .search import circle_max, hill_climb, multistart_ascent
+from .search import circle_max, hill_climb
 
 # Relative scale below which the smaller singular value means dependence.
 DEPENDENCE_RTOL = 1e-9
@@ -78,29 +77,17 @@ class WitnessReport:
 class IsometryTransferReport:
     """Parallelism pushed through a conjugation by an approximate isometry.
 
-    ``validated`` certifies the conjugator really distorts lengths by at most
-    the stated factor.  ``achieved`` is the circle maximum for the conjugated
-    pair and must reach ``lower_bound`` whenever the source pair is parallel;
-    ``lower_bound_ok`` is None when either hypothesis failed.
+    A conjugator that distorts lengths by more than the stated factor is
+    rejected with ``ValueError``, so a report always rests on a validated
+    conjugator.  ``achieved`` is the circle maximum for the source pair and
+    must reach ``lower_bound`` whenever the conjugated pair is parallel;
+    ``lower_bound_ok`` is None when that hypothesis failed.
     """
 
-    validated: bool
     conjugated_parallel: ParallelVerdict
     lower_bound: float
     achieved: float
     lower_bound_ok: bool | None
-
-
-def _pair(a, b, spec: NormSpec):
-    if spec.is_vector:
-        a = cmatrix.as_vector(a)
-        b = cmatrix.as_vector(b)
-    else:
-        a = cmatrix.as_matrix(a)
-        b = cmatrix.as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return a, b
 
 
 def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
@@ -112,7 +99,7 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
     exceeds the true one, a ``holds`` verdict is trustworthy and a failure is
     a failure of the refined scan only up to ``tolerance``.
     """
-    a, b = _pair(a, b, spec)
+    a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     na = norm_value(a, spec)
     nb = norm_value(b, spec)
     target = na + nb
@@ -173,7 +160,7 @@ def parallel_trace_p(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
     p = float(p)
     if not (1 < p < INF):
         raise ValueError(f"the trace characterization needs 1 < p < inf, got {p}")
-    a, b = _pair(a, b, NormSpec.schatten(p))
+    a, b = cmatrix.as_pair(a, b)
     na = schatten_norm(a, p)
     nb = schatten_norm(b, p)
     if na == 0.0 or nb == 0.0:
@@ -193,7 +180,7 @@ def parallel_trace_class(a, b, tol_rel: float = PREDICATE_RTOL) -> bool:
     Raises for (numerically) singular ``a``, where the characterization does
     not apply -- use ``parallel_definitional`` with the trace spec instead.
     """
-    a, b = _pair(a, b, TRACE)
+    a, b = cmatrix.as_pair(a, b)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"invertible-operand test needs square matrices, got {a.shape}")
     s = cmatrix.singular_values(a)
@@ -349,14 +336,11 @@ def norming_set(a, spec: NormSpec = SPECTRAL, *, starts: int = 64,
     real = bool(np.all(a.imag == 0))
     out_spec = NormSpec.lp(p)
 
-    def normalize(x):
-        return _lp_normalize(x, p)
-
     def value(x):
         return vector_norm(a @ x, out_spec)
 
-    best, _, limits = hill_climb(value, normalize, n, starts=starts, seed=seed,
-                                 real=real, extra_starts=[e for e in np.eye(n, dtype=complex)])
+    best, _, limits = hill_climb(value, p, n, starts=starts, seed=seed, real=real,
+                                 extra_starts=list(np.eye(n, dtype=complex)))
     members = []
     for x in limits:
         if value(x) < best * (1.0 - tol):
@@ -367,43 +351,19 @@ def norming_set(a, spec: NormSpec = SPECTRAL, *, starts: int = 64,
     return NormingSet(tuple(members), False, float(best), tol)
 
 
-def hilbert_parallel_witness(a, b, *, starts: int = 64, seed: int = 0,
-                             tol_rel: float = PREDICATE_RTOL) -> WitnessReport:
+def hilbert_parallel_witness(a, b, *, tol_rel: float = PREDICATE_RTOL) -> WitnessReport:
     """Witness functional for operator-norm parallelism on Hilbert space:
 
     ``a`` is parallel to ``b`` iff ``sup_{||x||=1} |<a x, b x>| = ||a|| ||b||``.
-    The sup is located by seeded multistart ascent on ``|x* (b* a) x|``
-    sharpened by phase/eigenvector alternation; the computed value is a
-    certified lower bound for the sup.
+    The sup is the numerical radius of ``b* a``, taken with its maximizing
+    unit vector from ``numerical_radius_hilbert``.
     """
-    a = cmatrix.as_matrix(a)
-    b = cmatrix.as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    m = b.conj().T @ a
-    n = m.shape[0]
-    real = bool(np.all(a.imag == 0) and np.all(b.imag == 0))
-    mt, mc = m.T, m.conj()
-
-    def normalize(x):
-        return _lp_normalize(x, 2.0)
-
-    def value(x):
-        return np.abs((x.conj() * (x @ mt)).sum(axis=-1))
-
-    def grad(x):
-        mx, mhx = x @ mt, x @ mc
-        f = (x.conj() * mx).sum(axis=-1)[..., None]
-        return np.where(f == 0.0, mx + mhx, np.conj(f) * mx + f * mhx)
-
-    val, x = multistart_ascent(value, grad, normalize, n, starts=starts,
-                               seed=seed, real=real,
-                               extra_starts=[e for e in np.eye(n, dtype=complex)])
-    x, val = _sharpen_phase(m, x, val, value)
-
+    a, b = cmatrix.as_pair(a, b)
+    radius = numerical_radius_hilbert(b.conj().T @ a)
     ceiling = schatten_norm(a, INF) * schatten_norm(b, INF)
     tol = tol_rel * ceiling
-    return WitnessReport(float(val), x, bool(ceiling - val <= tol), tol)
+    return WitnessReport(radius.value, radius.witness_vector,
+                         bool(ceiling - radius.value <= tol), tol)
 
 
 def epsilon_isometry_transfer(a, b, u, eps: float, *,
@@ -452,4 +412,4 @@ def epsilon_isometry_transfer(a, b, u, eps: float, *,
     ok: bool | None = None
     if conj.holds:
         ok = bool(source.achieved >= lower_bound - tol_rel * max(1.0, source.target))
-    return IsometryTransferReport(True, conj, lower_bound, float(source.achieved), ok)
+    return IsometryTransferReport(conj, lower_bound, float(source.achieved), ok)

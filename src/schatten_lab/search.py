@@ -7,11 +7,13 @@ Three optimization shapes recur across the package:
 * minimize a convex function over a complex scalar (Birkhoff-James
   orthogonality) -- 16x16 polar grid evaluated in one batch, then an
   in-repo two-dimensional Nelder-Mead refinement (no SciPy dependency);
-* maximize a functional over a norm sphere (induced norms, Banach radius,
-  the Hilbert witness) -- seeded multistart gradient ascent, all starts
-  advancing together as one (k, n) stack, so its callbacks take a stack of
-  rows and return per-row values or gradients; norm attainment sets use a
-  gradient-free, one-start-at-a-time hill climb.
+* maximize a functional over the unit lp sphere (induced norms, Banach
+  radius) -- seeded multistart gradient ascent, all starts advancing
+  together as one (k, n) stack, so its callbacks take a stack of rows and
+  return per-row values or gradients; norm attainment sets use a
+  gradient-free, one-start-at-a-time hill climb.  Both take the exponent p
+  and keep their points on the sphere with ``_lp_normalize``, the package's
+  one lp normalization.
 
 Every routine is deterministic for a fixed seed; multistart reductions keep
 the earliest start on ties so results do not depend on iteration order.
@@ -200,27 +202,56 @@ def sphere_starts(n: int, count: int, seed: int, real: bool = False) -> np.ndarr
     return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
 
 
-def multistart_ascent(value_fn, grad_fn, normalize_fn, n: int, *, starts: int = 64,
+def _lp_normalize(x, p: float) -> np.ndarray:
+    """Scale a vector, or each row of a (k, n) stack, onto the unit lp sphere.
+
+    A (numerically) zero vector is replaced by the normalized all-ones vector.
+    """
+    x = np.asarray(x, dtype=complex)
+    nrm = (np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+    zero = nrm < 1e-300
+    if zero.any():
+        x = np.where(zero, 1.0 + 0j, x)
+        nrm = np.where(zero, float(x.shape[-1]) ** (1.0 / p), nrm)
+    return x / nrm
+
+
+def _tangent(g: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
+    """The rows of ``g`` less their component along the lp sphere's normal.
+
+    At a row ``x`` of the sphere the normal is ``|x|^{p-1} x / |x|`` (0 where
+    ``x_i = 0``); the component is taken in the real inner product
+    ``Re <u, v>``.
+    """
+    ax = np.abs(x)
+    normal = ax ** (p - 1.0) * (x / np.maximum(ax, 1e-300))
+    along = (normal.conj() * g).real.sum(axis=-1) / (ax ** (2.0 * p - 2.0)).sum(axis=-1)
+    return g - along[:, None] * normal
+
+
+def multistart_ascent(value_fn, grad_fn, p: float, n: int, *, starts: int = 64,
                       max_steps: int = 500, seed: int = 0, real: bool = False,
                       extra_starts=None) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent with backtracking from seeded random starts.
+    """Gradient ascent with backtracking over the unit lp sphere of C^n.
 
     All starts advance together as one (k, n) stack: ``extra_starts`` first,
-    then ``sphere_starts``.  Each callback receives a (k, n) stack of rows;
-    ``value_fn`` returns the k values, ``grad_fn`` the k ascent directions
-    (Wirtinger gradients with respect to conj(x) for complex problems) and
-    ``normalize_fn`` the rows mapped back onto the sphere.  Only rows still
-    searching are passed.  Per start: a step is accepted only if it improves
-    the value; an accepted step doubles (capped at 1), a rejected one halves
-    (at most 60 times); a start stops on a non-finite or vanishing gradient,
-    when backtracking fails, or after 3 consecutive gains below
-    ``1e-14 |v|``.  The best start wins, ties resolved in favor of the
-    earliest start index.
+    then ``sphere_starts``, each scaled onto the sphere.  Each callback
+    receives a (k, n) stack of rows on the sphere; ``value_fn`` returns the k
+    values and ``grad_fn`` the k ascent directions (Wirtinger gradients with
+    respect to conj(x) for complex problems).  Only rows still searching are
+    passed.  Each step moves along the part of the gradient tangent to the
+    sphere (``_tangent``) and maps the result back onto it.  Per start: a
+    step is accepted only if it improves the value; an accepted step doubles
+    (capped at 1), a rejected one halves (at most 60 times); a start stops
+    on a non-finite gradient, once the tangent part falls to ``1e-8`` of the
+    gradient (a critical point on the sphere), when backtracking fails, or
+    after 3 consecutive gains below ``1e-14 |v|``.  The best start wins,
+    ties resolved in favor of the earliest start index.
     """
     x = sphere_starts(n, starts, seed, real)
     if extra_starts is not None:
         x = np.concatenate([np.asarray(extra_starts, dtype=complex).reshape(-1, n), x])
-    x = normalize_fn(x)
+    x = _lp_normalize(x, p)
     v = np.asarray(value_fn(x), dtype=float)
     # The rows still ascending, compacted: start index, point, value, step, stalls.
     ids, xa, va = np.arange(len(v)), x.copy(), v.copy()
@@ -238,18 +269,22 @@ def multistart_ascent(value_fn, grad_fn, normalize_fn, n: int, *, starts: int = 
             break
         g = grad_fn(xa)
         gn = np.sqrt((g.conj() * g).real.sum(axis=1))
-        ok = np.isfinite(gn) & (gn >= 1e-300)
+        ok = np.isfinite(gn)
+        # Non-finite rows stop anyway; zeroing them keeps the projection quiet.
+        t = _tangent(np.where(ok[:, None], g, 0.0), xa, p)
+        tn = np.sqrt((t.conj() * t).real.sum(axis=1))
+        ok &= tn > 1e-8 * gn
         if not ok.all():
             keep_only(ok)
-            g, gn = g[ok], gn[ok]
+            t, tn = t[ok], tn[ok]
             if ids.size == 0:
                 break
         v0 = va.copy()
         # Backtrack on the rows still searching (positions ``pos`` of the
         # active rows), compacted as they accept.
-        pos, xr, vr, dr, sr = np.arange(ids.size), xa, v0, g / gn[:, None], step
+        pos, xr, vr, dr, sr = np.arange(ids.size), xa, v0, t / tn[:, None], step
         for _ in range(60):
-            xn = normalize_fn(xr + sr[:, None] * dr)
+            xn = _lp_normalize(xr + sr[:, None] * dr, p)
             vn = np.asarray(value_fn(xn), dtype=float)
             up = vn > vr
             if up.any():
@@ -271,10 +306,10 @@ def multistart_ascent(value_fn, grad_fn, normalize_fn, n: int, *, starts: int = 
     return float(v[best]), x[best]
 
 
-def hill_climb(value_fn, normalize_fn, n: int, *, starts: int = 64, rounds: int = 64,
+def hill_climb(value_fn, p: float, n: int, *, starts: int = 64, rounds: int = 64,
                proposals: int = 8, seed: int = 0, real: bool = False,
                extra_starts=None) -> tuple[float, np.ndarray, list[np.ndarray]]:
-    """Gradient-free random-direction ascent for nonsmooth objectives.
+    """Gradient-free random-direction ascent over the unit lp sphere of C^n.
 
     Shrinking step scales; at each scale a fixed budget of random directions
     is proposed and improvements accepted.  Returns the best value, the best
@@ -288,7 +323,7 @@ def hill_climb(value_fn, normalize_fn, n: int, *, starts: int = 64, rounds: int 
     best_v = -np.inf
     best_x = None
     for x0 in pts:
-        x = normalize_fn(x0)
+        x = _lp_normalize(x0, p)
         v = value_fn(x)
         step = 1.0
         for _ in range(rounds):
@@ -298,7 +333,7 @@ def hill_climb(value_fn, normalize_fn, n: int, *, starts: int = 64, rounds: int 
                     d = rng.standard_normal(n) + 0j
                 else:
                     d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                xn = normalize_fn(x + step * d)
+                xn = _lp_normalize(x + step * d, p)
                 vn = value_fn(xn)
                 if vn > v:
                     x, v = xn, vn

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from schatten_lab.cmatrix import ConvergenceFailure
+from schatten_lab.ensembles import ginibre
 from schatten_lab.norms import (
     FROBENIUS,
     INF,
     NormSpec,
     SPECTRAL,
     TRACE,
-    _lp_normalize,
     induced_norm,
     norm_value,
     norm_value_batch,
@@ -24,6 +24,7 @@ from schatten_lab.norms import (
     schatten_norm_trusted,
     vector_norm,
 )
+from schatten_lab.search import _lp_normalize
 
 
 def _rng(seed):
@@ -127,6 +128,33 @@ class TestSchattenNorm:
             schatten_norm_trusted(np.full((2, 2), np.nan + 0j), 2.0)
 
 
+def _power_induced(a, p, starts=16, iters=300):
+    """Boyd's power iteration for the induced lp norm (Higham 1992, "Estimating
+    the matrix p-norm"): the best ``||a x||_p`` over the iterates of the basis
+    vectors and ``starts`` seeded complex directions."""
+    q = p / (p - 1.0)
+
+    def dual(x, r):
+        # The unit-l(r') vector y with <y, x> = ||x||_r, row by row.
+        ax = np.abs(x)
+        phase = np.divide(x, ax, out=np.zeros_like(x), where=ax > 0)
+        nrm = (ax ** r).sum(axis=-1, keepdims=True) ** (1.0 / r)
+        return (ax / nrm) ** (r - 1.0) * phase
+
+    def norm(x, r):
+        return (np.abs(x) ** r).sum(axis=-1) ** (1.0 / r)
+
+    n = a.shape[1]
+    x = np.concatenate([np.eye(n), _draw(_rng(2), (starts, n))])
+    x = x / norm(x, p)[:, None]
+    best = 0.0
+    for _ in range(iters):
+        y = x @ a.T
+        best = max(best, float(norm(y, p).max()))
+        x = dual(dual(y, p) @ a.conj(), q)
+    return best
+
+
 class TestVectorAndInducedNorms:
     def test_vector_closed_forms(self):
         x = np.array([3.0, -4.0])
@@ -173,6 +201,13 @@ class TestVectorAndInducedNorms:
                 float(np.sum(np.abs(a[:, j]) ** p) ** (1.0 / p)) for j in range(3)
             )
             assert col - 1e-9 <= val <= hi + 1e-9
+
+    @pytest.mark.parametrize("n, p", [(2, 1.5), (2, 3.0), (4, 1.5), (4, 3.0), (8, 3.0)])
+    def test_induced_generic_p_matches_power_iteration(self, n, p):
+        for seed in range(4):
+            a = ginibre(_rng(seed), n)
+            res = induced_norm(a, p)
+            assert abs(res.value - _power_induced(a, p)) <= res.tolerance
 
     def test_norm_value_dispatch(self):
         a = np.diag([3.0, 4.0])
@@ -286,6 +321,20 @@ class TestBanachRadius:
         exact = (4.0 / 27.0) ** (1.0 / 3.0)
         res = numerical_radius_banach(a, 3.0)
         assert exact - 1e-4 <= res.value <= exact + 1e-9
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_witness_is_local_maximum(self, p):
+        # No small move along the sphere raises |x*(a x)| above the value.
+        rng = _rng(89)
+        for seed in range(3):
+            a = ginibre(_rng(seed + 5), 4)
+            res = numerical_radius_banach(a, p)
+            d = _draw(rng, (200, 4))
+            d *= 1e-4 / np.linalg.norm(d, axis=1, keepdims=True)
+            moved = _lp_normalize(res.witness_vector + d, p)
+            y = moved @ a.T
+            vals = np.abs((np.conj(moved) * np.abs(moved) ** (p - 2.0) * y).sum(axis=1))
+            assert vals.max() <= res.value * (1.0 + 1e-10)
 
     def test_validation(self):
         a = np.eye(2)

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from schatten_lab.search import (gamma_min, multistart_ascent, nelder_mead_complex,
-                                 sphere_starts)
+from schatten_lab.search import (_lp_normalize, gamma_min, multistart_ascent,
+                                 nelder_mead_complex, sphere_starts)
 
 
 def _bowl(center, scale=1.0):
@@ -62,7 +62,7 @@ class TestGammaMin:
 
 
 def _form_problem(n=3, seed=7):
-    """Maximize |x* m x| over the unit l2 sphere; callbacks take (k, n) stacks.
+    """Maximize |x* m x| over a unit sphere; callbacks take (k, n) stacks.
 
     einsum keeps every row's arithmetic independent of the other rows, so a
     batch and a single-row call give bit-identical results.
@@ -79,30 +79,43 @@ def _form_problem(n=3, seed=7):
         f = np.einsum("...i,...i->...", x.conj(), mx)[..., None]
         return np.conj(f) * mx + f * mhx
 
-    def normalize(x):
-        return x / np.sqrt((np.abs(x) ** 2).sum(axis=-1, keepdims=True))
-
-    return value, grad, normalize
+    return value, grad
 
 
-def _reference_ascent(value, grad, normalize, pts, max_steps):
+def _reference_ascent(value, grad, p, pts, max_steps):
     """One start at a time, with the per-start rules of ``multistart_ascent``."""
     def one(f, x):
         return f(x[None])[0]
 
+    def normalize(x):
+        # keepdims: an array power, rounded as numpy rounds a stack's row norms
+        return x / (np.abs(x) ** p).sum(keepdims=True) ** (1.0 / p)
+
+    def tangent(g, x):
+        # Remove the Re<., .> component along the lp normal |x|^{p-1} x/|x|.
+        ax = np.abs(x)
+        phase = np.divide(x, ax, out=np.zeros_like(x), where=ax > 0)
+        normal = ax ** (p - 1.0) * phase
+        along = (normal.conj() * g).real.sum() / (ax ** (2.0 * p - 2.0)).sum()
+        return g - along * normal
+
     best_v, best_x = -np.inf, None
     for x0 in pts:
-        x = one(normalize, x0)
+        x = normalize(x0)
         v = one(value, x)
         step, stall = 0.5, 0
         for _ in range(max_steps):
             g = one(grad, x)
             gn = np.linalg.norm(g, axis=-1)  # the row norm, rounded as in a stack
-            if not np.isfinite(gn) or gn < 1e-300:
+            if not np.isfinite(gn):
                 break
-            d, s, gained = g / gn, step, 0.0
+            t = tangent(g, x)
+            tn = np.linalg.norm(t, axis=-1)
+            if not tn > 1e-8 * gn:
+                break
+            d, s, gained = t / tn, step, 0.0
             for _ in range(60):
-                xn = one(normalize, x + s * d)
+                xn = normalize(x + s * d)
                 vn = one(value, xn)
                 if vn > v:
                     gained, x, v, step = vn - v, xn, vn, min(2.0 * s, 1.0)
@@ -120,15 +133,37 @@ def _reference_ascent(value, grad, normalize, pts, max_steps):
 
 class TestMultistartAscent:
     def test_matches_per_start_reference(self):
-        value, grad, normalize = _form_problem()
+        value, grad = _form_problem()
         extra = [e for e in np.eye(3, dtype=complex)]
-        for max_steps in (0, 1, 5, 200):
-            v, x = multistart_ascent(value, grad, normalize, 3, starts=8,
-                                     max_steps=max_steps, seed=3, extra_starts=extra)
-            pts = np.concatenate([np.eye(3, dtype=complex), sphere_starts(3, 8, 3)])
-            rv, rx = _reference_ascent(value, grad, normalize, pts, max_steps)
-            assert v == rv
-            assert np.array_equal(x, rx)
+        pts = np.concatenate([np.eye(3, dtype=complex), sphere_starts(3, 8, 3)])
+        for p in (2.0, 3.0):
+            for max_steps in (0, 1, 5, 200):
+                v, x = multistart_ascent(value, grad, p, 3, starts=8,
+                                         max_steps=max_steps, seed=3, extra_starts=extra)
+                rv, rx = _reference_ascent(value, grad, p, pts, max_steps)
+                assert v == rv
+                assert np.array_equal(x, rx)
+
+    def test_critical_start_takes_no_step(self):
+        # At a basis vector the gradient of |x* d x| is normal to every lp
+        # sphere, so the start stops before any backtracking.
+        d = np.diag([2.0, -0.5, 0.3])
+        calls = []
+
+        def value(x):
+            calls.append(len(x))
+            return np.abs(np.einsum("...i,ij,...j->...", x.conj(), d, x))
+
+        def grad(x):
+            f = np.einsum("...i,ij,...j->...", x.conj(), d, x)[..., None]
+            return 2.0 * np.conj(f) * (x @ d)
+
+        for p in (1.5, 2.0, 3.0):
+            calls.clear()
+            v, x = multistart_ascent(value, grad, p, 3, starts=0,
+                                     extra_starts=[np.eye(3, dtype=complex)[0]])
+            assert calls == [1]
+            assert v == 2.0
 
     def test_duplicate_starts_resolve_to_earliest(self):
         # |x_0|^2 is maximal at e0 and at i e0; a zero gradient stops every
@@ -139,25 +174,22 @@ class TestMultistartAscent:
         def grad(x):
             return np.zeros_like(x)
 
-        def normalize(x):
-            return x / np.linalg.norm(x, axis=-1, keepdims=True)
-
         e0 = np.eye(3, dtype=complex)[0]
         for first in (e0, 1j * e0):
-            v, x = multistart_ascent(value, grad, normalize, 3, starts=4,
+            v, x = multistart_ascent(value, grad, 2.0, 3, starts=4,
                                      extra_starts=[first, 1j * first, first])
             assert v == 1.0
             assert np.array_equal(x, first)
 
     def test_deterministic(self):
-        value, grad, normalize = _form_problem(n=4, seed=11)
-        first = multistart_ascent(value, grad, normalize, 4, starts=16, seed=5)
-        again = multistart_ascent(value, grad, normalize, 4, starts=16, seed=5)
+        value, grad = _form_problem(n=4, seed=11)
+        first = multistart_ascent(value, grad, 3.0, 4, starts=16, seed=5)
+        again = multistart_ascent(value, grad, 3.0, 4, starts=16, seed=5)
         assert first[0] == again[0]
         assert np.array_equal(first[1], again[1])
 
     def test_non_finite_gradient_stops_only_its_start(self):
-        value, grad, normalize = _form_problem()
+        value, grad = _form_problem()
         bad = np.array([0.0, 0.0, 1.0], dtype=complex)
         seen = []
 
@@ -168,17 +200,17 @@ class TestMultistartAscent:
             g[hit] = np.nan
             return g
 
-        v, x = multistart_ascent(value, guarded, normalize, 3, starts=8, seed=3,
+        v, x = multistart_ascent(value, guarded, 2.0, 3, starts=8, seed=3,
                                  extra_starts=[bad])
         # The bad start reached the gradient once and then dropped out ...
         assert seen[0] == 1 and sum(seen) == 1
         # ... while the other starts ran exactly as they do without it.
-        rv, rx = multistart_ascent(value, grad, normalize, 3, starts=8, seed=3)
+        rv, rx = multistart_ascent(value, grad, 2.0, 3, starts=8, seed=3)
         assert v == rv and np.array_equal(x, rx)
         assert len(seen) > 1
 
     def test_zero_steps_returns_best_start(self):
-        value, grad, normalize = _form_problem(n=4, seed=2)
+        value, grad = _form_problem(n=4, seed=2)
         calls = []
 
         def counted(x):
@@ -186,9 +218,9 @@ class TestMultistartAscent:
             return grad(x)
 
         extra = [np.ones(4, dtype=complex), np.arange(4) + 1j]
-        v, x = multistart_ascent(value, counted, normalize, 4, starts=6,
+        v, x = multistart_ascent(value, counted, 3.0, 4, starts=6,
                                  max_steps=0, seed=9, extra_starts=extra)
-        pts = normalize(np.concatenate([np.asarray(extra), sphere_starts(4, 6, 9)]))
+        pts = _lp_normalize(np.concatenate([np.asarray(extra), sphere_starts(4, 6, 9)]), 3.0)
         vals = value(pts)
         k = int(np.argmax(vals))
         assert calls == []
