@@ -2,7 +2,8 @@
 
 Exit codes: 0 the relation holds / all suites pass / all fixtures pass,
 1 the relation fails (or a suite/fixture failed), 2 usage or input errors
-(bad flags, unknown suites, unreadable or malformed matrix files).
+(bad flags, unknown suites, unreadable or malformed matrix files, a suite
+whose ensemble cannot produce a decisive draw).
 
 Output is deterministic: the same arguments and seed produce byte-identical
 text, and ``verify --json`` writes canonical (sorted-key) documents.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .laws import EnsembleConfig, SUITES, fixtures, run_suite
+from .laws import EnsembleConfig, EnsembleMiscalibration, SUITES, fixtures, run_suite
 from .norms import INF, NormSpec
 from .ortho import (
     PREDICATE_RTOL,
@@ -63,6 +64,15 @@ def _build_spec(norm: str, p_raw: str | None) -> NormSpec:
         raise CliError(f"invalid --p value {p_raw!r}: {exc}") from exc
 
 
+def _is_int(x) -> bool:
+    # JSON true/false arrive as Python bools, which are ints to isinstance.
+    return isinstance(x, int) and type(x) is not bool
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and type(x) is not bool
+
+
 def load_matrix(path: str) -> tuple[str, np.ndarray]:
     """Load a matrix-file JSON document; raises CliError with diagnostics."""
     try:
@@ -82,7 +92,7 @@ def load_matrix(path: str) -> tuple[str, np.ndarray]:
         if key not in doc:
             raise CliError(f"{path}: missing required key {key!r}")
     rows, cols = doc["rows"], doc["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
         raise CliError(f"{path}: rows and cols must be positive integers")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -95,12 +105,15 @@ def load_matrix(path: str) -> tuple[str, np.ndarray]:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
+            or not all(_is_number(x) for x in entry)
         ):
             raise CliError(
                 f"{path}: entry {i} must be a [re, im] pair of numbers"
             )
-        values[i] = complex(entry[0], entry[1])
+        try:
+            values[i] = complex(entry[0], entry[1])
+        except OverflowError as exc:
+            raise CliError(f"{path}: entry {i} is out of floating-point range") from exc
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise CliError(f"{path}: name must be a string when present")
@@ -134,8 +147,8 @@ def _describe_spec(spec: NormSpec) -> str:
 def cmd_check(args) -> int:
     spec = _build_spec(args.norm, args.p)
     tol = args.tol if args.tol is not None else PREDICATE_RTOL
-    if tol <= 0:
-        raise CliError("--tol must be positive")
+    if not 0 < tol < INF:
+        raise CliError(f"--tol must be positive and finite, got {tol}")
     name_a, a = load_matrix(args.files[0])
     name_b, b = load_matrix(args.files[1])
     out = []
@@ -260,6 +273,8 @@ def cmd_verify(args) -> int:
             report = run_suite(sid, config)
         except (ValueError, KeyError) as exc:
             raise CliError(str(exc)) from exc
+        except EnsembleMiscalibration as exc:
+            raise CliError(f"{sid}: {exc}") from exc
         status = "ok" if report.passed else "FAIL"
         print(
             f"{sid}: {report.passes}/{report.trials} trials passed [{status}] "

@@ -155,11 +155,20 @@ def abs_power(a, t: float) -> np.ndarray:
     if not np.isfinite(t) or t < 0:
         raise ValueError(f"power must be a finite real >= 0, got {t}")
     f = svd(a)
-    s = f.singular_values
-    cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
+    return _abs_power(f.singular_values, f.v, t)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _abs_power(s: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """``v diag(s^t) v*`` for one matrix or a stack, with singular values at
+    or below the ``RANK_RTOL`` cutoff sent to 0."""
+    cutoff = RANK_RTOL * s[..., :1]
     st = np.power(s, t, out=np.zeros_like(s), where=s > cutoff)
-    m = (f.v * st) @ f.v.conj().T
-    return 0.5 * (m + m.conj().T)
+    m = (v * st[..., None, :]) @ _adjoint(v)
+    return 0.5 * (m + _adjoint(m))
 
 
 def modulus(a) -> np.ndarray:
@@ -196,9 +205,12 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_hermitian(m: np.ndarray, who: str) -> None:
-    dev = np.linalg.norm(m - m.conj().T)
-    if dev > HERMITIAN_RTOL * max(1.0, np.linalg.norm(m)):
-        raise ValueError(f"{who}: input is not Hermitian (deviation {dev:.3e})")
+    """Raise unless ``m`` (one matrix or each member of a stack) is Hermitian."""
+    dev = np.linalg.norm(m - _adjoint(m), axis=(-2, -1))
+    bad = dev > HERMITIAN_RTOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    if np.any(bad):
+        raise ValueError(f"{who}: input is not Hermitian "
+                         f"(deviation {np.ravel(dev)[np.ravel(bad)][0]:.3e})")
 
 
 def loewner_geq(p, q, tol: float = RANK_RTOL) -> bool:
@@ -212,16 +224,25 @@ def loewner_geq(p, q, tol: float = RANK_RTOL) -> bool:
     q = as_matrix(q)
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ValueError(f"loewner_geq needs equal square shapes, got {p.shape} vs {q.shape}")
-    _require_hermitian(p, "loewner_geq")
+    return bool(loewner_geq_batch(p[None], q, tol)[0])
+
+
+def loewner_geq_batch(ps: np.ndarray, q: np.ndarray, tol: float = RANK_RTOL) -> np.ndarray:
+    """``loewner_geq(p, q, tol)`` for every member ``p`` of a (k, n, n) stack.
+
+    Takes complex128 operands of matching square shapes without further
+    validation, but gates every member (and ``q``) as Hermitian.  All the
+    eigenvalues come from one ``eigvalsh`` call on a (2k + 1, n, n) stack.
+    """
+    _require_hermitian(ps, "loewner_geq")
     _require_hermitian(q, "loewner_geq")
-    d = 0.5 * (p + p.conj().T) - 0.5 * (q + q.conj().T)
-    wmin = np.linalg.eigvalsh(d)[0]
-    scale = max(
-        1.0,
-        float(np.abs(np.linalg.eigvalsh(0.5 * (p + p.conj().T))).max()),
-        float(np.abs(np.linalg.eigvalsh(0.5 * (q + q.conj().T))).max()),
-    )
-    return bool(wmin >= -tol * scale)
+    ph = 0.5 * (ps + _adjoint(ps))
+    qh = 0.5 * (q + q.conj().T)
+    k = len(ps)
+    w = np.linalg.eigvalsh(np.concatenate([ph - qh, ph, qh[None]]))
+    scale = np.maximum(np.maximum(1.0, np.abs(w[k:2 * k]).max(axis=-1)),
+                       np.abs(w[-1]).max())
+    return w[:k, 0] >= -tol * scale
 
 
 def null_space(a) -> np.ndarray:
@@ -231,11 +252,26 @@ def null_space(a) -> np.ndarray:
     matrix has the full space as kernel.
     """
     a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    m = a.shape[1]
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return _kernel(s, vh)
+
+
+def _kernel(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > RANK_RTOL * smax)) if smax > 0 else 0
-    return vh.conj().T[:, rank:m]
+    return vh.conj().T[:, rank:]
+
+
+def moduli_and_kernels(stack: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``modulus(m)`` and ``null_space(m)`` for every member of a (k, n, m)
+    complex128 stack, from one batched SVD, with the same cutoffs."""
+    try:
+        _, s, vh = np.linalg.svd(stack, full_matrices=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceFailure(f"batched svd did not converge: {exc}") from exc
+    r = min(stack.shape[-2:])
+    moduli = _abs_power(s, _adjoint(vh[..., :r, :]), 1.0)
+    return moduli, [_kernel(sk, vk) for sk, vk in zip(s, vh)]
 
 
 def support_projection(a, side: str = "right") -> np.ndarray:

@@ -12,6 +12,10 @@ A ``NormSpec`` names the norm every predicate works under:
   effort for single operands and for stacks);
 * ``vector_lp`` / ``vector_max`` -- norms of vector operands.
 
+``evaluator(spec)`` resolves a spec once into batched and scalar closures
+over validated operands; the predicates' optimizers call those closures, and
+``norm_value`` / ``norm_value_batch`` dispatch through them.
+
 Radius computations return a ``RadiusResult`` carrying the value, a witness
 vector, and the phase that makes the defining functional real positive at
 the witness.  The lp numerical radius runs the same sphere ascent on the
@@ -118,22 +122,7 @@ def schatten_norm(a, p) -> float:
 def _schatten_from_singular_values(s: np.ndarray, p: float) -> float:
     if p == INF:
         return float(s[0])
-    return float(np.sum(s**p) ** (1.0 / p))
-
-
-def schatten_norm_trusted(m: np.ndarray, p: float) -> float:
-    """Schatten p-norm of a complex128 matrix built from validated operands.
-
-    Skips ``as_matrix`` validation and the exponent check, for hot loops
-    such as ``a + gamma b`` inside an optimizer.  The result is checked
-    instead: a non-finite value raises ``ValueError`` (an SVD that fails,
-    as on NaN entries, raises ``ConvergenceFailure``), so it can never reach
-    a verdict.
-    """
-    v = _schatten_from_singular_values(cmatrix.singular_values_batch(m), p)
-    if not math.isfinite(v):
-        raise ValueError(f"schatten norm evaluated to {v} (p={p})")
-    return v
+    return float((s**p).sum() ** (1.0 / p))
 
 
 def schatten_norm_batch(stack: np.ndarray, p: float) -> np.ndarray:
@@ -147,16 +136,7 @@ def vector_norm(x, spec: NormSpec) -> float:
     """Norm of a vector operand under a vector_lp or vector_max spec."""
     if not spec.is_vector:
         raise ValueError(f"vector_norm needs a vector spec, got kind={spec.kind!r}")
-    v = cmatrix.as_vector(x)
-    if spec.kind == "vector_max" or spec.p == INF:
-        return float(np.abs(v).max())
-    return float(np.sum(np.abs(v) ** spec.p) ** (1.0 / spec.p))
-
-
-def _vector_norm_batch(stack: np.ndarray, spec: NormSpec) -> np.ndarray:
-    if spec.kind == "vector_max" or spec.p == INF:
-        return np.abs(stack).max(axis=-1)
-    return np.sum(np.abs(stack) ** spec.p, axis=-1) ** (1.0 / spec.p)
+    return norm_value(x, spec)
 
 
 def _induced_one(a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -218,36 +198,96 @@ def induced_norm(a, p, *, starts: int = 64, max_steps: int = 400,
     return RadiusResult(val, x, 1.0 + 0j, 1e-8 * max(1.0, val))
 
 
+def evaluator(spec: NormSpec):
+    """Resolve ``spec`` once into ``(batch, scalar, exact)``.
+
+    ``batch`` maps a stack of operands -- shape (k, n, m) for matrices, (k, n)
+    for vectors -- to their k norms; ``scalar`` maps one operand to its norm
+    as a float.  Both take complex128 operands that the caller has already
+    validated (``cmatrix.as_pair``), so hot loops such as ``a + gamma b``
+    inside an optimizer skip validation.  The scalar result is checked
+    instead: a non-finite value raises ``ValueError`` (an SVD that fails, as
+    on NaN entries, raises ``numpy.linalg.LinAlgError``, also a
+    ``ValueError``), so it can never reach a verdict.  ``exact`` is False
+    only for generic induced p, whose values are ascent lower bounds.
+
+    Schatten norms read the singular values alone, induced p in {1, inf} the
+    column or row sums, induced p = 2 the top singular value (no singular
+    vectors); generic induced p runs ``induced_norm`` per operand.
+    """
+    p = spec.p
+    exact = True
+    if spec.kind == "schatten":
+        def value(m):
+            return _schatten_from_singular_values(np.linalg.svd(m, compute_uv=False), p)
+
+        def batch(stack):
+            return schatten_norm_batch(stack, p)
+    elif spec.kind == "vector_max" or (spec.is_vector and p == INF):
+        def value(x):
+            return float(np.abs(x).max())
+
+        def batch(stack):
+            return np.abs(stack).max(axis=-1)
+    elif spec.is_vector:
+        def value(x):
+            return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+
+        def batch(stack):
+            return np.sum(np.abs(stack) ** p, axis=-1) ** (1.0 / p)
+    elif p == 1:
+        def value(m):
+            return float(np.abs(m).sum(axis=0).max())
+
+        def batch(stack):
+            return np.abs(stack).sum(axis=-2).max(axis=-1)
+    elif p == INF:
+        def value(m):
+            return float(np.abs(m).sum(axis=1).max())
+
+        def batch(stack):
+            return np.abs(stack).sum(axis=-1).max(axis=-1)
+    elif p == 2:
+        def value(m):
+            return float(np.linalg.svd(m, compute_uv=False)[0])
+
+        def batch(stack):
+            return cmatrix.singular_values_batch(stack)[..., 0]
+    else:
+        exact = False
+
+        def value(m):
+            return induced_norm(m, p).value
+
+        def batch(stack):
+            return np.array([induced_norm(m, p).value for m in stack])
+
+    def scalar(m):
+        v = value(m)
+        if not math.isfinite(v):
+            raise ValueError(f"norm evaluated to {v} under {spec}")
+        return v
+
+    return batch, scalar, exact
+
+
 def operator_norm(a, spec: NormSpec) -> float:
     """Operator norm of a matrix under a schatten or induced spec."""
-    if spec.kind == "schatten":
-        return schatten_norm(a, spec.p)
-    if spec.kind == "induced_lp":
-        return induced_norm(a, spec.p).value
-    raise ValueError(f"operator_norm needs a matrix spec, got kind={spec.kind!r}")
+    if spec.is_vector:
+        raise ValueError(f"operator_norm needs a matrix spec, got kind={spec.kind!r}")
+    return norm_value(a, spec)
 
 
 def norm_value(operand, spec: NormSpec) -> float:
-    """Norm of a matrix or vector operand under ``spec``."""
-    if spec.is_vector:
-        return vector_norm(operand, spec)
-    return operator_norm(operand, spec)
+    """Norm of a matrix or vector operand under ``spec``; a non-finite value
+    raises ``ValueError``."""
+    x = cmatrix.as_vector(operand) if spec.is_vector else cmatrix.as_matrix(operand)
+    return evaluator(spec)[1](x)
 
 
 def norm_value_batch(stack: np.ndarray, spec: NormSpec) -> np.ndarray:
     """Norms of a stack of operands: shape (k, n, m) for matrices, (k, n) for vectors."""
-    if spec.is_vector:
-        return _vector_norm_batch(stack, spec)
-    if spec.kind == "schatten":
-        return schatten_norm_batch(stack, spec.p)
-    if spec.p == 1:
-        return np.abs(stack).sum(axis=-2).max(axis=-1)
-    if spec.p == INF:
-        return np.abs(stack).sum(axis=-1).max(axis=-1)
-    if spec.p == 2:
-        return cmatrix.singular_values_batch(stack)[..., 0]
-    # Generic induced p: no batched formula; one full ascent per entry.
-    return np.array([induced_norm(m, spec.p).value for m in stack])
+    return evaluator(spec)[0](stack)
 
 
 def numerical_radius_hilbert(a) -> RadiusResult:

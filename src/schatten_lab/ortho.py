@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .norms import (INF, NormSpec, norm_value, norm_value_batch, schatten_norm,
-                    schatten_norm_trusted)
+from .norms import INF, NormSpec, evaluator, schatten_norm
 from .search import gamma_min
 
 # Default decision tolerance, relative to the larger operand norm.
@@ -78,32 +77,29 @@ class LoewnerDominationReport:
     tolerance: float
 
 
-def _bj_spec_ok(spec: NormSpec) -> None:
-    if spec.kind == "schatten" and not spec.p >= 1:
-        raise ValueError(f"Birkhoff-James needs a norm: schatten p >= 1, got p={spec.p}")
-    if spec.kind == "induced_lp" and spec.p not in (1.0, 2.0, INF):
-        raise ValueError(
-            "Birkhoff-James under induced norms supports the exactly computable "
-            f"p in {{1, 2, inf}}, got p={spec.p}"
-        )
-
-
 def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Verdict:
     """Birkhoff-James orthogonality of ``a`` to ``b`` under ``spec``.
 
     Minimizes ``gamma -> ||a + gamma b||`` over the complex plane with
     ``search.gamma_min``: a 16x16 polar grid of radius ``4 ||a|| / ||b||``
-    evaluated by batched SVD, then the in-repo Nelder-Mead from the best grid
-    point.  The map is convex, so the refined minimum is global.  Under
-    Schatten norms the refinement reads singular values straight off
-    ``a + gamma b`` (both operands are validated once, up front); a
-    non-finite evaluation raises ``ValueError`` rather than giving a
-    verdict.  Not symmetric in general.
+    evaluated as one stack, then the in-repo Nelder-Mead from the best grid
+    point.  The map is convex, so the refined minimum is global.  Both
+    operands are validated once, up front; every norm, on the grid and in
+    the refinement, comes from the closures of ``norms.evaluator(spec)``,
+    resolved once per call, and a non-finite evaluation raises
+    ``ValueError`` rather than giving a verdict.  Not symmetric in general.
     """
-    _bj_spec_ok(spec)
+    if spec.kind == "schatten" and not spec.p >= 1:
+        raise ValueError(f"Birkhoff-James needs a norm: schatten p >= 1, got p={spec.p}")
+    batch, scalar, exact = evaluator(spec)
+    if not exact:
+        raise ValueError(
+            "Birkhoff-James under induced norms supports the exactly computable "
+            f"p in {{1, 2, inf}}, got p={spec.p}"
+        )
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
-    na = norm_value(a, spec)
-    nb = norm_value(b, spec)
+    na = scalar(a)
+    nb = scalar(b)
     tol = tol_rel * max(na, nb)
     if nb == 0.0 or na == 0.0:
         return Verdict(True, 0j, 0.0, tol, degenerate=True)
@@ -112,14 +108,10 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
 
     def f_batch(gammas):
         g = np.asarray(gammas).reshape((-1,) + shape_pad)
-        return norm_value_batch(a[None, ...] + g * b[None, ...], spec)
+        return batch(a[None, ...] + g * b[None, ...])
 
-    if spec.kind == "schatten":
-        def f_scalar(g):
-            return schatten_norm_trusted(a + g * b, spec.p)
-    else:
-        def f_scalar(g):
-            return norm_value(a + g * b, spec)
+    def f_scalar(g):
+        return scalar(a + g * b)
 
     gamma, vmin = gamma_min(f_batch, f_scalar, radius=4.0 * na / nb)
     gap = vmin - na
@@ -264,10 +256,9 @@ def loewner_identity_test(a, gamma_samples=None) -> bool:
     if gamma_samples is None:
         gamma_samples = default_gamma_samples()
     eye = np.eye(a.shape[0], dtype=complex)
-    for g in gamma_samples:
-        if not cmatrix.loewner_geq(cmatrix.modulus(eye + g * a), eye):
-            return False
-    return True
+    gammas = np.asarray(gamma_samples, dtype=complex).reshape(-1)
+    moduli, _ = cmatrix.moduli_and_kernels(eye + gammas[:, None, None] * a)
+    return bool(cmatrix.loewner_geq_batch(moduli, eye).all())
 
 
 def _subspaces_equal(n1: np.ndarray, n2: np.ndarray, tol: float) -> bool:
@@ -289,6 +280,8 @@ def loewner_domination(b, a, gamma_samples=None, *, tol_rel: float = PREDICATE_R
     it implies: ``tr(b* a) = 0``, the kernel identity at each sampled gamma,
     and Birkhoff-James orthogonality of ``b`` to ``a`` at every p in
     ``bj_ps`` (pass an empty sweep to skip, leaving ``bj_all_p`` as None).
+    The samples run as one stack ``b + gamma a``: one batched SVD gives the
+    moduli and kernels, one ``eigvalsh`` the Loewner verdicts.
     """
     b = cmatrix.as_matrix(b)
     a = cmatrix.as_matrix(a)
@@ -296,25 +289,17 @@ def loewner_domination(b, a, gamma_samples=None, *, tol_rel: float = PREDICATE_R
         raise ValueError(f"domination test needs equal square shapes, got {b.shape} vs {a.shape}")
     if gamma_samples is None:
         gamma_samples = default_gamma_samples()
+    gammas = np.asarray(gamma_samples, dtype=complex).reshape(-1)
 
-    abs_b = cmatrix.modulus(b)
-    dominates = True
-    for g in gamma_samples:
-        if not cmatrix.loewner_geq(cmatrix.modulus(b + g * a), abs_b):
-            dominates = False
-            break
+    moduli, kernels = cmatrix.moduli_and_kernels(b + gammas[:, None, None] * a)
+    dominates = bool(cmatrix.loewner_geq_batch(moduli, cmatrix.modulus(b)).all())
 
     scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
     trace_orthogonal = bool(abs(np.trace(b.conj().T @ a)) <= tol_rel * scale)
 
     joint = cmatrix.null_space(np.vstack([b, a]))
-    kernel_identity = True
-    for g in gamma_samples:
-        if g == 0:
-            continue
-        if not _subspaces_equal(cmatrix.null_space(b + g * a), joint, kernel_angle_tol):
-            kernel_identity = False
-            break
+    kernel_identity = all(_subspaces_equal(kernel, joint, kernel_angle_tol)
+                          for g, kernel in zip(gammas, kernels) if g != 0)
 
     bj_all_p: bool | None = None
     if len(tuple(bj_ps)) > 0:

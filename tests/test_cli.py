@@ -1,5 +1,6 @@
 """Tests for the command-line interface: parsing, output, exit codes."""
 
+import dataclasses
 import importlib.metadata
 import json
 import shutil
@@ -8,7 +9,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from schatten_lab.cli import SEED_ENV_VAR, load_matrix, main
+from schatten_lab import laws
+from schatten_lab.cli import SEED_ENV_VAR, CliError, load_matrix, main
 
 
 def write_matrix(path, array, name=None):
@@ -173,6 +175,14 @@ class TestCheckCommand:
         assert code == 2
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf", "-inf"])
+    def test_tol_must_be_positive_and_finite(self, files, capsys, tol):
+        a = files("a", np.eye(2))
+        code = main(["check", "bj", a, a, f"--tol={tol}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol must be positive and finite")
+
     def test_p_parsing(self, files, capsys):
         a = files("a", np.diag([1.0, 0.0]))
         b = files("b", np.eye(2))
@@ -246,6 +256,22 @@ class TestMatrixFileErrors:
         )
         self._expect(capsys, ["check", "bj", a, str(bad)], "positive integers")
 
+    @pytest.mark.parametrize("doc, fragment", [
+        ('{"rows": true, "cols": 1, "entries": [[1, 0]]}', "positive integers"),
+        ('{"rows": 1, "cols": false, "entries": [[1, 0]]}', "positive integers"),
+        ('{"rows": 1, "cols": 2, "entries": [[true, 0], [0, 0]]}', "entry 0 must be"),
+        ('{"rows": 1, "cols": 2, "entries": [[0, 0], [1, false]]}', "entry 1 must be"),
+        ('{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400), "out of floating-point"),
+    ], ids=["bool-rows", "bool-cols", "bool-re", "bool-im", "huge-int"])
+    def test_rejects_bools_and_out_of_range_numbers(self, tmp_path, files, capsys, doc,
+                                                    fragment):
+        a = files("a", np.eye(1))
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc, encoding="utf-8")
+        self._expect(capsys, ["check", "bj", a, str(bad)], fragment)
+        with pytest.raises(CliError):
+            load_matrix(str(bad))
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
@@ -255,6 +281,16 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("S1: 3/3 trials passed [ok] - ")
         assert lines[-1] == "verify: all suites passed"
+
+    def test_miscalibrated_ensemble_is_usage_error(self, capsys, monkeypatch):
+        def runner(cfg, offset, rng):
+            raise laws.EnsembleMiscalibration("no decisive draw")
+
+        spec = dataclasses.replace(laws.SUITES["S1"], runner=runner)
+        monkeypatch.setitem(laws.SUITES, "S1", spec)
+        code = main(["verify", "S1", "--trials", "2", "--seed", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: S1: no decisive draw\n"
 
     def test_duplicates_are_collapsed(self, capsys):
         code = main(["verify", "S6", "S6", "--trials", "2", "--seed", "2"])

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from schatten_lab.cmatrix import ConvergenceFailure
 from schatten_lab.ensembles import ginibre
 from schatten_lab.norms import (
     FROBENIUS,
@@ -13,6 +12,7 @@ from schatten_lab.norms import (
     NormSpec,
     SPECTRAL,
     TRACE,
+    evaluator,
     induced_norm,
     norm_value,
     norm_value_batch,
@@ -21,7 +21,6 @@ from schatten_lab.norms import (
     operator_norm,
     schatten_norm,
     schatten_norm_batch,
-    schatten_norm_trusted,
     vector_norm,
 )
 from schatten_lab.search import _lp_normalize
@@ -113,19 +112,6 @@ class TestSchattenNorm:
             batch = schatten_norm_batch(stack, p)
             for i in range(5):
                 assert abs(batch[i] - schatten_norm(stack[i], p)) <= 1e-12
-
-    def test_trusted_matches_checked(self):
-        rng = _rng(43)
-        a = _draw(rng, (4, 4))
-        for p in (1.0, 1.5, 3.0, INF):
-            assert schatten_norm_trusted(a, p) == schatten_norm(a, p)
-
-    def test_trusted_rejects_non_finite_value(self):
-        # Finite entries whose cubed singular values overflow.
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="evaluated to inf"):
-            schatten_norm_trusted(1e200 * np.eye(2, dtype=complex), 3.0)
-        with pytest.raises(ConvergenceFailure):
-            schatten_norm_trusted(np.full((2, 2), np.nan + 0j), 2.0)
 
 
 def _power_induced(a, p, starts=16, iters=300):
@@ -229,6 +215,68 @@ class TestVectorAndInducedNorms:
             batch = norm_value_batch(vecs, spec)
             for i in range(4):
                 assert abs(batch[i] - vector_norm(vecs[i], spec)) <= 1e-12
+
+
+_MATRIX_SPECS = (
+    NormSpec.schatten(1.0), NormSpec.schatten(1.5), FROBENIUS, NormSpec.schatten(3.0),
+    SPECTRAL, NormSpec.schatten(0.5), NormSpec.induced(1.0), NormSpec.induced(2.0),
+    NormSpec.induced(INF), NormSpec.induced(3.0),
+)
+_VECTOR_SPECS = (NormSpec.lp(1.0), NormSpec.lp(1.5), NormSpec.lp(INF), NormSpec.max_norm())
+
+
+def _spec_id(spec):
+    return spec.kind if spec.p is None else f"{spec.kind}-{spec.p:g}"
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("spec", _MATRIX_SPECS + _VECTOR_SPECS, ids=_spec_id)
+    def test_scalar_matches_batch_entry_by_entry(self, spec):
+        shape = (4, 5) if spec.is_vector else (4, 3, 3)
+        stack = _draw(_rng(59), shape)
+        batch, scalar, exact = evaluator(spec)
+        assert exact == (spec != NormSpec.induced(3.0))
+        values = batch(stack)
+        assert values.shape == (4,)
+        for i in range(4):
+            assert scalar(stack[i]) == pytest.approx(values[i], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("spec", _MATRIX_SPECS + _VECTOR_SPECS, ids=_spec_id)
+    def test_scalar_is_norm_value(self, spec):
+        # The scalar gives the value of the validating routes: bit for bit,
+        # except that induced p = 2 reads the top singular value without
+        # singular vectors, which moves it by round-off.
+        _, scalar, _ = evaluator(spec)
+        rng = _rng(61)
+        for _ in range(5):
+            x = _draw(rng, (5,) if spec.is_vector else (4, 4))
+            value = scalar(x)
+            assert value == norm_value(x, spec)
+            if spec.kind == "vector_max" or spec == NormSpec.lp(INF):
+                ref = float(np.abs(x).max())
+            elif spec.is_vector:
+                ref = float(np.sum(np.abs(x) ** spec.p) ** (1.0 / spec.p))
+            elif spec.kind == "schatten":
+                ref = schatten_norm(x, spec.p)
+            else:
+                ref = induced_norm(x, spec.p).value
+            if spec == NormSpec.induced(2.0):
+                assert abs(value - ref) <= 1e-14 * ref
+            else:
+                assert value == ref
+
+    def test_scalar_rejects_non_finite_values(self):
+        # Finite entries whose cubed values overflow.
+        for spec, x in ((NormSpec.schatten(3.0), 1e200 * np.eye(2, dtype=complex)),
+                        (NormSpec.induced(3.0), 1e200 * np.eye(2, dtype=complex)),
+                        (NormSpec.lp(3.0), np.full(2, 1e200 + 0j))):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="evaluated to inf"):
+                evaluator(spec)[1](x)
+        for spec in _MATRIX_SPECS + _VECTOR_SPECS:
+            nan = np.full((2,) if spec.is_vector else (2, 2), np.nan + 0j)
+            with pytest.raises(ValueError):
+                evaluator(spec)[1](nan)
 
 
 class TestHilbertRadius:

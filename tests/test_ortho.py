@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from schatten_lab import cmatrix
 from schatten_lab.norms import INF, FROBENIUS, NormSpec, SPECTRAL, TRACE, schatten_norm
 from schatten_lab.ortho import (
     bj_definitional,
@@ -101,6 +102,10 @@ class TestBjDefinitional:
     def test_quasi_norm_rejected(self):
         with pytest.raises(ValueError):
             bj_definitional(np.eye(2), np.eye(2), NormSpec.schatten(0.5))
+
+    def test_inexact_induced_norm_rejected(self):
+        with pytest.raises(ValueError, match="exactly computable"):
+            bj_definitional(np.eye(2), np.eye(2), NormSpec.induced(3.0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -306,3 +311,88 @@ class TestLoewner:
         a = b + 0.05 * _draw(rng, (3, 3))
         rep = loewner_domination(b, a, bj_ps=())
         assert not rep.dominates
+
+
+def _loewner_pairs():
+    """Seeded (b, a) pairs: dominating column splits, non-dominating
+    overlapping pairs, and both kinds with a shared null column."""
+    rng = _rng(179)
+    n = 4
+    drop = np.diag([1.0, 1.0, 1.0, 0.0])
+    pairs = []
+    for _ in range(3):
+        q, _ = np.linalg.qr(_draw(rng, (n, n)))
+        p_proj = q[:, :2] @ q[:, :2].conj().T
+        b = p_proj @ _draw(rng, (n, n))
+        a = (np.eye(n) - p_proj) @ _draw(rng, (n, n))
+        c = _draw(rng, (n, n))
+        d = c + 0.3 * _draw(rng, (n, n))
+        pairs += [(b, a), (c, d), (b @ drop, a @ drop), (c @ drop, d @ drop)]
+    return pairs
+
+
+def _same_subspace(n1, n2, tol):
+    if n1.shape[1] != n2.shape[1]:
+        return False
+    if n1.shape[1] == 0:
+        return True
+    return np.linalg.norm(n2 - n1 @ (n1.conj().T @ n2), 2) <= tol
+
+
+class TestLoewnerBatch:
+    def test_moduli_and_kernels_match_per_member_routines(self):
+        for b, a in _loewner_pairs():
+            gammas = default_gamma_samples(seed=3)
+            moduli, kernels = cmatrix.moduli_and_kernels(b + gammas[:, None, None] * a)
+            for g, m, k in zip(gammas, moduli, kernels):
+                assert np.array_equal(m, cmatrix.modulus(b + g * a))
+                assert np.array_equal(k, cmatrix.null_space(b + g * a))
+
+    def test_loewner_geq_batch_matches_loewner_geq(self):
+        for b, a in _loewner_pairs():
+            gammas = default_gamma_samples(seed=4)
+            moduli = np.array([cmatrix.modulus(b + g * a) for g in gammas])
+            abs_b = cmatrix.modulus(b)
+            got = cmatrix.loewner_geq_batch(moduli, abs_b)
+            assert got.tolist() == [cmatrix.loewner_geq(m, abs_b) for m in moduli]
+
+    def test_loewner_geq_batch_gates_every_member(self):
+        eye = np.eye(2, dtype=complex)
+        stack = np.array([eye, [[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            cmatrix.loewner_geq_batch(stack, eye)
+
+    def test_domination_matches_per_gamma_loop(self):
+        seen = set()
+        for b, a in _loewner_pairs():
+            gammas = np.concatenate([[0j], default_gamma_samples(seed=5)])
+            rep = loewner_domination(b, a, gammas, bj_ps=())
+            abs_b = cmatrix.modulus(b)
+            dominates = True
+            for g in gammas:
+                if not cmatrix.loewner_geq(cmatrix.modulus(b + g * a), abs_b):
+                    dominates = False
+                    break
+            joint = cmatrix.null_space(np.vstack([b, a]))
+            kernel_identity = True
+            for g in gammas[1:]:
+                if not _same_subspace(cmatrix.null_space(b + g * a), joint, 1e-6):
+                    kernel_identity = False
+                    break
+            assert (rep.dominates, rep.kernel_identity) == (dominates, kernel_identity)
+            seen.add((dominates, joint.shape[1]))
+        # Both verdicts occur, with and without a shared kernel.
+        assert seen == {(True, 0), (False, 0), (True, 1), (False, 1)}
+
+    def test_identity_test_matches_per_gamma_loop(self):
+        eye = np.eye(3, dtype=complex)
+        samples = default_gamma_samples(seed=6)
+        for a in (np.zeros((3, 3)), 1e-12 * _draw(_rng(181), (3, 3)), _draw(_rng(183), (3, 3))):
+            expected = all(cmatrix.loewner_geq(cmatrix.modulus(eye + g * a), eye)
+                           for g in samples)
+            assert loewner_identity_test(a, samples) == expected
+
+    def test_empty_sample_set(self):
+        b, a = _loewner_pairs()[1]
+        rep = loewner_domination(b, a, np.array([], dtype=complex), bj_ps=())
+        assert rep.dominates and rep.kernel_identity

@@ -383,6 +383,21 @@ class TestIsometryTransfer:
             assert rep.lower_bound_ok is True
             assert rep.achieved >= rep.lower_bound - 1e-9
 
+    def test_verdict_does_not_depend_on_scale(self):
+        # The slack is relative to the target, so a common scale of the
+        # operands changes neither the hypothesis nor the conclusion.
+        rng = _rng(287)
+        eps = 0.05
+        alpha, beta = self._parallel_pair(rng)
+        u = _haar(rng, 3) @ np.diag(1.0 + eps * np.array([1.0, -1.0, 0.3])) @ _haar(rng, 3)
+        uinv = np.linalg.inv(u)
+        for a, b, w, e in ((alpha, beta, _haar(rng, 3), 0.0),
+                           (uinv @ alpha @ u, uinv @ beta @ u, u, eps)):
+            reps = [epsilon_isometry_transfer(s * a, s * b, w, e) for s in (1.0, 1e-8)]
+            assert [r.lower_bound_ok for r in reps] == [True, True]
+            assert abs(reps[1].lower_bound - 1e-8 * reps[0].lower_bound) \
+                <= 1e-12 * reps[1].lower_bound
+
     def test_non_parallel_source_gives_no_conclusion(self):
         rng = _rng(293)
         a = _draw(rng, (3, 3))
