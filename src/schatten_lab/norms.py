@@ -6,10 +6,9 @@ A ``NormSpec`` names the norm every predicate works under:
 * ``schatten`` with ``0 < p <= inf`` -- singular value p-sums (quasi-norm for
   p < 1, operator norm at p = inf);
 * ``induced_lp`` with ``1 <= p <= inf`` -- operator norm induced by the
-  vector lp norm (exact for p in {1, 2, inf}; otherwise
-  ``search.multistart_ascent`` over the lp sphere, whose value is attained at
-  a unit vector and so is a certified lower bound, computed at the same
-  effort for single operands and for stacks);
+  vector lp norm (exact for p in {1, 2, inf}; otherwise Boyd's power
+  iteration, run on a whole stack at once, whose value is attained at a unit
+  vector and so is a certified lower bound);
 * ``vector_lp`` / ``vector_max`` -- norms of vector operands.
 
 ``evaluator(spec)`` resolves a spec once into batched and scalar closures
@@ -18,10 +17,10 @@ over validated operands; the predicates' optimizers call those closures, and
 
 Radius computations return a ``RadiusResult`` carrying the value, a witness
 vector, and the phase that makes the defining functional real positive at
-the witness.  The lp numerical radius runs the same sphere ascent on the
-norming functional; ``search`` owns the lp sphere (normalization and
-tangent step), so the callers here pass only the exponent and their value
-and gradient.
+the witness.  The lp numerical radius runs ``search.multistart_ascent`` on
+the norming functional over the complex sphere, real operands included (a
+rotation attains its radius only at complex vectors); ``search`` owns the lp
+sphere, so the radius passes only the exponent, value and gradient.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .search import _lp_normalize, golden_section_max, multistart_ascent
+from .search import _lp_normalize, golden_section_max, multistart_ascent, sphere_starts
 
 INF = math.inf
 
@@ -155,14 +154,54 @@ def _induced_inf(a: np.ndarray) -> tuple[float, np.ndarray]:
     return float(sums[i]), x
 
 
-def induced_norm(a, p, *, starts: int = 64, max_steps: int = 400,
-                 seed: int = 0) -> RadiusResult:
+def _signed_power(z: np.ndarray, r: float) -> np.ndarray:
+    """``|z|^r sign z``, each row scaled to a top modulus of 1 (no overflow)."""
+    az = np.abs(z)
+    scale = 1.0 / np.maximum(az.max(axis=-1, keepdims=True), 1e-300)
+    return np.maximum(az * scale, 1e-300) ** (r - 1.0) * (z * scale)
+
+
+def _induced_power(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Induced lp norms of a (k, n, m) stack, and unit vectors attaining them.
+
+    Boyd's power iteration (Boyd 1974; Higham 1992) from the basis vectors and
+    ``sphere_starts(m, 64, 0)``: ``x <- |g|^{1/(p-1)} sign g`` on the lp
+    sphere, with ``g = A*(|Ax|^{p-1} sign Ax)``, never lowers ``||Ax||_p``.  A
+    row drops out once it gains less than 1e-15 relative, or after 1000
+    steps; the earliest start wins ties.
+    """
+    k, _, m = stack.shape
+    starts = _lp_normalize(np.concatenate([np.eye(m), sphere_starts(m, 64, 0)]), p)
+    s = len(starts)
+    # Row r runs start r % s on matrix r // s; the rows still gaining are
+    # compacted into ``ids``, ``ya`` (= Ax), ``va`` and their matrices ``aa``.
+    x, aa = np.tile(starts, (k, 1)), np.repeat(stack, s, axis=0)
+    ya = (aa @ x[..., None])[..., 0]
+    v = np.linalg.norm(ya, p, axis=-1)
+    ids = np.flatnonzero(np.isfinite(v))  # rows off to inf or NaN take no step
+    ya, va, aa = ya[ids], v[ids], aa[ids]
+    for _ in range(1000):
+        if ids.size == 0:
+            break
+        z = _signed_power(ya, p - 1.0)
+        g = (np.conj(z)[:, None, :] @ aa)[:, 0].conj()  # A* z = conj(z* A)
+        xn = _lp_normalize(_signed_power(g, 1.0 / (p - 1.0)), p)
+        yn = (aa @ xn[..., None])[..., 0]
+        vn = np.linalg.norm(yn, p, axis=-1)
+        up, keep = vn > va, vn > va * (1.0 + 1e-15)
+        x[ids[up]], v[ids[up]] = xn[up], vn[up]
+        ids, ya, va, aa = ids[keep], yn[keep], vn[keep], aa[keep]
+    best = np.arange(k) * s + np.argmax(v.reshape(k, s), axis=1)
+    return v[best], x[best]
+
+
+def induced_norm(a, p) -> RadiusResult:
     """Operator norm induced by the vector lp norm, with a witness.
 
     Exact at p in {1, 2, inf} (column sums, top singular pair, row sums).
-    Otherwise multistart projected ascent over the lp sphere; the value is a
-    certified lower bound that is also the exact norm whenever one basin of
-    the (finitely many) maximizers is reached.
+    Otherwise the power iteration ``_induced_power``; the value is attained
+    at the witness, so it is a certified lower bound, and it is the exact
+    norm whenever one start reaches the basin of a global maximizer.
     """
     a = cmatrix.as_matrix(a)
     p = _check_p(p)
@@ -178,24 +217,8 @@ def induced_norm(a, p, *, starts: int = 64, max_steps: int = 400,
         f = cmatrix.svd(a)
         val = float(f.singular_values[0])
         return RadiusResult(val, f.v[:, 0], 1.0 + 0j, 1e-12 * max(1.0, val))
-
-    n = a.shape[1]
-    real = bool(np.all(a.imag == 0))
-    at, ac = a.T, a.conj()
-
-    def value(x):
-        return (np.abs(x @ at) ** p).sum(axis=-1) ** (1.0 / p)
-
-    def grad(x):
-        y = x @ at
-        ay = np.abs(y)
-        z = np.where(ay > 0, np.maximum(ay, 1e-300) ** (p - 2) * y, 0.0)
-        return z @ ac
-
-    val, x = multistart_ascent(value, grad, p, n, starts=starts,
-                               max_steps=max_steps, seed=seed, real=real,
-                               extra_starts=list(np.eye(n, dtype=complex)))
-    return RadiusResult(val, x, 1.0 + 0j, 1e-8 * max(1.0, val))
+    (val,), (x,) = _induced_power(a[None], p)
+    return RadiusResult(float(val), x, 1.0 + 0j, 1e-8 * max(1.0, val))
 
 
 def evaluator(spec: NormSpec):
@@ -209,11 +232,11 @@ def evaluator(spec: NormSpec):
     instead: a non-finite value raises ``ValueError`` (an SVD that fails, as
     on NaN entries, raises ``numpy.linalg.LinAlgError``, also a
     ``ValueError``), so it can never reach a verdict.  ``exact`` is False
-    only for generic induced p, whose values are ascent lower bounds.
+    only for generic induced p, whose values are power-iteration bounds.
 
     Schatten norms read the singular values alone, induced p in {1, inf} the
     column or row sums, induced p = 2 the top singular value (no singular
-    vectors); generic induced p runs ``induced_norm`` per operand.
+    vectors); generic induced p runs ``_induced_power`` on the whole stack.
     """
     p = spec.p
     exact = True
@@ -257,10 +280,10 @@ def evaluator(spec: NormSpec):
         exact = False
 
         def value(m):
-            return induced_norm(m, p).value
+            return float(_induced_power(m[None], p)[0][0])
 
         def batch(stack):
-            return np.array([induced_norm(m, p).value for m in stack])
+            return _induced_power(stack, p)[0]
 
     def scalar(m):
         v = value(m)
@@ -345,8 +368,8 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
 
     For unit ``x`` the unique norming functional of lp^n evaluates to
     ``x*(y) = sum_i conj(x_i) |x_i|^{p-2} y_i``; the radius is the sup of
-    ``|x*(Ax)|`` over the lp sphere, located by seeded multistart projected
-    ascent with backtracking (value is a certified lower bound).
+    ``|x*(Ax)|`` over the complex lp sphere, located by seeded multistart
+    projected ascent with backtracking (value is a certified lower bound).
     """
     a = cmatrix.as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -355,7 +378,6 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
     if not (1 < p < INF):
         raise ValueError(f"lp numerical radius needs 1 < p < inf, got {p}")
     n = a.shape[0]
-    real = bool(np.all(a.imag == 0))
     ac = a.conj()
 
     def value(x):
@@ -374,24 +396,8 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
         return np.where(af < 1e-300, y @ ac, g)
 
     val, x = multistart_ascent(value, grad, p, n, starts=starts,
-                               max_steps=max_steps, seed=seed, real=real,
+                               max_steps=max_steps, seed=seed,
                                extra_starts=list(np.eye(n, dtype=complex)))
-
-    if p == 2:
-        # Sharpen the l2 case to spectral accuracy: alternate the phase ``t``
-        # making ``e^{it} x* a x`` real positive with the top eigenvector of
-        # the Hermitian part of ``e^{it} a``, while the value still gains.
-        ah = a.conj().T
-        for _ in range(80):
-            f = complex(x.conj() @ (a @ x))
-            t = -np.angle(f) if abs(f) > 0 else 0.0
-            h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
-            cand = _lp_normalize(np.linalg.eigh(h)[1][:, -1], 2.0)
-            vc = float(value(cand))
-            if not vc > val + 1e-15 * max(1.0, val):
-                break
-            x, val = cand, vc
-
     f = _lp_radius_terms(a, x, p)[0]
     phase = complex(np.conj(f) / abs(f)) if abs(f) > 0 else 1.0 + 0j
     return RadiusResult(float(val), x, phase, 1e-8 * max(1.0, val))

@@ -100,7 +100,7 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
     a failure of the refined scan only up to ``tolerance``.  Every norm comes
     from the closures of ``norms.evaluator(spec)``, resolved once per call;
     the grid has 720 angles, or 96 where the evaluator is not exact (generic
-    induced p, one sphere ascent per angle).
+    induced p, one power iteration per angle).
     """
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     batch, scalar, exact = evaluator(spec)
@@ -335,13 +335,12 @@ def norming_set(a, spec: NormSpec = SPECTRAL, *, starts: int = 64,
 
     p = spec.p
     n = a.shape[1]
-    real = bool(np.all(a.imag == 0))
     _, out_norm, _ = evaluator(NormSpec.lp(p))
 
     def value(x):
         return out_norm(a @ x)
 
-    best, _, limits = hill_climb(value, p, n, starts=starts, seed=seed, real=real,
+    best, _, limits = hill_climb(value, p, n, starts=starts, seed=seed,
                                  extra_starts=list(np.eye(n, dtype=complex)))
     members = []
     for x in limits:

@@ -7,13 +7,12 @@ Three optimization shapes recur across the package:
 * minimize a convex function over a complex scalar (Birkhoff-James
   orthogonality) -- 16x16 polar grid evaluated in one batch, then an
   in-repo two-dimensional Nelder-Mead refinement (no SciPy dependency);
-* maximize a functional over the unit lp sphere (induced norms, Banach
-  radius) -- seeded multistart gradient ascent, all starts advancing
-  together as one (k, n) stack, so its callbacks take a stack of rows and
-  return per-row values or gradients; norm attainment sets use a
-  gradient-free, one-start-at-a-time hill climb.  Both take the exponent p
-  and keep their points on the sphere with ``_lp_normalize``, the package's
-  one lp normalization.
+* maximize a functional over the unit lp sphere of C^n, with complex
+  starts for real operands too (Banach radius, norm attainment sets) --
+  seeded multistart gradient ascent, all starts advancing together as one
+  (k, n) stack (its callbacks return per-row values or gradients), and a
+  gradient-free hill climb, one start at a time.  Both keep their points on
+  the sphere with ``_lp_normalize``, the package's one lp normalization.
 
 Every routine is deterministic for a fixed seed; multistart reductions keep
 the earliest start on ties so results do not depend on iteration order.
@@ -194,11 +193,9 @@ def nelder_mead_complex(f, g0: complex, h: float, *, xatol: float, fatol: float,
     return complex(bx, by), fb
 
 
-def sphere_starts(n: int, count: int, seed: int, real: bool = False) -> np.ndarray:
-    """Deterministic batch of random directions in R^n or C^n (unnormalized)."""
+def sphere_starts(n: int, count: int, seed: int) -> np.ndarray:
+    """Deterministic batch of random directions in C^n (unnormalized)."""
     rng = np.random.default_rng(np.random.SeedSequence([0x5EED, seed, n, count]))
-    if real:
-        return rng.standard_normal((count, n)) + 0j
     return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
 
 
@@ -230,7 +227,7 @@ def _tangent(g: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
 
 
 def multistart_ascent(value_fn, grad_fn, p: float, n: int, *, starts: int = 64,
-                      max_steps: int = 500, seed: int = 0, real: bool = False,
+                      max_steps: int = 500, seed: int = 0,
                       extra_starts=None) -> tuple[float, np.ndarray]:
     """Gradient ascent with backtracking over the unit lp sphere of C^n.
 
@@ -238,9 +235,9 @@ def multistart_ascent(value_fn, grad_fn, p: float, n: int, *, starts: int = 64,
     then ``sphere_starts``, each scaled onto the sphere.  Each callback
     receives a (k, n) stack of rows on the sphere; ``value_fn`` returns the k
     values and ``grad_fn`` the k ascent directions (Wirtinger gradients with
-    respect to conj(x) for complex problems).  Only rows still searching are
-    passed.  Each step moves along the part of the gradient tangent to the
-    sphere (``_tangent``) and maps the result back onto it.  Per start: a
+    respect to conj(x)).  Only rows still searching are passed.  Each step
+    moves along the part of the gradient tangent to the sphere
+    (``_tangent``) and maps the result back onto it.  Per start: a
     step is accepted only if it improves the value; an accepted step doubles
     (capped at 1), a rejected one halves (at most 60 times); a start stops
     on a non-finite gradient, once the tangent part falls to ``1e-8`` of the
@@ -248,7 +245,7 @@ def multistart_ascent(value_fn, grad_fn, p: float, n: int, *, starts: int = 64,
     after 3 consecutive gains below ``1e-14 |v|``.  The best start wins,
     ties resolved in favor of the earliest start index.
     """
-    x = sphere_starts(n, starts, seed, real)
+    x = sphere_starts(n, starts, seed)
     if extra_starts is not None:
         x = np.concatenate([np.asarray(extra_starts, dtype=complex).reshape(-1, n), x])
     x = _lp_normalize(x, p)
@@ -307,7 +304,7 @@ def multistart_ascent(value_fn, grad_fn, p: float, n: int, *, starts: int = 64,
 
 
 def hill_climb(value_fn, p: float, n: int, *, starts: int = 64, rounds: int = 64,
-               proposals: int = 8, seed: int = 0, real: bool = False,
+               proposals: int = 8, seed: int = 0,
                extra_starts=None) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Gradient-free random-direction ascent over the unit lp sphere of C^n.
 
@@ -316,7 +313,7 @@ def hill_climb(value_fn, p: float, n: int, *, starts: int = 64, rounds: int = 64
     point, and the limit point of every start (for attainment-set sampling).
     """
     rng = np.random.default_rng(np.random.SeedSequence([0xC11B, seed, n]))
-    pts = list(sphere_starts(n, starts, seed, real))
+    pts = list(sphere_starts(n, starts, seed))
     if extra_starts is not None:
         pts = [np.asarray(e, dtype=complex) for e in extra_starts] + pts
     limits = []
@@ -329,10 +326,7 @@ def hill_climb(value_fn, p: float, n: int, *, starts: int = 64, rounds: int = 64
         for _ in range(rounds):
             improved = False
             for _ in range(proposals):
-                if real:
-                    d = rng.standard_normal(n) + 0j
-                else:
-                    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 xn = _lp_normalize(x + step * d, p)
                 vn = value_fn(xn)
                 if vn > v:

@@ -108,6 +108,17 @@ class TestCheckCommand:
         assert code == 1
         assert "achieved: 1.000000000000e+00" in out
 
+    def test_parallel_generic_induced_p(self, files, capsys):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        a, b, twice = files("a", g[0]), files("b", g[1]), files("twice", 2.0 * g[0])
+        code = main(["check", "parallel", a, b, "--norm", "induced", "--p", "3"])
+        assert code == 1
+        assert "verdict: FAILS" in capsys.readouterr().out
+        code = main(["check", "parallel", a, twice, "--norm", "induced", "--p", "3"])
+        assert code == 0
+        assert "verdict: HOLDS" in capsys.readouterr().out
+
     def test_parallel_vector_norm_needs_vector_file(self, files, capsys):
         a = files("a", np.eye(2))
         b = files("b", np.eye(2))

@@ -23,7 +23,7 @@ from schatten_lab.norms import (
     schatten_norm_batch,
     vector_norm,
 )
-from schatten_lab.search import _lp_normalize
+from schatten_lab.search import _lp_normalize, multistart_ascent
 
 
 def _rng(seed):
@@ -114,31 +114,25 @@ class TestSchattenNorm:
                 assert abs(batch[i] - schatten_norm(stack[i], p)) <= 1e-12
 
 
-def _power_induced(a, p, starts=16, iters=300):
-    """Boyd's power iteration for the induced lp norm (Higham 1992, "Estimating
-    the matrix p-norm"): the best ``||a x||_p`` over the iterates of the basis
-    vectors and ``starts`` seeded complex directions."""
-    q = p / (p - 1.0)
-
-    def dual(x, r):
-        # The unit-l(r') vector y with <y, x> = ||x||_r, row by row.
-        ax = np.abs(x)
-        phase = np.divide(x, ax, out=np.zeros_like(x), where=ax > 0)
-        nrm = (ax ** r).sum(axis=-1, keepdims=True) ** (1.0 / r)
-        return (ax / nrm) ** (r - 1.0) * phase
-
-    def norm(x, r):
-        return (np.abs(x) ** r).sum(axis=-1) ** (1.0 / r)
-
+def _ascent_induced(a, p):
+    """The induced lp norm by projected gradient ascent over the lp sphere
+    (``search.multistart_ascent`` at 2000 steps from the basis vectors and 64
+    seeded starts), a route independent of the power iteration in
+    ``induced_norm``."""
     n = a.shape[1]
-    x = np.concatenate([np.eye(n), _draw(_rng(2), (starts, n))])
-    x = x / norm(x, p)[:, None]
-    best = 0.0
-    for _ in range(iters):
-        y = x @ a.T
-        best = max(best, float(norm(y, p).max()))
-        x = dual(dual(y, p) @ a.conj(), q)
-    return best
+    at, ac = a.T, a.conj()
+
+    def value(x):
+        return (np.abs(x @ at) ** p).sum(axis=-1) ** (1.0 / p)
+
+    def grad(x):
+        y = x @ at
+        ay = np.abs(y)
+        z = np.where(ay > 0, np.maximum(ay, 1e-300) ** (p - 2) * y, 0.0)
+        return z @ ac
+
+    return multistart_ascent(value, grad, p, n, max_steps=2000,
+                             extra_starts=np.eye(n, dtype=complex))[0]
 
 
 class TestVectorAndInducedNorms:
@@ -171,7 +165,7 @@ class TestVectorAndInducedNorms:
         # For a diagonal matrix the induced lp norm is the largest |entry|.
         a = np.diag([0.5, -2.0, 1.0]).astype(complex)
         for p in (1.5, 3.0):
-            res = induced_norm(a, p, seed=0)
+            res = induced_norm(a, p)
             assert abs(res.value - 2.0) <= 1e-8
 
     def test_induced_generic_p_bounds(self):
@@ -181,19 +175,29 @@ class TestVectorAndInducedNorms:
         rng = _rng(47)
         a = _draw(rng, (3, 3))
         hi = max(induced_norm(a, 1.0).value, induced_norm(a, INF).value)
-        for p in (1.5, 4.0):
-            val = induced_norm(a, p, seed=1).value
+        for p in (1.01, 1.5, 4.0):
+            val = induced_norm(a, p).value
             col = max(
                 float(np.sum(np.abs(a[:, j]) ** p) ** (1.0 / p)) for j in range(3)
             )
             assert col - 1e-9 <= val <= hi + 1e-9
+            # Homogeneous, also near p = 1, where |g|^{1/(p-1)} of a large
+            # operand would overflow without rescaling.
+            assert abs(induced_norm(1e4 * a, p).value - 1e4 * val) <= 1e-12 * 1e4 * val
 
-    @pytest.mark.parametrize("n, p", [(2, 1.5), (2, 3.0), (4, 1.5), (4, 3.0), (8, 3.0)])
+    @pytest.mark.parametrize("n, p", [(2, 1.5), (2, 3.0), (4, 1.5), (4, 3.0), (8, 3.0),
+                                      (8, 1.5)])
     def test_induced_generic_p_matches_power_iteration(self, n, p):
-        for seed in range(4):
-            a = ginibre(_rng(seed), n)
+        # The power iteration in ``induced_norm`` against the gradient ascent,
+        # on the first draw of seeds 0-3; at (8, 1.5) also on the third draw
+        # of seed 0, whose maximizer a 400-step ascent stops 1.6e-7 short of.
+        draws = [ginibre(_rng(seed), n) for seed in range(4)]
+        if (n, p) == (8, 1.5):
+            rng = _rng(0)
+            draws.append([ginibre(rng, 8) for _ in range(3)][-1])
+        for a in draws:
             res = induced_norm(a, p)
-            assert abs(res.value - _power_induced(a, p)) <= res.tolerance
+            assert abs(res.value - _ascent_induced(a, p)) <= res.tolerance
 
     def test_norm_value_dispatch(self):
         a = np.diag([3.0, 4.0])
@@ -346,9 +350,12 @@ class TestLpNormalize:
 
 class TestBanachRadius:
     def test_p_two_matches_hilbert(self):
-        rng = _rng(71)
-        for _ in range(5):
-            a = _draw(rng, (3, 3))
+        # Real draws too: a real operator may attain its radius only at
+        # complex vectors, so the ascent must not be confined to R^n.
+        rng, real = _rng(71), _rng(3)
+        draws = [_draw(rng, (3, 3)) for _ in range(5)]
+        draws += [real.standard_normal((n, n)) for n in (2, 3, 4) for _ in range(3)]
+        for a in draws:
             w2 = numerical_radius_hilbert(a).value
             v2 = numerical_radius_banach(a, 2.0).value
             assert abs(w2 - v2) <= 1e-6 * max(1.0, w2)

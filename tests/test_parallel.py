@@ -12,6 +12,7 @@ from schatten_lab.norms import (
     NormSpec,
     SPECTRAL,
     TRACE,
+    numerical_radius_banach,
     schatten_norm,
 )
 from schatten_lab.parallel import (
@@ -218,6 +219,11 @@ class TestIdentityRoutes:
         assert parallel_identity_radius(d, NormSpec.induced(3.0))
         nil = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert not parallel_identity_radius(nil, NormSpec.induced(3.0))
+        # A real rotation attains its radius only at complex vectors.
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        assert parallel_identity_radius(rot, NormSpec.induced(3.0))
+        for p in (1.5, 2.0, 3.0):
+            assert abs(numerical_radius_banach(rot, p).value - 1.0) <= 1e-9
 
     def test_identity_radius_validation(self):
         with pytest.raises(ValueError):
