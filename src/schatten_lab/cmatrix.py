@@ -45,6 +45,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_square(a) -> np.ndarray:
+    """``as_matrix(a)``, rejecting a matrix that is not square."""
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got {m.shape}")
+    return m
+
+
 def as_vector(x) -> np.ndarray:
     """Validate and convert ``x`` to a 1-D complex128 array."""
     v = np.asarray(x, dtype=np.complex128)
@@ -181,9 +189,7 @@ def eigenvalues(a) -> np.ndarray:
 
     Sorted by descending magnitude, ties broken by phase angle.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"eigenvalues need a square matrix, got {a.shape}")
+    a = as_square(a)
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -217,13 +223,11 @@ def loewner_geq(p, q, tol: float = RANK_RTOL) -> bool:
     """Loewner order test: is ``p >= q`` as Hermitian forms?
 
     True iff the minimum eigenvalue of ``p - q`` is at least
-    ``-tol * max(1, ||p||, ||q||)`` in the spectral norm scale.
+    ``-tol * max(||p||, ||q||)`` in the spectral norm scale.  The test is
+    homogeneous: scaling ``p`` and ``q`` together never changes it.
     Non-Hermitian input is a domain error.
     """
-    p = as_matrix(p)
-    q = as_matrix(q)
-    if p.shape != q.shape or p.shape[0] != p.shape[1]:
-        raise ValueError(f"loewner_geq needs equal square shapes, got {p.shape} vs {q.shape}")
+    p, q = as_pair(as_square(p), q)
     return bool(loewner_geq_batch(p[None], q, tol)[0])
 
 
@@ -240,8 +244,7 @@ def loewner_geq_batch(ps: np.ndarray, q: np.ndarray, tol: float = RANK_RTOL) -> 
     qh = 0.5 * (q + q.conj().T)
     k = len(ps)
     w = np.linalg.eigvalsh(np.concatenate([ph - qh, ph, qh[None]]))
-    scale = np.maximum(np.maximum(1.0, np.abs(w[k:2 * k]).max(axis=-1)),
-                       np.abs(w[-1]).max())
+    scale = np.maximum(np.abs(w[k:2 * k]).max(axis=-1), np.abs(w[-1]).max())
     return w[:k, 0] >= -tol * scale
 
 

@@ -62,10 +62,9 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * lam[None, :]
 
 
-def projection(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
+def projection(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random orthogonal projection of rank 1..n-1 (never 0 or full)."""
-    if rank is None:
-        rank = int(rng.integers(1, n))
+    rank = int(rng.integers(1, n))
     u = haar_unitary(rng, n)[:, :rank]
     p = u @ u.conj().T
     return 0.5 * (p + p.conj().T)
@@ -76,10 +75,9 @@ def nilpotent(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.triu(_complex_gaussian(rng, (n, n)), k=1)
 
 
-def partial_isometry(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
-    """Random partial isometry of the given (or random 1..n) rank."""
-    if rank is None:
-        rank = int(rng.integers(1, n + 1))
+def partial_isometry(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random partial isometry of random rank 1..n."""
+    rank = int(rng.integers(1, n + 1))
     u = haar_unitary(rng, n)[:, :rank]
     v = haar_unitary(rng, n)[:, :rank]
     return u @ v.conj().T
@@ -141,14 +139,13 @@ def near_isometry(rng: np.random.Generator, n: int, eps: float) -> np.ndarray:
 
 
 def shared_top_direction_pair(rng: np.random.Generator, n: int, *,
-                              real: bool = False,
-                              gap: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+                              real: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Operator-norm parallel pair that is generically linearly independent.
 
     Both factors send the same unit vector ``v`` to positive multiples of
     the same unit vector ``u``, so ``<a x, b x>`` at ``x = v`` equals
-    ``||a|| ||b||``; the remaining singular values sit below ``1 - gap``
-    with all directions drawn Haar on the orthogonal complements.
+    ``||a|| ||b||``; the remaining singular values sit below 3/4 of the top
+    one, with all directions drawn Haar on the orthogonal complements.
     """
     def frame(m):
         if real:
@@ -168,7 +165,7 @@ def shared_top_direction_pair(rng: np.random.Generator, n: int, *,
         # Re-anchor the top singular pair at the shared directions.
         left = np.column_stack([shared_u, _complement(left, shared_u)])
         right = np.column_stack([shared_v, _complement(right, shared_v)])
-        tail = scale * (1.0 - gap) * rng.uniform(size=n - 1)
+        tail = scale * 0.75 * rng.uniform(size=n - 1)
         s = np.concatenate([[scale], np.sort(tail)[::-1]])
         return (left * s[None, :]) @ right.conj().T
 

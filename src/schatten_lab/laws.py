@@ -648,10 +648,10 @@ def _suite_loewner_domination(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     return t
 
 
-def _draw_guarded_independent(cfg, rng, ps, *, kind=None, trace_margin=True):
+def _draw_guarded_independent(cfg, rng, ps, *, trace_margin=True):
     """Draw an independent pair failing parallelism decisively at every p."""
     n = cfg.dimension
-    kind = kind or cfg.kind or "ginibre"
+    kind = cfg.kind or "ginibre"
     for _ in range(REDRAW_LIMIT):
         c = _single(kind, rng, n)
         d = _single(kind, rng, n)
@@ -760,6 +760,16 @@ def _suite_trace_characterization(cfg: EnsembleConfig, offset: int, rng) -> _Tri
     return t
 
 
+def _unit_nilpotent(rng, n: int) -> np.ndarray:
+    """A nilpotent draw scaled to spectral norm 1."""
+    for _ in range(REDRAW_LIMIT):
+        j = ensembles.nilpotent(rng, n)
+        nj = schatten_norm(j, INF)
+        if nj >= 1e-8:
+            return j / nj
+    raise _miscalibrated("nilpotent draw")  # pragma: no cover
+
+
 def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S11: numerical radius laws and parallelism to the identity."""
     t = _Trial()
@@ -805,14 +815,7 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             not parallel_identity_trace(g0, p), -devs[p],
         )
 
-    for _ in range(REDRAW_LIMIT):
-        j = ensembles.nilpotent(rng, n)
-        nj = schatten_norm(j, INF)
-        if nj >= 1e-8:
-            break
-    else:  # pragma: no cover
-        raise _miscalibrated("S11 nilpotent draw")
-    j = j / nj
+    j = _unit_nilpotent(rng, n)
     t.track(j)
     wj = numerical_radius_hilbert(j).value
     ceiling = math.cos(math.pi / (n + 1))
@@ -903,14 +906,7 @@ def _suite_eigenvalue_criterion(cfg: EnsembleConfig, offset: int, rng) -> _Trial
             tol - abs(attained - (nrm + 1.0)),
         )
 
-    for _ in range(REDRAW_LIMIT):
-        j = ensembles.nilpotent(rng, n)
-        nj = schatten_norm(j, INF)
-        if nj >= 1e-8:
-            break
-    else:  # pragma: no cover
-        raise _miscalibrated("S12 nilpotent draw")
-    j = j / nj
+    j = _unit_nilpotent(rng, n)
     t.track(j)
     t.check("nilpotent has no eigen witness", eigen_parallel_identity(j) is None)
     vj = parallel_definitional(j, eye, SPECTRAL)
@@ -1006,7 +1002,6 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S14: unitary invariance and near-isometry transfer of parallelism."""
     t = _Trial()
     n = cfg.dimension
-    kind = cfg.kind or "ginibre"
     u = ensembles.haar_unitary(rng, n)
     uh = u.conj().T
 
@@ -1017,19 +1012,8 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.check("dependent pair parallel", v.holds, v.gap)
     t.check("unitary conjugation preserves holding verdict", vc.holds, vc.gap)
 
-    for _ in range(REDRAW_LIMIT):
-        c = _single(kind, rng, n)
-        d = _single(kind, rng, n)
-        s = np.linalg.svd(
-            np.column_stack([c.reshape(-1), d.reshape(-1)]), compute_uv=False
-        )
-        if s[0] <= 0 or s[1] / s[0] < 0.1:
-            continue
-        vg = parallel_definitional(c, d, SPECTRAL)
-        if vg.gap <= -DECISIVE * vg.tolerance:
-            break
-    else:
-        raise _miscalibrated("S14 spectral-guarded pair")
+    c, d, verdicts = _draw_guarded_independent(cfg, rng, (INF,), trace_margin=False)
+    vg = verdicts[INF]
     t.track(c, d)
     vgc = parallel_definitional(u @ c @ uh, u @ d @ uh, SPECTRAL)
     t.check("independent pair fails parallelism", not vg.holds, -vg.gap)
@@ -1189,7 +1173,6 @@ class SuiteSpec:
     index: int
     runner: object
     title: str
-    default_kind: str | None
     allowed_kinds: tuple[str, ...]
     dim_range: tuple[int, int]
     tolerances: dict = field(default_factory=dict)
@@ -1201,83 +1184,83 @@ SUITES: dict[str, SuiteSpec] = {
     "S1": SuiteSpec(
         1, _suite_clarkson,
         "Clarkson-McCarthy directions, equality law, positive-pair bounds",
-        "ginibre", _GENERIC_KINDS, (2, 8),
+        _GENERIC_KINDS, (2, 8),
         {"direction": 1e-9, "equality": 1e-7},
     ),
     "S2": SuiteSpec(
         2, _suite_disjoint_implies_bj,
         "Disjoint supports imply mutual Birkhoff-James orthogonality",
-        "commuting_kernel_pair", ("commuting_kernel_pair", "disjoint_pair"),
+        ("commuting_kernel_pair", "disjoint_pair"),
         (2, 8), {"bj": 1e-7},
     ),
     "S3": SuiteSpec(
         3, _suite_bj_implies_disjoint,
         "Positive mutual BJ orthogonality forces disjoint supports",
-        None, (), (2, 8), {"bj": 1e-7, "residual": 1e-6},
+        (), (2, 8), {"bj": 1e-7, "residual": 1e-6},
     ),
     "S4": SuiteSpec(
         4, _suite_isosceles,
         "Isosceles orthogonality matches BJ on the positive cone",
-        None, (), (2, 8), {"isosceles": 1e-7, "bj": 1e-7},
+        (), (2, 8), {"isosceles": 1e-7, "bj": 1e-7},
     ),
     "S5": SuiteSpec(
         5, _suite_sip,
         "Semi-inner-product axioms and the BJ trace test",
-        "ginibre", _GENERIC_KINDS, (2, 8), {"axioms": 1e-8, "bj": 1e-7},
+        _GENERIC_KINDS, (2, 8), {"axioms": 1e-8, "bj": 1e-7},
     ),
     "S6": SuiteSpec(
         6, _suite_identity_trace,
         "Identity is BJ orthogonal to A exactly when tr A = 0",
-        "ginibre", _GENERIC_KINDS, (2, 8), {"bj": 1e-7, "trace": 1e-7},
+        _GENERIC_KINDS, (2, 8), {"bj": 1e-7, "trace": 1e-7},
     ),
     "S7": SuiteSpec(
         7, _suite_loewner_identity,
         "Only zero keeps |I + gamma A| above I for every gamma",
-        "ginibre", _GENERIC_KINDS + ("nilpotent", "partial_isometry"),
+        _GENERIC_KINDS + ("nilpotent", "partial_isometry"),
         (2, 8), {"modulus": 1e-7},
     ),
     "S8": SuiteSpec(
         8, _suite_loewner_domination,
         "Modulus domination forces trace orthogonality, kernels, and BJ",
-        None, (), (2, 8), {"modulus": 1e-7, "bj": 1e-7},
+        (), (2, 8), {"modulus": 1e-7, "bj": 1e-7},
     ),
     "S9": SuiteSpec(
         9, _suite_parallel_dependence,
         "Schatten parallelism is linear dependence for 1 < p < inf",
-        "ginibre", _GENERIC_KINDS, (2, 8),
+        _GENERIC_KINDS, (2, 8),
         {"parallel": 1e-7, "dependence": 1e-9},
     ),
     "S10": SuiteSpec(
         10, _suite_trace_characterization,
         "Four-way trace characterization of parallelism plus BJ duality",
-        "ginibre", _GENERIC_KINDS, (2, 8), {"parallel": 1e-7, "trace": 1e-7},
+        _GENERIC_KINDS, (2, 8), {"parallel": 1e-7, "trace": 1e-7},
     ),
     "S11": SuiteSpec(
         11, _suite_radius,
         "Numerical radius laws and parallelism to the identity",
-        None, (), (2, 8), {"radius": 1e-7, "functional_radius": 1e-6},
+        (), (2, 8), {"radius": 1e-7, "functional_radius": 1e-6},
     ),
     "S12": SuiteSpec(
         12, _suite_eigenvalue_criterion,
         "Eigenvalue criterion for parallelism to the identity",
-        None, (), (2, 8), {"parallel": 1e-7, "radius": 1e-6},
+        (), (2, 8), {"parallel": 1e-7, "radius": 1e-6},
     ),
     "S13": SuiteSpec(
         13, _suite_nilpotent_projection,
         "Nilpotent power pairs never parallel; projections need shared range",
-        None, ("nilpotent", "projection"), (2, 6),
+        ("nilpotent", "projection"), (2, 6),
         {"parallel": 1e-7, "angle": 1e-3},
     ),
     "S14": SuiteSpec(
         14, _suite_isometry_transfer,
         "Unitary invariance and near-isometry transfer of parallelism",
-        "ginibre", _GENERIC_KINDS + ("partial_isometry",), (2, 8),
+        _GENERIC_KINDS + ("partial_isometry",), (2, 8),
         {"parallel": 1e-7, "transfer": 1e-7},
     ),
     "S15": SuiteSpec(
         15, _suite_hilbert_witness,
         "Quadratic-form witness for spectral parallelism on l2",
-        "ginibre", _GENERIC_KINDS, (2, 8),
+        _GENERIC_KINDS, (2, 8),
         {"witness": 1e-7, "alignment": 1e-6},
     ),
 }

@@ -15,12 +15,12 @@ A ``NormSpec`` names the norm every predicate works under:
 over validated operands; the predicates' optimizers call those closures, and
 ``norm_value`` / ``norm_value_batch`` dispatch through them.
 
-Radius computations return a ``RadiusResult`` carrying the value, a witness
-vector, and the phase that makes the defining functional real positive at
-the witness.  The lp numerical radius runs ``search.multistart_ascent`` on
-the norming functional over the complex sphere, real operands included (a
-rotation attains its radius only at complex vectors); ``search`` owns the lp
-sphere, so the radius passes only the exponent, value and gradient.
+Radius computations return a ``RadiusResult`` carrying the value and a
+witness vector.  The l2 radius sweeps the phase with ``search.circle_max``;
+the lp numerical radius runs ``search.multistart_ascent`` on the norming
+functional over the complex sphere, real operands included (a rotation
+attains its radius only at complex vectors); ``search`` owns the lp sphere,
+so the radius passes only the exponent, value and gradient.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .search import _lp_normalize, golden_section_max, multistart_ascent, sphere_starts
+from .search import _lp_normalize, circle_max, multistart_ascent, sphere_starts
 
 INF = math.inf
 
@@ -91,15 +91,12 @@ FROBENIUS = NormSpec.schatten(2.0)
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """A maximized functional value together with its maximizer.
-
-    ``witness_phase * functional(witness_vector)`` is real positive and
-    equals ``value`` up to ``tolerance``.
-    """
+    """A maximized functional value together with its maximizer; the
+    functional's modulus at ``witness_vector`` equals ``value`` up to
+    ``tolerance``."""
 
     value: float
     witness_vector: np.ndarray
-    witness_phase: complex
     tolerance: float
 
 
@@ -115,20 +112,18 @@ def schatten_norm(a, p) -> float:
     p = _check_p(p)
     if not p > 0:
         raise ValueError(f"schatten norms need p > 0, got {p}")
-    return _schatten_from_singular_values(cmatrix.singular_values(a), p)
+    return float(_schatten_sum(cmatrix.singular_values(a), p))
 
 
-def _schatten_from_singular_values(s: np.ndarray, p: float) -> float:
+def _schatten_sum(s: np.ndarray, p: float) -> np.ndarray:
+    """lp norm along the last axis of singular values sorted descending."""
     if p == INF:
-        return float(s[0])
-    return float((s**p).sum() ** (1.0 / p))
+        return s[..., 0]
+    return (s**p).sum(axis=-1) ** (1.0 / p)
 
 
 def schatten_norm_batch(stack: np.ndarray, p: float) -> np.ndarray:
-    s = cmatrix.singular_values_batch(stack)
-    if p == INF:
-        return s[..., 0]
-    return np.sum(s**p, axis=-1) ** (1.0 / p)
+    return _schatten_sum(cmatrix.singular_values_batch(stack), p)
 
 
 def vector_norm(x, spec: NormSpec) -> float:
@@ -138,20 +133,26 @@ def vector_norm(x, spec: NormSpec) -> float:
     return norm_value(x, spec)
 
 
-def _induced_one(a: np.ndarray) -> tuple[float, np.ndarray]:
-    sums = np.abs(a).sum(axis=0)
-    j = int(np.argmax(sums))
-    e = np.zeros(a.shape[1], dtype=complex)
-    e[j] = 1.0
-    return float(sums[j]), e
+def _attaining(a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    """Exact induced lp norm of ``a`` for p in {1, 2, inf}, and the unit
+    vectors (rows) attaining it within 1e-8 relative, best first.
 
-
-def _induced_inf(a: np.ndarray) -> tuple[float, np.ndarray]:
-    sums = np.abs(a).sum(axis=1)
-    i = int(np.argmax(sums))
-    row = a[i]
-    x = np.where(np.abs(row) > 0, np.conj(row) / np.maximum(np.abs(row), 1e-300), 1.0)
-    return float(sums[i]), x
+    Those are the top right-singular cluster (p = 2), the basis vectors of
+    the columns with top absolute sum (p = 1), and the conjugate phases of
+    the rows with top absolute sum (p = inf; 1 where an entry is 0).
+    """
+    if p == 2:
+        f = cmatrix.svd(a)
+        sums, vecs = f.singular_values, f.v.T
+    elif p == 1:
+        sums, vecs = np.abs(a).sum(axis=0), np.eye(a.shape[1], dtype=complex)
+    else:
+        mod = np.abs(a)
+        sums = mod.sum(axis=1)
+        vecs = np.where(mod > 0, np.conj(a) / np.maximum(mod, 1e-300), 1.0)
+    order = np.argsort(-sums, kind="stable")
+    top = float(sums[order[0]])
+    return top, vecs[order[sums[order] >= top * (1.0 - 1e-8)]]
 
 
 def _signed_power(z: np.ndarray, r: float) -> np.ndarray:
@@ -198,27 +199,22 @@ def _induced_power(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]
 def induced_norm(a, p) -> RadiusResult:
     """Operator norm induced by the vector lp norm, with a witness.
 
-    Exact at p in {1, 2, inf} (column sums, top singular pair, row sums).
-    Otherwise the power iteration ``_induced_power``; the value is attained
-    at the witness, so it is a certified lower bound, and it is the exact
-    norm whenever one start reaches the basin of a global maximizer.
+    Exact at p in {1, 2, inf}, with the first attaining vector of
+    ``_attaining`` as witness (top column, top right-singular vector, phases
+    of the top row).  Otherwise the power iteration ``_induced_power``; the
+    value is attained at the witness, so it is a certified lower bound, and
+    it is the exact norm whenever one start reaches the basin of a global
+    maximizer.
     """
     a = cmatrix.as_matrix(a)
     p = _check_p(p)
     if not p >= 1:
         raise ValueError(f"induced norms need p in [1, inf], got {p}")
-    if p == 1:
-        val, x = _induced_one(a)
-        return RadiusResult(val, x, 1.0 + 0j, 1e-12 * max(1.0, val))
-    if p == INF:
-        val, x = _induced_inf(a)
-        return RadiusResult(val, x, 1.0 + 0j, 1e-12 * max(1.0, val))
-    if p == 2:
-        f = cmatrix.svd(a)
-        val = float(f.singular_values[0])
-        return RadiusResult(val, f.v[:, 0], 1.0 + 0j, 1e-12 * max(1.0, val))
+    if p in (1, 2, INF):
+        val, xs = _attaining(a, p)
+        return RadiusResult(val, xs[0], 1e-12 * max(1.0, val))
     (val,), (x,) = _induced_power(a[None], p)
-    return RadiusResult(float(val), x, 1.0 + 0j, 1e-8 * max(1.0, val))
+    return RadiusResult(float(val), x, 1e-8 * max(1.0, val))
 
 
 def evaluator(spec: NormSpec):
@@ -242,7 +238,7 @@ def evaluator(spec: NormSpec):
     exact = True
     if spec.kind == "schatten":
         def value(m):
-            return _schatten_from_singular_values(np.linalg.svd(m, compute_uv=False), p)
+            return float(_schatten_sum(np.linalg.svd(m, compute_uv=False), p))
 
         def batch(stack):
             return schatten_norm_batch(stack, p)
@@ -316,38 +312,27 @@ def norm_value_batch(stack: np.ndarray, spec: NormSpec) -> np.ndarray:
 def numerical_radius_hilbert(a) -> RadiusResult:
     """Numerical radius sup over unit x of ``|<Ax, x>|`` in the l2 inner product.
 
-    Scans the top eigenvalue of the Hermitian parts ``Re(e^{i theta} A)``
-    over a 1024-point phase grid, then refines the best window by
-    golden-section to 1e-10.  The witness is the top eigenvector at the
+    Maximizes the top eigenvalue of the Hermitian parts ``Re(e^{i theta} A)``
+    with ``search.circle_max``: a 1024-point phase grid, then golden-section
+    on the best window to 1e-10.  The witness is the top eigenvector at the
     optimal phase.
     """
-    a = cmatrix.as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"numerical radius needs a square matrix, got {a.shape}")
+    a = cmatrix.as_square(a)
     ah = a.conj().T
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    phases = np.exp(1j * thetas)
-    stack = 0.5 * (phases[:, None, None] * a + np.conj(phases)[:, None, None] * ah)
-    tops = np.linalg.eigvalsh(stack)[:, -1]
-    k = int(np.argmax(tops))
+    def tops(thetas):
+        phases = np.exp(1j * thetas)
+        stack = 0.5 * (phases[:, None, None] * a + np.conj(phases)[:, None, None] * ah)
+        return np.linalg.eigvalsh(stack)[:, -1]
 
     def top_at(t):
         h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
         return float(np.linalg.eigvalsh(h)[-1])
 
-    delta = 2.0 * np.pi / 1024
-    t_ref, v_ref = golden_section_max(top_at, thetas[k] - delta, thetas[k] + delta,
-                                      tol=1e-10)
-    if v_ref >= tops[k]:
-        t_star, value = t_ref, v_ref
-    else:
-        t_star, value = float(thetas[k]), float(tops[k])
+    t_star, value = circle_max(tops, top_at, grid=1024, windows=1, tol=1e-10)
     h = 0.5 * (np.exp(1j * t_star) * a + np.exp(-1j * t_star) * ah)
-    w, vecs = np.linalg.eigh(h)
-    witness = vecs[:, -1]
-    return RadiusResult(float(value), witness, complex(np.exp(1j * t_star)),
-                        1e-10 * max(1.0, value))
+    witness = np.linalg.eigh(h)[1][:, -1]
+    return RadiusResult(float(value), witness, 1e-10 * max(1.0, value))
 
 
 def _lp_radius_terms(a: np.ndarray, x: np.ndarray, p: float):
@@ -362,8 +347,7 @@ def _lp_radius_terms(a: np.ndarray, x: np.ndarray, p: float):
     return (u * y).sum(axis=-1), y, ax, u
 
 
-def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
-                            seed: int = 0) -> RadiusResult:
+def numerical_radius_banach(a, p) -> RadiusResult:
     """Numerical radius on lp^n, 1 < p < inf.
 
     For unit ``x`` the unique norming functional of lp^n evaluates to
@@ -371,9 +355,7 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
     ``|x*(Ax)|`` over the complex lp sphere, located by seeded multistart
     projected ascent with backtracking (value is a certified lower bound).
     """
-    a = cmatrix.as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"numerical radius needs a square matrix, got {a.shape}")
+    a = cmatrix.as_square(a)
     p = _check_p(p)
     if not (1 < p < INF):
         raise ValueError(f"lp numerical radius needs 1 < p < inf, got {p}")
@@ -395,9 +377,6 @@ def numerical_radius_banach(a, p, *, starts: int = 64, max_steps: int = 500,
         g = (np.conj(f) * df_dconj + f * np.conj(df_dx)) / (2.0 * np.maximum(af, 1e-300))
         return np.where(af < 1e-300, y @ ac, g)
 
-    val, x = multistart_ascent(value, grad, p, n, starts=starts,
-                               max_steps=max_steps, seed=seed,
+    val, x = multistart_ascent(value, grad, p, n,
                                extra_starts=list(np.eye(n, dtype=complex)))
-    f = _lp_radius_terms(a, x, p)[0]
-    phase = complex(np.conj(f) / abs(f)) if abs(f) > 0 else 1.0 + 0j
-    return RadiusResult(float(val), x, phase, 1e-8 * max(1.0, val))
+    return RadiusResult(float(val), x, 1e-8 * max(1.0, val))

@@ -229,18 +229,17 @@ def norm_additivity(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
     )
 
 
-def default_gamma_samples(seed: int = 0, random_count: int = 32,
-                          radius: float = 2.0) -> np.ndarray:
+def default_gamma_samples(seed: int = 0) -> np.ndarray:
     """Scalar sample set for the Loewner tests.
 
     The structured part walks ``+-1/m, +-i/m`` for m in {1, 2, 4, 8, 16}
     (directional probes whose Hermitian parts witness any violation); the
-    rest is a seeded uniform draw from the disk of the given radius.
+    rest is a seeded uniform draw of 32 points from the disk of radius 2.
     """
     base = [sgn / m for m in (1, 2, 4, 8, 16) for sgn in (1.0, -1.0, 1j, -1j)]
     rng = np.random.default_rng(np.random.SeedSequence([0x10E4, seed]))
-    r = radius * np.sqrt(rng.uniform(size=random_count))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=random_count)
+    r = 2.0 * np.sqrt(rng.uniform(size=32))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=32)
     return np.concatenate([np.asarray(base, dtype=complex), r * np.exp(1j * phi)])
 
 
@@ -250,9 +249,7 @@ def loewner_identity_test(a, gamma_samples=None) -> bool:
     Characterizes ``a = 0``: any nonzero ``a`` is betrayed by a small real or
     imaginary gamma in the default sample set.
     """
-    a = cmatrix.as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"identity test needs a square matrix, got {a.shape}")
+    a = cmatrix.as_square(a)
     if gamma_samples is None:
         gamma_samples = default_gamma_samples()
     eye = np.eye(a.shape[0], dtype=complex)
@@ -272,8 +269,7 @@ def _subspaces_equal(n1: np.ndarray, n2: np.ndarray, tol: float) -> bool:
 
 
 def loewner_domination(b, a, gamma_samples=None, *, tol_rel: float = PREDICATE_RTOL,
-                       bj_ps=(1.0, 1.5, 2.0, 3.0, INF),
-                       kernel_angle_tol: float = 1e-6) -> LoewnerDominationReport:
+                       bj_ps=(1.0, 1.5, 2.0, 3.0, INF)) -> LoewnerDominationReport:
     """Sampled test of the modulus domination ``|b + gamma a| >= |b|``.
 
     Reports the hypothesis over the sample set together with the conclusions
@@ -281,12 +277,11 @@ def loewner_domination(b, a, gamma_samples=None, *, tol_rel: float = PREDICATE_R
     and Birkhoff-James orthogonality of ``b`` to ``a`` at every p in
     ``bj_ps`` (pass an empty sweep to skip, leaving ``bj_all_p`` as None).
     The samples run as one stack ``b + gamma a``: one batched SVD gives the
-    moduli and kernels, one ``eigvalsh`` the Loewner verdicts.
+    moduli and kernels, one ``eigvalsh`` the Loewner verdicts.  Trace
+    orthogonality is judged relative to ``||a||_F ||b||_F`` and kernels
+    agree when their largest principal angle has sine at most 1e-6.
     """
-    b = cmatrix.as_matrix(b)
-    a = cmatrix.as_matrix(a)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"domination test needs equal square shapes, got {b.shape} vs {a.shape}")
+    b, a = cmatrix.as_pair(cmatrix.as_square(b), a)
     if gamma_samples is None:
         gamma_samples = default_gamma_samples()
     gammas = np.asarray(gamma_samples, dtype=complex).reshape(-1)
@@ -294,11 +289,11 @@ def loewner_domination(b, a, gamma_samples=None, *, tol_rel: float = PREDICATE_R
     moduli, kernels = cmatrix.moduli_and_kernels(b + gammas[:, None, None] * a)
     dominates = bool(cmatrix.loewner_geq_batch(moduli, cmatrix.modulus(b)).all())
 
-    scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
+    scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
     trace_orthogonal = bool(abs(np.trace(b.conj().T @ a)) <= tol_rel * scale)
 
     joint = cmatrix.null_space(np.vstack([b, a]))
-    kernel_identity = all(_subspaces_equal(kernel, joint, kernel_angle_tol)
+    kernel_identity = all(_subspaces_equal(kernel, joint, 1e-6)
                           for g, kernel in zip(gammas, kernels) if g != 0)
 
     bj_all_p: bool | None = None

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .norms import (INF, NormSpec, SPECTRAL, evaluator, induced_norm, norm_value,
-                    numerical_radius_banach, numerical_radius_hilbert,
+from .norms import (INF, NormSpec, SPECTRAL, _attaining, evaluator, induced_norm,
+                    norm_value, numerical_radius_banach, numerical_radius_hilbert,
                     schatten_norm)
 from .ortho import PREDICATE_RTOL, sip_trace_core
 from .search import circle_max, hill_climb
@@ -182,9 +182,7 @@ def parallel_trace_class(a, b, tol_rel: float = PREDICATE_RTOL) -> bool:
     Raises for (numerically) singular ``a``, where the characterization does
     not apply -- use ``parallel_definitional`` with the trace spec instead.
     """
-    a, b = cmatrix.as_pair(a, b)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"invertible-operand test needs square matrices, got {a.shape}")
+    a, b = cmatrix.as_pair(cmatrix.as_square(a), b)
     s = cmatrix.singular_values(a)
     if s[0] == 0.0 or s[-1] <= cmatrix.RANK_RTOL * s[0]:
         raise ValueError(
@@ -204,10 +202,8 @@ def parallel_identity_trace(a, p: float, tol_rel: float = PREDICATE_RTOL) -> boo
     p = float(p)
     if not (1 <= p < INF):
         raise ValueError(f"identity-trace test needs 1 <= p < inf, got {p}")
-    a = cmatrix.as_matrix(a)
+    a = cmatrix.as_square(a)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"identity test needs a square matrix, got {a.shape}")
     na = schatten_norm(a, p)
     if na == 0.0:
         return True
@@ -215,22 +211,20 @@ def parallel_identity_trace(a, p: float, tol_rel: float = PREDICATE_RTOL) -> boo
     return bool(abs(abs(np.trace(a)) - rhs) <= tol_rel * na)
 
 
-def parallel_identity_radius(a, spec: NormSpec = SPECTRAL, *, seed: int = 0) -> bool:
+def parallel_identity_radius(a, spec: NormSpec = SPECTRAL) -> bool:
     """Parallelism to the identity via the numerical radius.
 
     Under the operator norm ``a`` is parallel to ``I`` iff the numerical
     radius equals the norm; on lp^n (1 < p < inf) the same holds for the
     lp numerical radius against the induced norm.
     """
-    a = cmatrix.as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"identity test needs a square matrix, got {a.shape}")
+    a = cmatrix.as_square(a)
     if spec.kind == "schatten" and spec.p == INF:
         radius = numerical_radius_hilbert(a)
         nrm = schatten_norm(a, INF)
         tol = 1e-7 * nrm
     elif spec.kind == "induced_lp" and 1 < spec.p < INF:
-        radius = numerical_radius_banach(a, spec.p, seed=seed)
+        radius = numerical_radius_banach(a, spec.p)
         nrm = induced_norm(a, spec.p).value
         tol = 1e-6 * nrm
     else:
@@ -253,9 +247,7 @@ def eigen_parallel_identity(a, spec: NormSpec = SPECTRAL,
     """
     if not (spec.kind == "induced_lp" or (spec.kind == "schatten" and spec.p == INF)):
         raise ValueError(f"eigenvalue test needs an operator or induced norm, got {spec}")
-    a = cmatrix.as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"identity test needs a square matrix, got {a.shape}")
+    a = cmatrix.as_square(a)
     nrm = norm_value(a, spec)
     if nrm == 0.0:
         return 1.0 + 0j
@@ -273,16 +265,18 @@ def _canonical_phase(x: np.ndarray) -> np.ndarray:
     return x * (np.conj(pivot) / abs(pivot))
 
 
-def norming_set(a, spec: NormSpec = SPECTRAL, *, starts: int = 64,
-                tol: float = 1e-6, seed: int = 0) -> NormingSet:
+def norming_set(a, spec: NormSpec = SPECTRAL, *, seed: int = 0) -> NormingSet:
     """Unit vectors where ``a`` attains its operator norm under ``spec``.
 
     Exact for the operator norm / induced l2 (top right-singular cluster),
     induced l1 (norm-achieving coordinate vectors) and induced l-inf
-    (conjugate-phase vectors of norm-achieving rows).  For other induced p
-    the set is sampled: limits of seeded random-ascent runs, filtered to the
-    attaining cluster and deduplicated up to phase.
+    (conjugate-phase vectors of norm-achieving rows), read from
+    ``norms._attaining`` with each member's phase made canonical; the zero
+    matrix gives one member.  For other induced p the set is sampled: limits
+    of seeded random-ascent runs, filtered to within 1e-6 of the best and
+    deduplicated up to phase.
     """
+    tol = 1e-6
     a = cmatrix.as_matrix(a)
     # Vector specs describe the domain norm; the operator then carries the
     # norm induced by it (max-norm domain -> induced l-inf operator norm).
@@ -294,53 +288,20 @@ def norming_set(a, spec: NormSpec = SPECTRAL, *, starts: int = 64,
     if not hilbert and spec.kind != "induced_lp":
         raise ValueError(f"norming sets are defined for operator/induced norms, got {spec}")
 
-    if hilbert or spec.p == 2.0:
-        f = cmatrix.svd(a)
-        s = f.singular_values
-        top = float(s[0])
+    p = 2.0 if hilbert else spec.p
+    if p in (1, 2, INF):
+        top, xs = _attaining(a, p)
         if top == 0.0:
-            e = np.zeros(a.shape[1], dtype=complex)
-            e[0] = 1.0
-            return NormingSet((e,), True, 0.0, tol)
-        keep = s >= top * (1.0 - 1e-8)
-        members = tuple(_canonical_phase(f.v[:, k]) for k in np.nonzero(keep)[0])
-        return NormingSet(members, True, top, tol)
+            xs = xs[:1]
+        return NormingSet(tuple(_canonical_phase(x) for x in xs), True, top, tol)
 
-    if spec.p == 1.0:
-        sums = np.abs(a).sum(axis=0)
-        top = float(sums.max())
-        if top == 0.0:
-            e = np.zeros(a.shape[1], dtype=complex)
-            e[0] = 1.0
-            return NormingSet((e,), True, 0.0, tol)
-        members = []
-        for j in np.nonzero(sums >= top * (1.0 - 1e-8))[0]:
-            e = np.zeros(a.shape[1], dtype=complex)
-            e[j] = 1.0
-            members.append(e)
-        return NormingSet(tuple(members), True, top, tol)
-
-    if spec.p == INF:
-        sums = np.abs(a).sum(axis=1)
-        top = float(sums.max())
-        if top == 0.0:
-            return NormingSet((np.ones(a.shape[1], dtype=complex),), True, 0.0, tol)
-        members = []
-        for i in np.nonzero(sums >= top * (1.0 - 1e-8))[0]:
-            row = a[i]
-            x = np.where(np.abs(row) > 0,
-                         np.conj(row) / np.maximum(np.abs(row), 1e-300), 1.0)
-            members.append(_canonical_phase(x))
-        return NormingSet(tuple(members), True, top, tol)
-
-    p = spec.p
     n = a.shape[1]
     _, out_norm, _ = evaluator(NormSpec.lp(p))
 
     def value(x):
         return out_norm(a @ x)
 
-    best, _, limits = hill_climb(value, p, n, starts=starts, seed=seed,
+    best, _, limits = hill_climb(value, p, n, seed=seed,
                                  extra_starts=list(np.eye(n, dtype=complex)))
     members = []
     for x in limits:
@@ -386,12 +347,9 @@ def epsilon_isometry_transfer(a, b, u, eps: float, *,
     eps = float(eps)
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"distortion must satisfy 0 <= eps < 1, got {eps}")
-    a = cmatrix.as_matrix(a)
-    b = cmatrix.as_matrix(b)
+    a, b = cmatrix.as_pair(cmatrix.as_square(a), b)
     u = cmatrix.as_matrix(u)
     n = a.shape[0]
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"transfer needs equal square operands, got {a.shape} vs {b.shape}")
     if u.shape != (n, n):
         raise ValueError(f"conjugator shape {u.shape} does not match operands {a.shape}")
     su = cmatrix.singular_values(u)

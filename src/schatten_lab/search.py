@@ -2,8 +2,8 @@
 
 Three optimization shapes recur across the package:
 
-* maximize a continuous function of a unimodular phase (parallelism,
-  numerical radius) -- dense grid plus golden-section refinement;
+* maximize a continuous function of a unimodular phase (parallelism, l2
+  numerical radius) -- ``circle_max``, dense grid plus golden-section;
 * minimize a convex function over a complex scalar (Birkhoff-James
   orthogonality) -- 16x16 polar grid evaluated in one batch, then an
   in-repo two-dimensional Nelder-Mead refinement (no SciPy dependency);
@@ -27,12 +27,12 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 TWO_PI = 2.0 * np.pi
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12,
-                       max_iter: int = 200) -> tuple[float, float]:
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
     """Maximize ``f`` on ``[lo, hi]`` by golden-section; returns (x, f(x)).
 
-    Tracks the best evaluated point, so the result never falls below the
-    value at any probe even when ``f`` is flat or multimodal on the bracket.
+    Stops once the bracket is within ``tol``, or after 200 steps.  Tracks
+    the best evaluated point, so the result never falls below the value at
+    any probe even when ``f`` is flat or multimodal on the bracket.
     """
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
@@ -42,7 +42,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12,
         best_x, best_v = c, fc
     else:
         best_x, best_v = d, fd
-    for _ in range(max_iter):
+    for _ in range(200):
         if (b - a) <= tol:
             break
         if fc >= fd:
@@ -86,18 +86,16 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
     return best_t % TWO_PI, best_v
 
 
-def gamma_min(f_batch, f_scalar, radius: float, grid_r: int = 16,
-              grid_t: int = 16) -> tuple[complex, float]:
+def gamma_min(f_batch, f_scalar, radius: float) -> tuple[complex, float]:
     """Minimize a convex ``gamma -> f(gamma)`` over the complex plane.
 
-    Coarse polar grid out to ``radius`` (origin plus ``grid_r`` rings of
-    ``grid_t`` angles, 257 points by default), then Nelder-Mead from the best
-    grid point on an initial simplex of one ring spacing.  Convexity makes
-    the refined local minimum global, so the grid only needs to land in the
-    right basin.
+    Coarse polar grid out to ``radius`` (origin plus 16 rings of 16 angles,
+    257 points), then Nelder-Mead from the best grid point on an initial
+    simplex of one ring spacing.  Convexity makes the refined local minimum
+    global, so the grid only needs to land in the right basin.
     """
-    radii = radius * np.arange(1, grid_r + 1) / grid_r
-    angles = np.linspace(0.0, TWO_PI, grid_t, endpoint=False)
+    radii = radius * np.arange(1, 17) / 16
+    angles = np.linspace(0.0, TWO_PI, 16, endpoint=False)
     gammas = np.concatenate(
         [[0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()]
     )
@@ -105,7 +103,7 @@ def gamma_min(f_batch, f_scalar, radius: float, grid_r: int = 16,
     k = int(np.argmin(vals))
     g0, v0 = complex(gammas[k]), float(vals[k])
 
-    h = max(radius / grid_r, 1e-12)
+    h = max(radius / 16, 1e-12)
     g, v = nelder_mead_complex(
         f_scalar, g0, h,
         xatol=1e-10 * (1.0 + radius),
@@ -303,17 +301,17 @@ def multistart_ascent(value_fn, grad_fn, p: float, n: int, *, starts: int = 64,
     return float(v[best]), x[best]
 
 
-def hill_climb(value_fn, p: float, n: int, *, starts: int = 64, rounds: int = 64,
-               proposals: int = 8, seed: int = 0,
+def hill_climb(value_fn, p: float, n: int, *, seed: int = 0,
                extra_starts=None) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Gradient-free random-direction ascent over the unit lp sphere of C^n.
 
-    Shrinking step scales; at each scale a fixed budget of random directions
-    is proposed and improvements accepted.  Returns the best value, the best
-    point, and the limit point of every start (for attainment-set sampling).
+    ``extra_starts`` and then 64 ``sphere_starts`` each climb for at most 64
+    rounds of 8 random proposals, halving the step after a round without
+    gain.  Returns the best value, the best point, and the limit point of
+    every start (for attainment-set sampling).
     """
     rng = np.random.default_rng(np.random.SeedSequence([0xC11B, seed, n]))
-    pts = list(sphere_starts(n, starts, seed))
+    pts = list(sphere_starts(n, 64, seed))
     if extra_starts is not None:
         pts = [np.asarray(e, dtype=complex) for e in extra_starts] + pts
     limits = []
@@ -323,9 +321,9 @@ def hill_climb(value_fn, p: float, n: int, *, starts: int = 64, rounds: int = 64
         x = _lp_normalize(x0, p)
         v = value_fn(x)
         step = 1.0
-        for _ in range(rounds):
+        for _ in range(64):
             improved = False
-            for _ in range(proposals):
+            for _ in range(8):
                 d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 xn = _lp_normalize(x + step * d, p)
                 vn = value_fn(xn)

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from schatten_lab import norms, ortho, parallel
 from schatten_lab.cmatrix import (
     abs_power,
     as_matrix,
+    as_square,
     as_vector,
     eigenvalues,
     hermitian_eigensystem,
@@ -44,6 +46,27 @@ class TestConversions:
     def test_as_vector_rejects_matrices(self):
         with pytest.raises(ValueError):
             as_vector([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("entry", [
+        as_square,
+        eigenvalues,
+        lambda r: loewner_geq(r, r),
+        norms.numerical_radius_hilbert,
+        lambda r: norms.numerical_radius_banach(r, 2.0),
+        ortho.loewner_identity_test,
+        lambda r: ortho.loewner_domination(r, r, bj_ps=()),
+        lambda r: parallel.parallel_trace_class(r, r),
+        lambda r: parallel.parallel_identity_trace(r, 2.0),
+        parallel.parallel_identity_radius,
+        parallel.eigen_parallel_identity,
+        lambda r: parallel.epsilon_isometry_transfer(r, r, np.eye(2), 0.1),
+    ], ids=["as_square", "eigenvalues", "loewner_geq", "numerical_radius_hilbert",
+            "numerical_radius_banach", "loewner_identity_test", "loewner_domination",
+            "parallel_trace_class", "parallel_identity_trace", "parallel_identity_radius",
+            "eigen_parallel_identity", "epsilon_isometry_transfer"])
+    def test_square_only_entries_reject_rectangular(self, entry):
+        with pytest.raises(ValueError, match="square"):
+            entry(np.ones((2, 3)))
 
 
 class TestSvd:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schatten_lab import cmatrix
+from schatten_lab.ensembles import ginibre
 from schatten_lab.norms import INF, FROBENIUS, NormSpec, SPECTRAL, TRACE, schatten_norm
 from schatten_lab.ortho import (
     bj_definitional,
@@ -304,6 +305,18 @@ class TestLoewner:
         assert rep.trace_orthogonal
         assert rep.kernel_identity
         assert rep.bj_all_p
+
+    @pytest.mark.parametrize("s", [1.0, 1e-4, 1e-8, 1e-12])
+    def test_verdicts_do_not_depend_on_scale(self, s):
+        # |tr(b* a)| / (||a||_F ||b||_F) = 0.136 on this pair, so neither
+        # domination nor trace orthogonality holds at any common scale.
+        rng = _rng(5)
+        b, a = ginibre(rng, 4), ginibre(rng, 4)
+        rep = loewner_domination(s * b, s * a, bj_ps=())
+        assert not rep.dominates
+        assert not rep.trace_orthogonal
+        assert not cmatrix.loewner_geq(cmatrix.modulus(s * (b + 0.5 * a)),
+                                       cmatrix.modulus(s * b))
 
     def test_domination_rejects_overlapping_pair(self):
         rng = _rng(173)

@@ -12,8 +12,10 @@ from schatten_lab.norms import (
     NormSpec,
     SPECTRAL,
     TRACE,
+    induced_norm,
     numerical_radius_banach,
     schatten_norm,
+    vector_norm,
 )
 from schatten_lab.parallel import (
     eigen_parallel_identity,
@@ -284,6 +286,33 @@ class TestNormingSet:
         via_ind = norming_set(a, NormSpec.induced(INF))
         assert via_vec.norm_value == via_ind.norm_value
         assert np.allclose(via_vec.members[0], via_ind.members[0])
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_closed_forms_match_induced_norm(self, p):
+        rng = _rng(277)
+        mats = [_draw(rng, shape) for shape in ((2, 2), (3, 4), (4, 3), (4, 4))]
+        mats += [np.array([[1.0, 1.0], [1.0, -1.0]]), np.eye(3)]  # ties
+        specs = [NormSpec.induced(p)] + ([SPECTRAL] if p == 2.0 else [])
+        for a in mats:
+            res = induced_norm(a, p)
+            x = res.witness_vector
+            for spec in specs:
+                ns = norming_set(a, spec)
+                assert ns.exact and ns.norm_value == res.value
+                # The witness is a member up to a unimodular factor.
+                assert any(abs(np.vdot(x, m)) > 0 and np.allclose(
+                    m, x * np.vdot(x, m) / abs(np.vdot(x, m)), rtol=0, atol=1e-12)
+                    for m in ns.members)
+        assert len(norming_set(mats[4], NormSpec.induced(p)).members) == 2
+        assert len(norming_set(mats[5], NormSpec.induced(p)).members) == 3
+
+    @pytest.mark.parametrize("spec", [SPECTRAL, NormSpec.induced(1.0),
+                                      NormSpec.induced(2.0), NormSpec.induced(INF)])
+    def test_zero_matrix_has_one_member(self, spec):
+        ns = norming_set(np.zeros((3, 2)), spec)
+        assert ns.exact and ns.norm_value == 0.0 and len(ns.members) == 1
+        p = 2.0 if spec == SPECTRAL else spec.p
+        assert abs(vector_norm(ns.members[0], NormSpec.lp(p)) - 1.0) <= 1e-12
 
     def test_sampled_generic_p(self):
         ns = norming_set(np.diag([2.0, 1.0]), NormSpec.induced(1.5), seed=3)
