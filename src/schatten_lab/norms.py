@@ -93,7 +93,8 @@ FROBENIUS = NormSpec.schatten(2.0)
 class RadiusResult:
     """A maximized functional value together with its maximizer; the
     functional's modulus at ``witness_vector`` equals ``value`` up to
-    ``tolerance``."""
+    ``tolerance``, which is relative to ``value`` (it scales with the
+    operand)."""
 
     value: float
     witness_vector: np.ndarray
@@ -212,9 +213,9 @@ def induced_norm(a, p) -> RadiusResult:
         raise ValueError(f"induced norms need p in [1, inf], got {p}")
     if p in (1, 2, INF):
         val, xs = _attaining(a, p)
-        return RadiusResult(val, xs[0], 1e-12 * max(1.0, val))
+        return RadiusResult(val, xs[0], 1e-12 * val)
     (val,), (x,) = _induced_power(a[None], p)
-    return RadiusResult(float(val), x, 1e-8 * max(1.0, val))
+    return RadiusResult(float(val), x, 1e-8 * val)
 
 
 def evaluator(spec: NormSpec):
@@ -313,9 +314,11 @@ def numerical_radius_hilbert(a) -> RadiusResult:
     """Numerical radius sup over unit x of ``|<Ax, x>|`` in the l2 inner product.
 
     Maximizes the top eigenvalue of the Hermitian parts ``Re(e^{i theta} A)``
-    with ``search.circle_max``: a 1024-point phase grid, then golden-section
-    on the best window to 1e-10.  The witness is the top eigenvector at the
-    optimal phase.
+    with ``search.circle_max``: a 1024-point phase grid searched coarse to
+    fine with ``F(0) = 0`` (the top eigenvalue of ``Re(z A)`` is sublinear
+    in ``z``, so arcs whose bound falls below the best value are skipped),
+    then golden-section on the best window to 1e-10.  The witness is the top
+    eigenvector at the optimal phase.
     """
     a = cmatrix.as_square(a)
     ah = a.conj().T
@@ -329,10 +332,10 @@ def numerical_radius_hilbert(a) -> RadiusResult:
         h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
         return float(np.linalg.eigvalsh(h)[-1])
 
-    t_star, value = circle_max(tops, top_at, grid=1024, windows=1, tol=1e-10)
+    t_star, value = circle_max(tops, top_at, grid=1024, windows=1, tol=1e-10, origin=0.0)
     h = 0.5 * (np.exp(1j * t_star) * a + np.exp(-1j * t_star) * ah)
     witness = np.linalg.eigh(h)[1][:, -1]
-    return RadiusResult(float(value), witness, 1e-10 * max(1.0, value))
+    return RadiusResult(float(value), witness, 1e-10 * value)
 
 
 def _lp_radius_terms(a: np.ndarray, x: np.ndarray, p: float):
@@ -379,4 +382,4 @@ def numerical_radius_banach(a, p) -> RadiusResult:
 
     val, x = multistart_ascent(value, grad, p, n,
                                extra_starts=list(np.eye(n, dtype=complex)))
-    return RadiusResult(float(val), x, 1e-8 * max(1.0, val))
+    return RadiusResult(float(val), x, 1e-8 * val)

@@ -94,13 +94,16 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
                           tol_rel: float = PREDICATE_RTOL) -> ParallelVerdict:
     """Definitional parallelism under ``spec`` via maximization over the circle.
 
-    ``theta -> ||a + e^{i theta} b||`` is scanned on a dense grid and the best
-    windows are refined by golden-section; since the computed maximum never
-    exceeds the true one, a ``holds`` verdict is trustworthy and a failure is
-    a failure of the refined scan only up to ``tolerance``.  Every norm comes
-    from the closures of ``norms.evaluator(spec)``, resolved once per call;
-    the grid has 720 angles, or 96 where the evaluator is not exact (generic
-    induced p, one power iteration per angle).
+    ``theta -> ||a + e^{i theta} b||`` is scanned on a phase grid by
+    ``search.circle_max`` and the best windows are refined by golden-section;
+    since the computed maximum never exceeds the true one, a ``holds``
+    verdict is trustworthy and a failure is a failure of the refined scan
+    only up to ``tolerance``.  Every norm comes from the closures of
+    ``norms.evaluator(spec)``, resolved once per call.  Exact convex norms
+    (Schatten p >= 1, induced p in {1, 2, inf}, vector norms) prune the
+    720-angle grid with ``F(0) = ||a||``; Schatten p < 1 evaluates all 720
+    angles, and generic induced p, whose values are only lower bounds, all
+    of a 96-angle grid (one power iteration per angle).
     """
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     batch, scalar, exact = evaluator(spec)
@@ -120,7 +123,10 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
     def f_scalar(t):
         return scalar(a + np.exp(1j * t) * b)
 
-    theta, achieved = circle_max(f_batch, f_scalar, grid=720 if exact else 96)
+    # The arc bound needs exact values of a convex norm (not Schatten p < 1).
+    convex = exact and not (spec.kind == "schatten" and spec.p < 1)
+    theta, achieved = circle_max(f_batch, f_scalar, grid=720 if exact else 96,
+                                 origin=na if convex else None)
     return ParallelVerdict(bool(target - achieved <= tol),
                            complex(np.exp(1j * theta)), float(achieved),
                            float(target), tol)

@@ -3,7 +3,10 @@
 Three optimization shapes recur across the package:
 
 * maximize a continuous function of a unimodular phase (parallelism, l2
-  numerical radius) -- ``circle_max``, dense grid plus golden-section;
+  numerical radius) -- ``circle_max``, a phase grid searched coarse to fine
+  (arcs whose convexity bound, from the objective's value F(0) at the
+  circle's centre, cannot reach the best value so far are skipped; the
+  whole grid without F(0)), plus golden-section on the best windows;
 * minimize a convex function over a complex scalar (Birkhoff-James
   orthogonality) -- 16x16 polar grid evaluated in one batch, then an
   in-repo two-dimensional Nelder-Mead refinement (no SciPy dependency);
@@ -25,6 +28,9 @@ import numpy as np
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 TWO_PI = 2.0 * np.pi
+
+# Relative slack on the circle search's arc bounds, far above their rounding.
+_MARGIN = 1e-12
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -60,26 +66,67 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[flo
     return best_x, best_v
 
 
+def _arc_bound(m, steps, grid: int, origin: float):
+    """Upper bound on ``F(e^{i theta})`` over an arc of ``steps`` grid spacings
+    whose larger endpoint value is ``m``.
+
+    A point of the arc is ``t w`` with ``w`` on the chord and
+    ``1 <= t <= r = 1/cos(pi steps / grid)``; convexity bounds ``F(w)`` by
+    ``m``, and ``F(t w) <= t F(w) + (t - 1) F(0)`` when ``F`` is a convex
+    norm expression (``F(0) = ||a||``) or sublinear (``F(0) = 0``).
+    """
+    r = 1.0 / np.cos(np.pi * steps / grid)
+    return m + (r - 1.0) * (np.maximum(m, 0.0) + origin)
+
+
 def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
-               tol: float = 1e-12) -> tuple[float, float]:
+               tol: float = 1e-12, origin: float | None = None) -> tuple[float, float]:
     """Maximize ``theta -> f(theta)`` over [0, 2pi).
 
     ``f_batch`` evaluates an array of angles at once; ``f_scalar`` a single
-    angle.  The top ``windows`` circular local maxima of the grid are each
-    refined by golden-section over one grid spacing on either side.
+    angle.  With ``origin`` None the whole ``grid`` is one batch.  Given
+    ``origin = F(0)`` of an objective ``F(e^{i theta})`` that ``_arc_bound``
+    holds for, the grid is searched coarse to fine: every 8th point, then,
+    level by level, the midpoint of every arc whose bound reaches the best
+    value so far, less a relative ``_MARGIN`` so rounding never prunes a tie.
+    Skipped points cannot beat the grid maximum, so it is the full grid's.
+    The top ``windows`` circular local maxima (among points evaluated with
+    both neighbours) are each refined by golden-section over one spacing on
+    either side, skipping, with an ``origin``, those whose one-spacing bound
+    is below the grid maximum.
     """
     thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    vals = np.asarray(f_batch(thetas), dtype=float)
+    vals = np.full(grid, -np.inf)
+    seen = np.zeros(grid, dtype=bool)
+    # The bound needs arcs well under a half circle; small grids run whole.
+    idx = np.arange(0, grid, 8 if origin is not None and grid >= 32 else 1)
+    lo, hi = idx, np.append(idx[1:], grid)  # arcs [lo, hi]; index grid is 0
+    while idx.size:
+        vals[idx] = f_batch(thetas[idx])
+        seen[idx] = True
+        wide = hi - lo > 1
+        lo, hi = lo[wide], hi[wide]
+        if lo.size:
+            best = vals.max()
+            ub = _arc_bound(np.maximum(vals[lo], vals[hi % grid]), hi - lo, grid, origin)
+            live = ub >= best - _MARGIN * abs(best)
+            lo, hi = lo[live], hi[live]
+        idx = (lo + hi) // 2
+        lo, hi = np.concatenate([lo, idx]), np.concatenate([idx, hi])
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
-    local = np.nonzero((vals >= left) & (vals >= right))[0]
+    local = np.nonzero((vals >= left) & (vals >= right)
+                       & seen & np.roll(seen, 1) & np.roll(seen, -1))[0]
     if local.size == 0:
         local = np.array([int(np.argmax(vals))])
     order = local[np.argsort(vals[local])[::-1]]
     delta = TWO_PI / grid
     k0 = int(np.argmax(vals))
     best_t, best_v = float(thetas[k0]), float(vals[k0])
+    floor = best_v - _MARGIN * abs(best_v)
     for k in order[:windows]:
+        if origin is not None and _arc_bound(vals[k], 1, grid, origin) < floor:
+            continue
         t, v = golden_section_max(f_scalar, thetas[k] - delta, thetas[k] + delta, tol)
         if v > best_v:
             best_t, best_v = t, v

@@ -327,6 +327,56 @@ class TestHilbertRadius:
         with pytest.raises(ValueError):
             numerical_radius_hilbert(np.ones((2, 3)))
 
+    def test_matches_dense_phase_sweep(self):
+        # An independent sweep of lambda_max(Re(e^{i theta} A)): 4096 phases,
+        # then four zooms of 257 phases over one spacing either side of each
+        # of the three best phases.  Includes a matrix whose top eigenvalue is
+        # negative on most phases, and the Jordan block (flat in theta).
+        def tops(a, thetas):
+            ph = np.exp(1j * thetas)[:, None, None]
+            return np.linalg.eigvalsh(0.5 * (ph * a + np.conj(ph) * a.conj().T))[:, -1]
+
+        def sweep(a):
+            h = 2 * np.pi / 4096
+            thetas = np.arange(4096) * h
+            vals = tops(a, thetas)
+            centers = thetas[np.argsort(vals)[-3:]]
+            for _ in range(4):
+                thetas = (centers[:, None] + np.linspace(-h, h, 257)).ravel()
+                vals = tops(a, thetas)
+                centers, h = thetas[np.argsort(vals)[-3:]], h / 128
+            return vals.max()
+
+        rng = _rng(73)
+        draws = [_draw(rng, (n, n)) for n in (2, 4, 8) for _ in range(2)]
+        draws += [-np.diag([3.0, 1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                  np.diag(np.ones(3), 1)]
+        for a in draws:
+            ref = sweep(a)
+            assert abs(numerical_radius_hilbert(a).value - ref) <= 1e-12 * ref
+
+
+class TestRadiusTolerance:
+    @pytest.mark.parametrize("s", [1.0, 1e-8])
+    def test_tolerance_scales_with_operand(self, s):
+        # Each radius certifies its witness to a fixed fraction of its value,
+        # at any scale of the operand.
+        a = s * ginibre(_rng(79), 4)
+        for p in (1.0, 2.0, 3.0, INF):
+            res = induced_norm(a, p)
+            assert res.tolerance <= 1e-8 * res.value
+            x = res.witness_vector
+            attained = np.linalg.norm(a @ x, p) / np.linalg.norm(x, p)
+            assert abs(attained - res.value) <= res.tolerance
+        res = numerical_radius_hilbert(a)
+        assert res.tolerance <= 1e-10 * res.value
+        x = res.witness_vector
+        assert abs(abs(np.vdot(x, a @ x)) - res.value) <= res.tolerance
+        res = numerical_radius_banach(a, 3.0)
+        assert res.tolerance <= 1e-8 * res.value
+        x = res.witness_vector
+        assert abs(abs(np.sum(np.conj(x) * np.abs(x) * (a @ x))) - res.value) <= res.tolerance
+
 
 class TestLpNormalize:
     def test_vector_and_stack_agree(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from schatten_lab import parallel, search
 from schatten_lab.ensembles import ginibre
 from schatten_lab.norms import (
     FROBENIUS,
@@ -96,6 +97,27 @@ class TestDefinitional:
         v = parallel_definitional(a, (1.0 - 0.5j) * a, SPECTRAL)
         assert v.holds
         assert v.achieved <= v.target + 1e-12
+
+    @pytest.mark.parametrize("spec, grid, pruned", [
+        (NormSpec.schatten(2.0), 720, True),
+        (NormSpec.induced(INF), 720, True),
+        (NormSpec.schatten(0.5), 720, False),  # a quasi-norm: no convexity bound
+        (NormSpec.induced(3.0), 96, False),    # values are only lower bounds
+    ])
+    def test_circle_grid_pruned_only_under_exact_norms(self, monkeypatch, spec, grid, pruned):
+        seen = []
+
+        def counting(f_batch, f_scalar, **kwargs):
+            def counted(thetas):
+                seen.extend(thetas)
+                return f_batch(thetas)
+            return search.circle_max(counted, f_scalar, **kwargs)
+
+        monkeypatch.setattr(parallel, "circle_max", counting)
+        a, b = ginibre(_rng(229), 4), ginibre(_rng(233), 4)
+        parallel_definitional(a, b, spec)
+        assert len(set(seen)) == len(seen)
+        assert (len(seen) < grid) if pruned else (len(seen) == grid)
 
 
 class TestVectorParallel:

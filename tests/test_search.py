@@ -1,9 +1,12 @@
 """Tests for the deterministic optimizers in ``schatten_lab.search``."""
 
 import numpy as np
+import pytest
 
-from schatten_lab.search import (_lp_normalize, gamma_min, multistart_ascent,
-                                 nelder_mead_complex, sphere_starts)
+from schatten_lab.ensembles import ginibre
+from schatten_lab.norms import INF, NormSpec, evaluator
+from schatten_lab.search import (_arc_bound, _lp_normalize, circle_max, gamma_min,
+                                 multistart_ascent, nelder_mead_complex, sphere_starts)
 
 
 def _bowl(center, scale=1.0):
@@ -59,6 +62,103 @@ class TestGammaMin:
         # A flat function: the grid's first point (the origin) is kept.
         g, v = gamma_min(lambda gs: np.ones(len(gs)), lambda z: 1.0, radius=1.0)
         assert g == 0j and v == 1.0
+
+
+# Every exact norm that is convex: the circle search may prune under these.
+_CONVEX_SPECS = [NormSpec.schatten(p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
+    NormSpec.induced(p) for p in (1.0, 2.0, INF)]
+
+
+def _circle_problem(a, b, spec):
+    """``theta -> ||a + e^{i theta} b||`` as circle_max callbacks, and ``||a||``."""
+    batch, scalar, exact = evaluator(spec)
+    assert exact
+
+    def f_batch(thetas):
+        lam = np.exp(1j * np.asarray(thetas))[:, None, None]
+        return batch(a[None] + lam * b[None])
+
+    def f_scalar(t):
+        return scalar(a + np.exp(1j * t) * b)
+
+    return f_batch, f_scalar, scalar(a)
+
+
+def _pairs():
+    rng = np.random.default_rng(17)
+    return [(ginibre(rng, n), ginibre(rng, n)) for n in (4, 8) for _ in range(2)]
+
+
+def _assert_arcs_bounded(f_batch, grid, origin):
+    """A dense 33-point maximum inside every arc of 8, 4, 2 and 1 grid
+    spacings never exceeds the bound from the arc's endpoint values."""
+    fine = np.linspace(0.0, 1.0, 33)
+    vals = f_batch(np.arange(grid) * 2 * np.pi / grid)
+    for steps in (8, 4, 2, 1):
+        lo = np.arange(0, grid, steps)
+        m = np.maximum(vals[lo], vals[(lo + steps) % grid])
+        dense = f_batch(((lo[:, None] + steps * fine) * 2 * np.pi / grid).ravel())
+        assert (dense.reshape(len(lo), -1).max(axis=1) <= _arc_bound(m, steps, grid, origin)).all()
+
+
+class TestCircleMax:
+    @pytest.mark.parametrize("spec", _CONVEX_SPECS, ids=str)
+    def test_pruned_matches_full_grid(self, spec):
+        for a, b in _pairs():
+            f_batch, f_scalar, na = _circle_problem(a, b, spec)
+            full = circle_max(f_batch, f_scalar)
+            assert circle_max(f_batch, f_scalar, origin=na) == full
+
+    def test_sub_arcs_never_exceed_the_bound(self):
+        rng = np.random.default_rng(23)
+        for spec in (NormSpec.schatten(1.0), NormSpec.schatten(3.0), NormSpec.schatten(INF),
+                     NormSpec.induced(1.0), NormSpec.induced(INF)):
+            f_batch, _, na = _circle_problem(ginibre(rng, 4), ginibre(rng, 4), spec)
+            _assert_arcs_bounded(f_batch, 720, na)
+
+    def test_radius_sub_arcs_never_exceed_the_bound(self):
+        # lambda_max(Re(z A)) is sublinear: F(0) = 0, and a negative
+        # endpoint maximum bounds the arc by itself.
+        for a in (-np.diag([3.0, 1.0]), ginibre(np.random.default_rng(29), 4)):
+            def tops(thetas, a=a):
+                ph = np.exp(1j * thetas)[:, None, None]
+                return np.linalg.eigvalsh(0.5 * (ph * a + np.conj(ph) * a.conj().T))[:, -1]
+
+            _assert_arcs_bounded(tops, 1024, 0.0)
+
+    def test_near_equal_peaks_far_apart(self):
+        # F(z) = max_i |alpha_i + beta_i z| has peaks |alpha_i| + |beta_i| at
+        # opposite phases, 1e-9 apart; the pruned search keeps the higher.
+        alpha = np.array([1.0, 1.0])
+        beta = np.array([np.exp(-0.3j), (1.0 + 1e-9) * np.exp(-(0.3 + np.pi) * 1j)])
+
+        def f_batch(thetas):
+            return np.abs(alpha + beta * np.exp(1j * np.asarray(thetas))[:, None]).max(axis=1)
+
+        def f_scalar(t):
+            return float(f_batch([t])[0])
+
+        t, v = circle_max(f_batch, f_scalar, origin=1.0)
+        assert abs(v - (2.0 + 1e-9)) <= 1e-12
+        assert abs(t - (0.3 + np.pi)) <= 1e-5
+        assert (t, v) == circle_max(f_batch, f_scalar)
+
+    def test_bound_evaluates_part_of_the_grid(self):
+        a, b = _pairs()[0]
+        f_batch, f_scalar, na = _circle_problem(a, b, NormSpec.schatten(2.0))
+        for origin, grid in ((na, 720), (None, 720), (None, 96)):
+            seen = []
+
+            def counted(thetas):
+                seen.extend(thetas)
+                return f_batch(thetas)
+
+            circle_max(counted, f_scalar, grid=grid, origin=origin)
+            assert len(set(seen)) == len(seen)
+            if origin is None:
+                assert len(seen) == grid
+            else:
+                assert len(seen) < grid
 
 
 def _form_problem(n=3, seed=7):
