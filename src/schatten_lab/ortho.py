@@ -21,7 +21,7 @@ from . import cmatrix
 from .norms import INF, NormSpec, evaluator, schatten_norm
 from .search import gamma_min
 
-# Default decision tolerance, relative to the larger operand norm.
+# Default decision tolerance, relative (for Birkhoff-James, to ||a||).
 PREDICATE_RTOL = 1e-7
 # Scaled residual below which supports count as disjoint.
 SUPPORT_RTOL = 1e-9
@@ -32,8 +32,8 @@ class Verdict:
     """Outcome of a Birkhoff-James test.
 
     ``gap = min_gamma ||a + gamma b|| - ||a||`` (never meaningfully positive);
-    the relation holds iff ``gap >= -tolerance``.  ``extremal_scalar`` is the
-    minimizing gamma.
+    the relation holds iff ``gap >= -tolerance``, taken relative to ``||a||``
+    as the gap is.  ``extremal_scalar`` is the minimizing gamma.
     """
 
     holds: bool
@@ -81,13 +81,14 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     """Birkhoff-James orthogonality of ``a`` to ``b`` under ``spec``.
 
     Minimizes ``gamma -> ||a + gamma b||`` over the complex plane with
-    ``search.gamma_min``: a 16x16 polar grid of radius ``4 ||a|| / ||b||``
-    evaluated as one stack, then the in-repo Nelder-Mead from the best grid
-    point.  The map is convex, so the refined minimum is global.  Both
-    operands are validated once, up front; every norm, on the grid and in
-    the refinement, comes from the closures of ``norms.evaluator(spec)``,
-    resolved once per call, and a non-finite evaluation raises
-    ``ValueError`` rather than giving a verdict.  Not symmetric in general.
+    ``search.gamma_min``: a 16x16 polar grid of radius ``4 ||a|| / ||b||``,
+    evaluated ring by ring on the rays still descending, then the in-repo
+    Nelder-Mead from the best grid point.  The map is convex, so the
+    refined minimum is global.  Both operands are validated once, up front;
+    every norm, on the grid and in the refinement, comes from the closures
+    of ``norms.evaluator(spec)``, resolved once per call, and a non-finite
+    evaluation raises ``ValueError`` rather than giving a verdict.  Not
+    symmetric in general.
     """
     if spec.kind == "schatten" and not spec.p >= 1:
         raise ValueError(f"Birkhoff-James needs a norm: schatten p >= 1, got p={spec.p}")
@@ -100,7 +101,7 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     na = scalar(a)
     nb = scalar(b)
-    tol = tol_rel * max(na, nb)
+    tol = tol_rel * na
     if nb == 0.0 or na == 0.0:
         return Verdict(True, 0j, 0.0, tol, degenerate=True)
 

@@ -8,8 +8,9 @@ Three optimization shapes recur across the package:
   circle's centre, cannot reach the best value so far are skipped; the
   whole grid without F(0)), plus golden-section on the best windows;
 * minimize a convex function over a complex scalar (Birkhoff-James
-  orthogonality) -- 16x16 polar grid evaluated in one batch, then an
-  in-repo two-dimensional Nelder-Mead refinement (no SciPy dependency);
+  orthogonality) -- ``gamma_min``, a 16x16 polar grid evaluated ring by
+  ring (a ray stops once its values rise: convexity keeps it rising), then
+  an in-repo two-dimensional Nelder-Mead refinement (no SciPy dependency);
 * maximize a functional over the unit lp sphere of C^n, with complex
   starts for real operands too (Banach radius, norm attainment sets) --
   seeded multistart gradient ascent, all starts advancing together as one
@@ -29,7 +30,8 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 TWO_PI = 2.0 * np.pi
 
-# Relative slack on the circle search's arc bounds, far above their rounding.
+# Relative slack on the circle search's arc bounds and on the rise that ends
+# a ray of the gamma grid, far above their rounding.
 _MARGIN = 1e-12
 
 
@@ -137,16 +139,29 @@ def gamma_min(f_batch, f_scalar, radius: float) -> tuple[complex, float]:
     """Minimize a convex ``gamma -> f(gamma)`` over the complex plane.
 
     Coarse polar grid out to ``radius`` (origin plus 16 rings of 16 angles,
-    257 points), then Nelder-Mead from the best grid point on an initial
-    simplex of one ring spacing.  Convexity makes the refined local minimum
-    global, so the grid only needs to land in the right basin.
+    257 points), evaluated ring by ring on the live rays; a ray (the origin
+    its ring 0) dies once a ring's value exceeds the previous ring's by more
+    than a relative ``_MARGIN``.  ``f`` is convex along the ray, so its later
+    points lie above one evaluated and the grid minimum is the full grid's.
+    A non-finite grid value raises ``ValueError``.  Then Nelder-Mead from the
+    best grid point on an initial simplex of one ring spacing.  Convexity
+    makes the refined local minimum global, so the grid only needs to land
+    in the right basin.
     """
     radii = radius * np.arange(1, 17) / 16
     angles = np.linspace(0.0, TWO_PI, 16, endpoint=False)
     gammas = np.concatenate(
         [[0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()]
     )
-    vals = np.asarray(f_batch(gammas), dtype=float)
+    vals = np.full(gammas.size, np.inf)
+    idx, last = np.arange(17), np.zeros(16, dtype=int)  # each live ray's newest point
+    while idx.size:
+        vals[idx] = f_batch(gammas[idx])
+        if not np.isfinite(vals[idx]).all():
+            raise ValueError("gamma_min: non-finite value on the grid")
+        ring = idx[-last.size:]
+        last = ring[vals[ring] <= vals[last] + _MARGIN * np.abs(vals[last])]
+        idx = last[last < gammas.size - 16] + 16
     k = int(np.argmin(vals))
     g0, v0 = complex(gammas[k]), float(vals[k])
 

@@ -22,6 +22,11 @@ from schatten_lab.ortho import (
 )
 
 
+# Every norm Birkhoff-James evaluates exactly.
+_EXACT_SPECS = [NormSpec.schatten(p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
+    NormSpec.induced(p) for p in (1.0, 2.0, INF)]
+
+
 def _rng(seed):
     return np.random.default_rng(seed)
 
@@ -94,6 +99,19 @@ class TestBjDefinitional:
         assert bj_definitional(x, y, NormSpec.lp(2.0)).holds
         assert bj_definitional(x, y, NormSpec.max_norm()).holds
         assert not bj_definitional(x, 2.0 * x, NormSpec.lp(1.5)).holds
+
+    @pytest.mark.parametrize("spec", _EXACT_SPECS, ids=str)
+    def test_verdict_does_not_depend_on_separate_scales(self, spec):
+        # The gap scales with ||a|| alone: scaling either operand by itself
+        # must keep the verdict of the generic pair (fails) and of the
+        # disjoint pair (holds).
+        rng = _rng(5)
+        for (a, b), want in (((ginibre(rng, 4), ginibre(rng, 4)), False),
+                             (_disjoint_pair(rng), True)):
+            assert bj_definitional(a, b, spec).holds == want
+            for s in (1e-8, 1e-4, 1e4, 1e8):
+                assert bj_definitional(s * a, b, spec).holds == want
+                assert bj_definitional(a, s * b, spec).holds == want
 
     def test_degenerate_zero_operand(self):
         a = np.zeros((2, 2))

@@ -1,10 +1,13 @@
 """Tests for the deterministic optimizers in ``schatten_lab.search``."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from schatten_lab.ensembles import ginibre
 from schatten_lab.norms import INF, NormSpec, evaluator
+from schatten_lab import search
 from schatten_lab.search import (_arc_bound, _lp_normalize, circle_max, gamma_min,
                                  multistart_ascent, nelder_mead_complex, sphere_starts)
 
@@ -50,6 +53,68 @@ class TestNelderMeadComplex:
         assert first == again
 
 
+def _polar_grid(radius):
+    """The origin, then 16 rings of 16 angles out to ``radius``."""
+    radii = radius * np.arange(1, 17) / 16
+    angles = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    return np.concatenate([[0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()])
+
+
+def _full_gamma_min(f_batch, f_scalar, radius):
+    """``gamma_min`` without pruning: the whole grid as one batch, then the
+    same Nelder-Mead refinement."""
+    gammas = _polar_grid(radius)
+    vals = np.asarray(f_batch(gammas), dtype=float)
+    k = int(np.argmin(vals))
+    g0, v0 = complex(gammas[k]), float(vals[k])
+    g, v = nelder_mead_complex(f_scalar, g0, max(radius / 16, 1e-12),
+                               xatol=1e-10 * (1.0 + radius),
+                               fatol=1e-13 * (1.0 + abs(v0)), maxfev=800)
+    return (g, v) if v < v0 else (g0, v0)
+
+
+# Every exact norm that is convex: the circle search may prune under these.
+_CONVEX_SPECS = [NormSpec.schatten(p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
+    NormSpec.induced(p) for p in (1.0, 2.0, INF)]
+# The norms Birkhoff-James minimizes: those, and the vector norms.
+_BJ_SPECS = _CONVEX_SPECS + [NormSpec.lp(p) for p in (1.0, 1.5, 2.0, 3.0)] + [
+    NormSpec.max_norm()]
+
+
+def _bj_problem(a, b, spec):
+    """``gamma -> ||a + gamma b||`` as gamma_min callbacks, and the radius
+    ``bj_definitional`` searches."""
+    batch, scalar, exact = evaluator(spec)
+    assert exact
+    pad = (1,) * a.ndim
+
+    def f_batch(gammas):
+        return batch(a[None] + np.asarray(gammas).reshape((-1,) + pad) * b[None])
+
+    def f_scalar(g):
+        return scalar(a + g * b)
+
+    return f_batch, f_scalar, 4.0 * scalar(a) / scalar(b)
+
+
+def _bj_pairs(spec):
+    """Seeded generic pairs, a pair with disjoint supports (flat rays under
+    the spectral norm), and a pair already orthogonal: a generic ``a`` moved
+    to its best approximation ``a + gamma* b``."""
+    rng = np.random.default_rng(31)
+    if spec.is_vector:
+        pairs = [(ginibre(rng, 6)[0], ginibre(rng, 6)[0]) for _ in range(3)]
+        x, y = np.zeros(6, dtype=complex), np.zeros(6, dtype=complex)
+        x[:3], y[3:] = ginibre(rng, 3)[0], ginibre(rng, 3)[0]
+    else:
+        pairs = [(ginibre(rng, 4), ginibre(rng, 4)) for _ in range(3)]
+        x, y = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+        x[:2, :2], y[2:, 2:] = ginibre(rng, 2), ginibre(rng, 2)
+    a, b = pairs[0]
+    g, _ = gamma_min(*_bj_problem(a, b, spec))
+    return pairs + [(x, y), (a + g * b, b)]
+
+
 class TestGammaMin:
     def test_finds_minimum_inside_radius(self):
         center = 0.8 * np.exp(0.3j)
@@ -63,10 +128,52 @@ class TestGammaMin:
         g, v = gamma_min(lambda gs: np.ones(len(gs)), lambda z: 1.0, radius=1.0)
         assert g == 0j and v == 1.0
 
+    @pytest.mark.parametrize("spec", _BJ_SPECS, ids=str)
+    def test_pruned_matches_full_grid(self, spec):
+        for a, b in _bj_pairs(spec):
+            f_batch, f_scalar, radius = _bj_problem(a, b, spec)
+            assert gamma_min(f_batch, f_scalar, radius) == _full_gamma_min(
+                f_batch, f_scalar, radius)
 
-# Every exact norm that is convex: the circle search may prune under these.
-_CONVEX_SPECS = [NormSpec.schatten(p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
-    NormSpec.induced(p) for p in (1.0, 2.0, INF)]
+    @pytest.mark.parametrize("spec", _BJ_SPECS, ids=str)
+    def test_skipped_points_never_below_grid_minimum(self, spec):
+        for a, b in _bj_pairs(spec):
+            f_batch, f_scalar, radius = _bj_problem(a, b, spec)
+            seen = []
+
+            def counted(gs):
+                seen.extend(gs)
+                return f_batch(gs)
+
+            gamma_min(counted, f_scalar, radius)
+            grid = _polar_grid(radius)
+            full = f_batch(grid)
+            skipped = ~np.isin(grid, seen)
+            assert len(set(seen)) == len(seen)
+            assert (full[skipped] > full.min()).all()
+
+    def test_bowl_evaluates_part_of_the_grid(self):
+        center = 0.8 * np.exp(0.3j)
+        for f_batch, f_scalar, pruned in (
+                (lambda gs: np.abs(np.asarray(gs) - center) ** 2, _bowl(center), True),
+                (lambda gs: np.ones(len(gs)), lambda z: 1.0, False)):
+            seen = []
+
+            def counted(gs, f_batch=f_batch):
+                seen.extend(gs)
+                return f_batch(gs)
+
+            gamma_min(counted, f_scalar, radius=2.0)
+            assert len(set(seen)) == len(seen)
+            assert (len(seen) < 257) if pruned else (len(seen) == 257)
+
+    def test_non_finite_grid_value_raises(self):
+        for bad in (np.nan, np.inf):
+            def f_batch(gs, bad=bad):
+                return np.where(np.abs(np.asarray(gs)) > 0.5, bad, 1.0)
+
+            with pytest.raises(ValueError, match="non-finite"):
+                gamma_min(f_batch, lambda z: 1.0, radius=1.0)
 
 
 def _circle_problem(a, b, spec):
@@ -326,3 +433,19 @@ class TestMultistartAscent:
         assert calls == []
         assert v == vals[k]
         assert np.array_equal(x, pts[k])
+
+
+class TestTracedParameters:
+    # perfbench/tracer.py binds these parameters by name to count the
+    # optimizers' evaluations; a rename would break every traced run.
+    @pytest.mark.parametrize("name, params", [
+        ("gamma_min", ("f_batch", "f_scalar")),
+        ("circle_max", ("f_batch", "f_scalar")),
+        ("multistart_ascent", ("value_fn", "grad_fn", "starts", "extra_starts")),
+        ("hill_climb", ("value_fn",)),
+    ])
+    def test_tracer_parameter_names(self, name, params):
+        sig = inspect.signature(getattr(search, name))
+        assert set(params) <= set(sig.parameters)
+        if name == "multistart_ascent":
+            assert isinstance(sig.parameters["starts"].default, int)
