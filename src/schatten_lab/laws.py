@@ -7,6 +7,16 @@ construction, "fails" directions are margin-guarded (draws whose decision
 quantity lands inside an ambiguous band around the tolerance are redrawn
 from the same stream, with a hard cap).  A suite therefore passes 100% of
 trials unless the library itself is wrong.
+
+A trial states each check in one of five forms, each recording a label, a
+pass flag and a gap that is negative exactly when the check fails:
+``at_most``/``at_least`` compare a value with a bound (the gap is the
+margin), ``holds``/``fails`` restate a predicate verdict (the gap is the
+verdict's own, negated for ``fails``), and ``check`` takes a flag and an
+optional gap.  Redraw loops run as ``for _ in _redraws(what):`` and leave
+by ``break`` or ``return`` on a decisive draw.  A suite's
+``SuiteSpec.tolerances`` are the values its checks read, so a report's
+``tolerances_used`` are the ones applied.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .norms import (
     vector_norm,
 )
 from .ortho import (
+    PREDICATE_RTOL,
     bj_definitional,
     bj_trace,
     clarkson_gap,
@@ -44,6 +55,7 @@ from .ortho import (
     sip_trace_core,
 )
 from .parallel import (
+    DEPENDENCE_RTOL,
     eigen_parallel_identity,
     epsilon_isometry_transfer,
     hilbert_parallel_witness,
@@ -169,6 +181,18 @@ class _Trial:
         self.checks.append((label, bool(ok), float(gap)))
         return bool(ok)
 
+    def at_most(self, label: str, value, bound) -> bool:
+        return self.check(label, value <= bound, bound - value)
+
+    def at_least(self, label: str, value, bound) -> bool:
+        return self.check(label, value >= bound, value - bound)
+
+    def holds(self, label: str, verdict) -> bool:
+        return self.check(label, verdict.holds, verdict.gap)
+
+    def fails(self, label: str, verdict) -> bool:
+        return self.check(label, not verdict.holds, -verdict.gap)
+
     @property
     def ok(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
@@ -196,10 +220,22 @@ class _Trial:
         return h.hexdigest()[:16]
 
 
-def _miscalibrated(what: str) -> EnsembleMiscalibration:
-    return EnsembleMiscalibration(
+def _redraws(what: str):
+    """Yield ``REDRAW_LIMIT`` times, then raise: the one redraw cap.
+
+    A loop over it leaves by ``break`` or ``return`` once a draw is decisive;
+    running out means the ensemble cannot produce ``what``.
+    """
+    for _ in range(REDRAW_LIMIT):
+        yield
+    raise EnsembleMiscalibration(
         f"{REDRAW_LIMIT} redraws failed to produce a decisive draw for {what}"
     )
+
+
+def _decisive(verdicts) -> bool:
+    """Every verdict fails by at least ``DECISIVE`` times its tolerance."""
+    return all(v.gap <= -DECISIVE * v.tolerance for v in verdicts)
 
 
 def _single(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -243,11 +279,12 @@ def _trace_residuals(a, b, p: float) -> tuple[float, float]:
 def _suite_clarkson(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S1: Clarkson-McCarthy inequality directions and the equality law."""
     t = _Trial()
+    tol = SUITES["S1"].tolerances
     n = cfg.dimension
     kind = cfg.kind or "ginibre"
     ps = (0.5, 1.5, 2.0, 3.0)
 
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S1 generic pair"):
         a = _single(kind, rng, n)
         b = _single(kind, rng, n)
         overlap = _fro(a.conj().T @ a @ b.conj().T @ b)
@@ -262,37 +299,34 @@ def _suite_clarkson(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             abs(gaps[p]) >= 1e-5 * max(1.0, bases[p]) for p in ps if p != 2.0
         ):
             break
-    else:
-        raise _miscalibrated("S1 generic pair")
     t.track(a, b)
 
     for p in ps:
         g, base = gaps[p], bases[p]
-        tol = 1e-9 * max(1.0, base)
+        band = tol["direction"] * max(1.0, base)
         if p < 2.0:
-            t.check(f"gap direction p={p}", g <= tol, tol - g)
+            t.at_most(f"gap direction p={p}", g, band)
         elif p > 2.0:
-            t.check(f"gap direction p={p}", g >= -tol, g + tol)
+            t.at_least(f"gap direction p={p}", g, -band)
         else:
-            t.check("gap vanishes at p=2", abs(g) <= tol, tol - abs(g))
+            t.at_most("gap vanishes at p=2", abs(g), band)
         if p != 2.0:
+            floor = tol["equality"] * max(1.0, base)
             t.check(
-                f"generic pair avoids equality p={p}",
-                abs(g) > 1e-7 * max(1.0, base),
-                abs(g) - 1e-7 * max(1.0, base),
+                f"generic pair avoids equality p={p}", abs(g) > floor,
+                abs(g) - floor,
             )
 
     a0, b0 = ensembles.both_disjoint_pair(rng, n)
     t.track(a0, b0)
     res0 = _fro(a0.conj().T @ a0 @ b0.conj().T @ b0)
-    t.check("disjoint pair has orthogonal squares", res0 <= 1e-7, 1e-7 - res0)
+    t.at_most("disjoint pair has orthogonal squares", res0, tol["equality"])
     for p in ps:
         g0 = clarkson_gap(a0, b0, p)
         base0 = 2.0 * (schatten_norm(a0, p) ** p + schatten_norm(b0, p) ** p)
-        t.check(
-            f"disjoint pair attains equality p={p}",
-            abs(g0) <= 1e-7 * max(1.0, base0),
-            1e-7 * max(1.0, base0) - abs(g0),
+        t.at_most(
+            f"disjoint pair attains equality p={p}", abs(g0),
+            tol["equality"] * max(1.0, base0),
         )
         t.check(
             f"disjoint pair norm additivity p={p}", norm_additivity(a0, b0, p)
@@ -304,12 +338,9 @@ def _suite_clarkson(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     for p in (1.0, 1.5, 2.0, 3.0):
         s = schatten_norm(h1 + h2, p) ** p
         mid = schatten_norm(h1, p) ** p + schatten_norm(h2, p) ** p
-        tol = 1e-9 * max(1.0, s)
-        t.check(
-            f"psd lower bound p={p}", 2.0 ** (1.0 - p) * s <= mid + tol,
-            mid + tol - 2.0 ** (1.0 - p) * s,
-        )
-        t.check(f"psd upper bound p={p}", mid <= s + tol, s + tol - mid)
+        band = tol["direction"] * max(1.0, s)
+        t.at_most(f"psd lower bound p={p}", 2.0 ** (1.0 - p) * s, mid + band)
+        t.at_most(f"psd upper bound p={p}", mid, s + band)
     return t
 
 
@@ -326,64 +357,50 @@ def _suite_disjoint_implies_bj(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
 
     for p in (1.5, 2.0, 3.0):
         spec = NormSpec.schatten(p)
-        va = bj_definitional(a, b, spec)
-        vb = bj_definitional(b, a, spec)
-        t.check(f"constructed pair bj forward p={p}", va.holds, va.gap)
-        t.check(f"constructed pair bj reverse p={p}", vb.holds, vb.gap)
+        t.holds(f"constructed pair bj forward p={p}", bj_definitional(a, b, spec))
+        t.holds(f"constructed pair bj reverse p={p}", bj_definitional(b, a, spec))
 
     a2, b2 = ensembles.both_disjoint_pair(rng, n)
     t.track(a2, b2)
     for p in (1.5, 3.0):
         spec = NormSpec.schatten(p)
-        va = bj_definitional(a2, b2, spec)
-        vb = bj_definitional(b2, a2, spec)
-        t.check(f"general pair bj forward p={p}", va.holds, va.gap)
-        t.check(f"general pair bj reverse p={p}", vb.holds, vb.gap)
+        t.holds(f"general pair bj forward p={p}", bj_definitional(a2, b2, spec))
+        t.holds(f"general pair bj reverse p={p}", bj_definitional(b2, a2, spec))
     return t
 
 
 def _suite_bj_implies_disjoint(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S3: for positive pairs, mutual BJ orthogonality forces disjoint supports."""
     t = _Trial()
+    tol = SUITES["S3"].tolerances
     n = cfg.dimension
     ps = (1.5, 2.0, 3.0)
 
     a, b = ensembles.commuting_disjoint_psd_pair(rng, n)
     t.track(a, b)
     for p in ps:
-        spec = NormSpec.schatten(p)
-        v = bj_definitional(a, b, spec)
-        t.check(f"constructed positive pair bj p={p}", v.holds, v.gap)
+        v = bj_definitional(a, b, NormSpec.schatten(p))
+        t.holds(f"constructed positive pair bj p={p}", v)
     rep = disjoint_supports(a, b)
-    t.check(
-        "constructed pair right residual", rep.right_residual <= 1e-6,
-        1e-6 - rep.right_residual,
-    )
-    t.check(
-        "constructed pair left residual", rep.left_residual <= 1e-6,
-        1e-6 - rep.left_residual,
-    )
+    for side, res in (("right", rep.right_residual), ("left", rep.left_residual)):
+        t.at_most(f"constructed pair {side} residual", res, tol["residual"])
 
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S3 overlapping positive pair"):
         c = ensembles.psd(rng, n)
         d = ensembles.psd(rng, n)
         verdicts = {p: bj_definitional(c, d, NormSpec.schatten(p)) for p in ps}
-        if all(v.gap <= -DECISIVE * v.tolerance for v in verdicts.values()):
+        if _decisive(verdicts.values()):
             break
-    else:
-        raise _miscalibrated("S3 overlapping positive pair")
     t.track(c, d)
     for p in ps:
-        v = verdicts[p]
-        t.check(
-            f"overlapping positive pair fails bj p={p}", not v.holds, -v.gap
-        )
+        t.fails(f"overlapping positive pair fails bj p={p}", verdicts[p])
     return t
 
 
 def _suite_isosceles(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S4: real isosceles orthogonality matches BJ on the positive cone."""
     t = _Trial()
+    tol = SUITES["S4"].tolerances
     n = cfg.dimension
     ps = (1.5, 2.0)
 
@@ -394,27 +411,22 @@ def _suite_isosceles(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             f"disjoint pair isosceles p={p}",
             isosceles(a, b, p, complex_mode=False),
         )
-        v = bj_definitional(a, b, NormSpec.schatten(p))
-        t.check(f"disjoint pair bj p={p}", v.holds, v.gap)
+        t.holds(f"disjoint pair bj p={p}", bj_definitional(a, b, NormSpec.schatten(p)))
     t.check(
         "disjoint pair isosceles p=1", isosceles(a, b, 1.0, complex_mode=False)
     )
     prod = max(_fro(a @ b), _fro(b @ a))
     scale = max(1.0, _fro(a) * _fro(b))
-    t.check(
-        "disjoint pair products vanish", prod <= 1e-9 * scale,
-        1e-9 * scale - prod,
-    )
+    t.at_most("disjoint pair products vanish", prod, 1e-9 * scale)
     for p in (1.0, 1.5):
         lhs = schatten_norm(a + b, p) ** p
         rhs = schatten_norm(a, p) ** p + schatten_norm(b, p) ** p
-        tol = 1e-7 * max(1.0, rhs)
-        t.check(
-            f"disjoint pair power additivity p={p}", abs(lhs - rhs) <= tol,
-            tol - abs(lhs - rhs),
+        t.at_most(
+            f"disjoint pair power additivity p={p}", abs(lhs - rhs),
+            tol["isosceles"] * max(1.0, rhs),
         )
 
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S4 overlapping positive pair"):
         c = ensembles.psd(rng, n)
         d = ensembles.psd(rng, n)
         if _fro(c @ d) < 1e-3:
@@ -424,20 +436,16 @@ def _suite_isosceles(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             / (schatten_norm(c, p) + schatten_norm(d, p))
             for p in ps + (1.0,)
         }
-        if not all(dev >= DECISIVE * 1e-7 for dev in devs.values()):
+        if not all(dev >= DECISIVE * tol["isosceles"] for dev in devs.values()):
             continue
         bjs = {p: bj_definitional(c, d, NormSpec.schatten(p)) for p in ps}
-        if all(v.gap <= -DECISIVE * v.tolerance for v in bjs.values()):
+        if _decisive(bjs.values()):
             break
-    else:
-        raise _miscalibrated("S4 overlapping positive pair")
     t.track(c, d)
     for p in ps:
         iso = isosceles(c, d, p, complex_mode=False)
         t.check(f"overlapping pair fails isosceles p={p}", not iso, -devs[p])
-        t.check(
-            f"overlapping pair fails bj p={p}", not bjs[p].holds, -bjs[p].gap
-        )
+        t.fails(f"overlapping pair fails bj p={p}", bjs[p])
         t.check(f"isosceles and bj agree p={p}", iso == bjs[p].holds)
     t.check(
         "overlapping pair fails isosceles p=1",
@@ -449,12 +457,12 @@ def _suite_isosceles(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
 def _suite_sip(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S5: semi-inner-product axioms and the trace test for BJ orthogonality."""
     t = _Trial()
+    ax_tol = SUITES["S5"].tolerances["axioms"]
     n = cfg.dimension
     kind = cfg.kind or "ginibre"
     ps = (1.5, 2.0, 3.0)
-    ax_tol = 1e-8
 
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S5 generic triple"):
         a = _single(kind, rng, n)
         b = _single(kind, rng, n)
         c = _single(kind, rng, n)
@@ -468,10 +476,8 @@ def _suite_sip(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
         ):
             continue
         defis = {p: bj_definitional(a, b, NormSpec.schatten(p)) for p in ps}
-        if all(v.gap <= -DECISIVE * v.tolerance for v in defis.values()):
+        if _decisive(defis.values()):
             break
-    else:
-        raise _miscalibrated("S5 generic triple")
     t.track(a, b, c)
 
     alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -480,83 +486,68 @@ def _suite_sip(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
         nc = schatten_norm(c, p)
         scale = max(1.0, na * (nb + nc) + na * na)
         saa = semi_inner_product(a, a, p)
-        t.check(
-            f"sip self-consistency p={p}",
-            abs(saa - na * na) <= ax_tol * scale,
-            ax_tol * scale - abs(saa - na * na),
+        t.at_most(
+            f"sip self-consistency p={p}", abs(saa - na * na), ax_tol * scale
         )
         add = (
             semi_inner_product(b + c, a, p) - sips[p]
             - semi_inner_product(c, a, p)
         )
-        t.check(
-            f"sip additivity p={p}", abs(add) <= ax_tol * scale,
-            ax_tol * scale - abs(add),
-        )
+        t.at_most(f"sip additivity p={p}", abs(add), ax_tol * scale)
         scale_h = scale * max(1.0, abs(alpha))
         hom1 = semi_inner_product(alpha * b, a, p) - alpha * sips[p]
-        t.check(
-            f"sip first-slot homogeneity p={p}", abs(hom1) <= ax_tol * scale_h,
-            ax_tol * scale_h - abs(hom1),
+        t.at_most(
+            f"sip first-slot homogeneity p={p}", abs(hom1), ax_tol * scale_h
         )
         hom2 = semi_inner_product(b, alpha * a, p) - np.conj(alpha) * sips[p]
-        t.check(
-            f"sip second-slot conjugate homogeneity p={p}",
-            abs(hom2) <= ax_tol * scale_h,
-            ax_tol * scale_h - abs(hom2),
+        t.at_most(
+            f"sip second-slot conjugate homogeneity p={p}", abs(hom2),
+            ax_tol * scale_h,
         )
         cs = abs(sips[p]) ** 2 - (na * nb) ** 2
-        t.check(
-            f"sip cauchy-schwarz p={p}", cs <= ax_tol * scale * scale,
-            ax_tol * scale * scale - cs,
-        )
+        t.at_most(f"sip cauchy-schwarz p={p}", cs, ax_tol * scale * scale)
 
         t.check(f"generic pair trace test fails p={p}", not bj_trace(a, b, p))
-        t.check(
-            f"generic pair definitional fails p={p}", not defis[p].holds,
-            -defis[p].gap,
-        )
+        t.fails(f"generic pair definitional fails p={p}", defis[p])
 
         b_perp = b - (sips[p] / (na * na)) * a
         if schatten_norm(b_perp, p) < 1e-3 * nb:  # pragma: no cover
-            raise _miscalibrated("S5 orthogonalized operand")
+            raise EnsembleMiscalibration("S5 orthogonalized operand vanished")
         vd2 = bj_definitional(a, b_perp, NormSpec.schatten(p))
         t.check(f"orthogonalized pair trace test p={p}", bj_trace(a, b_perp, p))
-        t.check(f"orthogonalized pair definitional p={p}", vd2.holds, vd2.gap)
+        t.holds(f"orthogonalized pair definitional p={p}", vd2)
     return t
 
 
 def _suite_identity_trace(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S6: the identity is BJ orthogonal to A exactly when tr A = 0."""
     t = _Trial()
+    tol = SUITES["S6"].tolerances
     n = cfg.dimension
     kind = cfg.kind or "ginibre"
     ps = (1.0, 2.0, 3.0)
     eye = np.eye(n, dtype=complex)
 
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S6 traceful draw"):
         a = _single(kind, rng, n)
         if abs(np.trace(a)) < 1e-2 * schatten_norm(a, 1.0):
             continue
         verdicts = {p: bj_definitional(eye, a, NormSpec.schatten(p)) for p in ps}
-        if all(v.gap <= -DECISIVE * v.tolerance for v in verdicts.values()):
+        if _decisive(verdicts.values()):
             break
-    else:
-        raise _miscalibrated("S6 traceful draw")
     t.track(a)
     a0 = a - (np.trace(a) / n) * eye
     t.track(a0)
 
     for p in ps:
-        v = verdicts[p]
-        t.check(f"traceful draw fails bj p={p}", not v.holds, -v.gap)
-        tr_bound = 1e-7 * schatten_norm(a, p)
+        t.fails(f"traceful draw fails bj p={p}", verdicts[p])
+        tr_bound = tol["trace"] * schatten_norm(a, p)
         t.check(
             f"traceful draw trace above threshold p={p}",
             abs(np.trace(a)) > tr_bound, abs(np.trace(a)) - tr_bound,
         )
         v0 = bj_definitional(eye, a0, NormSpec.schatten(p))
-        t.check(f"traceless projection passes bj p={p}", v0.holds, v0.gap)
+        t.holds(f"traceless projection passes bj p={p}", v0)
         if p > 1.0:
             t.check(
                 f"trace route agrees on traceless p={p}", bj_trace(eye, a0, p)
@@ -574,12 +565,10 @@ def _suite_loewner_identity(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     kind = cfg.kind or "ginibre"
     samples = default_gamma_samples(seed=cfg.seed)
 
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S7 nonzero draw"):
         a = _single(kind, rng, n)
         if _fro(a) >= 1e-8:
             break
-    else:  # pragma: no cover - draws are nonzero almost surely
-        raise _miscalibrated("S7 nonzero draw")
     a = a / _fro(a)
     t.track(a)
 
@@ -621,7 +610,7 @@ def _suite_loewner_domination(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.check("column-split pair bj at all p", bool(rep2.bj_all_p))
 
     probe = np.array([1.0, -1.0, 1j, -1j], dtype=complex)
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S8 non-dominating pair"):
         b3 = ensembles.ginibre(rng, n)
         a3 = ensembles.ginibre(rng, n)
         if abs(np.trace(b3.conj().T @ a3)) < 1e-2 * _fro(a3) * _fro(b3):
@@ -633,8 +622,6 @@ def _suite_loewner_domination(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
         )
         if margin <= -1e-3 * max(1.0, _fro(b3)):
             break
-    else:
-        raise _miscalibrated("S8 non-dominating pair")
     t.track(b3, a3)
     rep3 = loewner_domination(b3, a3, samples, bj_ps=())
     t.check("generic pair does not dominate", not rep3.dominates, margin)
@@ -652,7 +639,7 @@ def _draw_guarded_independent(cfg, rng, ps, *, trace_margin=True):
     """Draw an independent pair failing parallelism decisively at every p."""
     n = cfg.dimension
     kind = cfg.kind or "ginibre"
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("independent guarded pair"):
         c = _single(kind, rng, n)
         d = _single(kind, rng, n)
         s = np.linalg.svd(
@@ -661,14 +648,13 @@ def _draw_guarded_independent(cfg, rng, ps, *, trace_margin=True):
         if s[0] <= 0 or s[1] / s[0] < 0.1:
             continue
         verdicts = {p: parallel_definitional(c, d, NormSpec.schatten(p)) for p in ps}
-        if not all(v.gap <= -DECISIVE * v.tolerance for v in verdicts.values()):
+        if not _decisive(verdicts.values()):
             continue
         if trace_margin and not all(
-            min(_trace_residuals(c, d, p)) >= DECISIVE * 1e-7 for p in ps
+            min(_trace_residuals(c, d, p)) >= DECISIVE * PREDICATE_RTOL for p in ps
         ):
             continue
         return c, d, verdicts
-    raise _miscalibrated("independent guarded pair")
 
 
 def _suite_parallel_dependence(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
@@ -682,17 +668,14 @@ def _suite_parallel_dependence(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.check("dependent pair recognized", linearly_dependent(a, b))
     for p in ps:
         v = parallel_definitional(a, b, NormSpec.schatten(p))
-        t.check(f"dependent pair parallel p={p}", v.holds, v.gap)
+        t.holds(f"dependent pair parallel p={p}", v)
         t.check(f"dependent pair trace condition p={p}", parallel_trace_p(a, b, p))
 
     c, d, verdicts = _draw_guarded_independent(cfg, rng, ps)
     t.track(c, d)
     t.check("independent pair recognized", not linearly_dependent(c, d))
     for p in ps:
-        t.check(
-            f"independent pair fails parallelism p={p}",
-            not verdicts[p].holds, -verdicts[p].gap,
-        )
+        t.fails(f"independent pair fails parallelism p={p}", verdicts[p])
         t.check(
             f"independent pair fails trace condition p={p}",
             not parallel_trace_p(c, d, p),
@@ -706,16 +689,17 @@ def _suite_parallel_dependence(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
         v1 = parallel_definitional(diag, eye, NormSpec.schatten(1.0))
         vi = parallel_definitional(diag, eye, NormSpec.schatten(INF))
         v2 = parallel_definitional(diag, eye, NormSpec.schatten(2.0))
-        t.check("endpoint p=1 fixture parallel", v1.holds, v1.gap)
-        t.check("endpoint p=inf fixture parallel", vi.holds, vi.gap)
+        t.holds("endpoint p=1 fixture parallel", v1)
+        t.holds("endpoint p=inf fixture parallel", vi)
         t.check("fixture not dependent", not linearly_dependent(diag, eye))
-        t.check("fixture fails at p=2", not v2.holds, -v2.gap)
+        t.fails("fixture fails at p=2", v2)
     return t
 
 
 def _suite_trace_characterization(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S10: four-way trace characterization of parallelism plus BJ duality."""
     t = _Trial()
+    tol = SUITES["S10"].tolerances
     n = cfg.dimension
     ps = (1.5, 2.0, 3.0)
 
@@ -724,20 +708,17 @@ def _suite_trace_characterization(cfg: EnsembleConfig, offset: int, rng) -> _Tri
     t.check("dependent pair recognized", linearly_dependent(a, b))
     for p in ps:
         v = parallel_definitional(a, b, NormSpec.schatten(p))
-        t.check(f"dependent definitional p={p}", v.holds, v.gap)
+        t.holds(f"dependent definitional p={p}", v)
         r_fwd, r_rev = _trace_residuals(a, b, p)
-        t.check(f"dependent trace forward p={p}", r_fwd <= 1e-7, 1e-7 - r_fwd)
-        t.check(f"dependent trace mirrored p={p}", r_rev <= 1e-7, 1e-7 - r_rev)
+        t.at_most(f"dependent trace forward p={p}", r_fwd, tol["trace"])
+        t.at_most(f"dependent trace mirrored p={p}", r_rev, tol["trace"])
         t.check(f"dependent conjunction p={p}", parallel_trace_p(a, b, p))
 
     c, d, verdicts = _draw_guarded_independent(cfg, rng, ps)
     t.track(c, d)
     t.check("independent pair recognized", not linearly_dependent(c, d))
     for p in ps:
-        t.check(
-            f"independent definitional fails p={p}",
-            not verdicts[p].holds, -verdicts[p].gap,
-        )
+        t.fails(f"independent definitional fails p={p}", verdicts[p])
         t.check(
             f"independent trace fails p={p}", not parallel_trace_p(c, d, p)
         )
@@ -745,34 +726,31 @@ def _suite_trace_characterization(cfg: EnsembleConfig, offset: int, rng) -> _Tri
     pa, pb = ensembles.shared_top_direction_pair(rng, n)
     t.track(pa, pb)
     v = parallel_definitional(pa, pb, SPECTRAL)
-    t.check("aligned pair parallel (spectral)", v.holds, v.gap)
-    t.check(
-        "extremal scalar localizes at 1", abs(v.lambda_star - 1.0) <= 0.1,
-        0.1 - abs(v.lambda_star - 1.0),
-    )
+    t.holds("aligned pair parallel (spectral)", v)
+    t.at_most("extremal scalar localizes at 1", abs(v.lambda_star - 1.0), 0.1)
     na = schatten_norm(pa, INF)
     nb = schatten_norm(pb, INF)
     # The construction attains the sum at scalar 1, so the dual combination
     # ||b|| a - ||a|| b annihilates the shared norming vector.
     z = nb * pa - na * pb
     dual = bj_definitional(pa, z, SPECTRAL)
-    t.check("parallelism yields bj dual combination", dual.holds, dual.gap)
+    t.holds("parallelism yields bj dual combination", dual)
     return t
 
 
 def _unit_nilpotent(rng, n: int) -> np.ndarray:
     """A nilpotent draw scaled to spectral norm 1."""
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("nilpotent draw"):
         j = ensembles.nilpotent(rng, n)
         nj = schatten_norm(j, INF)
         if nj >= 1e-8:
             return j / nj
-    raise _miscalibrated("nilpotent draw")  # pragma: no cover
 
 
 def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S11: numerical radius laws and parallelism to the identity."""
     t = _Trial()
+    tol = SUITES["S11"].tolerances
     n = cfg.dimension
     eye = np.eye(n, dtype=complex)
 
@@ -780,14 +758,13 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.track(a)
     nrm = schatten_norm(a, INF)
     w = numerical_radius_hilbert(a).value
-    tol = 1e-7 * max(1.0, nrm)
-    t.check(
-        "normal draw radius attains norm", abs(w - nrm) <= tol,
-        tol - abs(w - nrm),
+    t.at_most(
+        "normal draw radius attains norm", abs(w - nrm),
+        tol["radius"] * max(1.0, nrm),
     )
     t.check("normal draw identity-parallel (radius)", parallel_identity_radius(a))
     v = parallel_definitional(a, eye, SPECTRAL)
-    t.check("normal draw identity-parallel (definitional)", v.holds, v.gap)
+    t.holds("normal draw identity-parallel (definitional)", v)
 
     scal = (0.5 + rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
     for p in (1.5, 3.0):
@@ -795,7 +772,7 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             f"scalar matrix identity-trace parallel p={p}",
             parallel_identity_trace(scal * eye, p),
         )
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S11 identity-trace draw"):
         g0 = ensembles.ginibre(rng, n)
         devs = {
             p: abs(
@@ -804,10 +781,8 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             ) / schatten_norm(g0, p)
             for p in (1.5, 3.0)
         }
-        if all(dev >= DECISIVE * 1e-7 for dev in devs.values()):
+        if all(dev >= DECISIVE * PREDICATE_RTOL for dev in devs.values()):
             break
-    else:  # pragma: no cover
-        raise _miscalibrated("S11 identity-trace draw")
     t.track(g0)
     for p in (1.5, 3.0):
         t.check(
@@ -819,54 +794,42 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.track(j)
     wj = numerical_radius_hilbert(j).value
     ceiling = math.cos(math.pi / (n + 1))
-    t.check(
-        "nilpotent radius below norm", wj <= ceiling + 1e-9,
-        ceiling + 1e-9 - wj,
-    )
+    t.at_most("nilpotent radius below norm", wj, ceiling + 1e-9)
     t.check(
         "nilpotent not identity-parallel (radius)",
         not parallel_identity_radius(j),
     )
     vj = parallel_definitional(j, eye, SPECTRAL)
-    t.check(
-        "nilpotent not identity-parallel (definitional)", not vj.holds, -vj.gap
-    )
+    t.fails("nilpotent not identity-parallel (definitional)", vj)
 
     if offset == 0:
         jord = np.zeros((2, 2), dtype=complex)
         jord[0, 1] = 1.0
         t.track(jord)
         wjord = numerical_radius_hilbert(jord).value
-        t.check(
-            "jordan block radius is one half", abs(wjord - 0.5) <= 1e-9,
-            1e-9 - abs(wjord - 0.5),
-        )
+        t.at_most("jordan block radius is one half", abs(wjord - 0.5), 1e-9)
         vjord = parallel_definitional(jord, np.eye(2, dtype=complex), SPECTRAL)
         phi = (1.0 + math.sqrt(5.0)) / 2.0
-        t.check(
+        t.at_most(
             "jordan block extremal norm is the golden ratio",
-            abs(vjord.achieved - phi) <= 1e-7,
-            1e-7 - abs(vjord.achieved - phi),
+            abs(vjord.achieved - phi), tol["radius"],
         )
-        t.check("jordan block not identity-parallel", not vjord.holds, -vjord.gap)
+        t.fails("jordan block not identity-parallel", vjord)
 
     if offset < 50:
         g = ensembles.ginibre(rng, n)
         t.track(g)
         w2 = numerical_radius_hilbert(g).value
         v2 = numerical_radius_banach(g, 2.0).value
-        tol2 = 1e-6 * max(1.0, w2)
-        t.check(
-            "l2 functional radius matches hilbert radius",
-            abs(v2 - w2) <= tol2, tol2 - abs(v2 - w2),
+        t.at_most(
+            "l2 functional radius matches hilbert radius", abs(v2 - w2),
+            tol["functional_radius"] * max(1.0, w2),
         )
 
-        for _ in range(REDRAW_LIMIT):
+        for _ in _redraws("S11 diagonal gap"):
             mods = np.sort(0.25 + 1.75 * rng.uniform(size=n))
             if mods[-1] - mods[-2] >= 0.05:
                 break
-        else:  # pragma: no cover
-            raise _miscalibrated("S11 diagonal gap")
         phases = np.exp(2j * math.pi * rng.uniform(size=n))
         dmat = np.diag(mods * phases)
         t.track(dmat)
@@ -887,6 +850,7 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
 def _suite_eigenvalue_criterion(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S12: identity parallelism holds iff the top eigenvalue attains the norm."""
     t = _Trial()
+    tol = SUITES["S12"].tolerances
     n = cfg.dimension
     eye = np.eye(n, dtype=complex)
 
@@ -895,22 +859,20 @@ def _suite_eigenvalue_criterion(cfg: EnsembleConfig, offset: int, rng) -> _Trial
     lam = eigen_parallel_identity(a)
     t.check("normal draw has eigen witness", lam is not None)
     v = parallel_definitional(a, eye, SPECTRAL)
-    t.check("normal draw identity-parallel", v.holds, v.gap)
+    t.holds("normal draw identity-parallel", v)
     if lam is not None:
         nrm = schatten_norm(a, INF)
         attained = schatten_norm(a + lam * eye, INF)
-        tol = 1e-7 * max(1.0, nrm + 1.0)
-        t.check(
-            "eigen phase attains the sum",
-            abs(attained - (nrm + 1.0)) <= tol,
-            tol - abs(attained - (nrm + 1.0)),
+        t.at_most(
+            "eigen phase attains the sum", abs(attained - (nrm + 1.0)),
+            tol["parallel"] * max(1.0, nrm + 1.0),
         )
 
     j = _unit_nilpotent(rng, n)
     t.track(j)
     t.check("nilpotent has no eigen witness", eigen_parallel_identity(j) is None)
     vj = parallel_definitional(j, eye, SPECTRAL)
-    t.check("nilpotent fails identity parallelism", not vj.holds, -vj.gap)
+    t.fails("nilpotent fails identity parallelism", vj)
 
     if offset == 0:
         for m in range(2, 9):
@@ -920,15 +882,11 @@ def _suite_eigenvalue_criterion(cfg: EnsembleConfig, offset: int, rng) -> _Trial
                 eigen_parallel_identity(shift) is None,
             )
             vs = parallel_definitional(shift, np.eye(m, dtype=complex), SPECTRAL)
-            t.check(
-                f"truncated shift n={m} fails identity parallelism",
-                not vs.holds, -vs.gap,
-            )
+            t.fails(f"truncated shift n={m} fails identity parallelism", vs)
             ws = numerical_radius_hilbert(shift).value
             target = math.cos(math.pi / (m + 1))
-            t.check(
-                f"truncated shift n={m} radius",
-                abs(ws - target) <= 1e-6, 1e-6 - abs(ws - target),
+            t.at_most(
+                f"truncated shift n={m} radius", abs(ws - target), tol["radius"]
             )
     return t
 
@@ -936,11 +894,12 @@ def _suite_eigenvalue_criterion(cfg: EnsembleConfig, offset: int, rng) -> _Trial
 def _suite_nilpotent_projection(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S13: nilpotent powers never parallel; projections need a shared range."""
     t = _Trial()
+    tol = SUITES["S13"].tolerances
     n = min(cfg.dimension, 6)
     kind = cfg.kind
 
     if kind in (None, "nilpotent"):
-        for _ in range(REDRAW_LIMIT):
+        for _ in _redraws("S13 nilpotent draw"):
             j = ensembles.nilpotent(rng, n)
             nj = schatten_norm(j, INF)
             if nj < 1e-8:
@@ -962,39 +921,31 @@ def _suite_nilpotent_projection(cfg: EnsembleConfig, offset: int, rng) -> _Trial
                 (k, ell): parallel_definitional(powers[k], powers[ell], SPECTRAL)
                 for k, ell in pairs
             }
-            if all(v.gap <= -DECISIVE * v.tolerance for v in verdicts.values()):
+            if _decisive(verdicts.values()):
                 break
-        else:
-            raise _miscalibrated("S13 nilpotent draw")
         t.track(j)
         for (k, ell), v in verdicts.items():
-            t.check(f"powers {k} and {ell} not parallel", not v.holds, -v.gap)
+            t.fails(f"powers {k} and {ell} not parallel", v)
 
     if kind in (None, "projection"):
         p1, q1 = ensembles.intersecting_projection_pair(rng, cfg.dimension)
         t.track(p1, q1)
         v1 = parallel_definitional(p1, q1, SPECTRAL)
-        t.check("intersecting projections parallel", v1.holds, v1.gap)
+        t.holds("intersecting projections parallel", v1)
         t.check(
             "intersecting ranges share a direction",
-            _principal_cos(p1, q1) >= 1.0 - 1e-7,
+            _principal_cos(p1, q1) >= 1.0 - tol["parallel"],
         )
 
-        for _ in range(REDRAW_LIMIT):
+        for _ in _redraws("S13 trivially intersecting projections"):
             p2, q2 = ensembles.trivial_intersection_projection_pair(
                 rng, cfg.dimension
             )
-            cos1 = _principal_cos(p2, q2)
-            if cos1 <= 1.0 - 1e-3:
+            if _principal_cos(p2, q2) <= 1.0 - tol["angle"]:
                 break
-        else:
-            raise _miscalibrated("S13 trivially intersecting projections")
         t.track(p2, q2)
         v2 = parallel_definitional(p2, q2, SPECTRAL)
-        t.check(
-            "trivially intersecting projections not parallel",
-            not v2.holds, -v2.gap,
-        )
+        t.fails("trivially intersecting projections not parallel", v2)
     return t
 
 
@@ -1009,17 +960,14 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.track(a, b, u)
     v = parallel_definitional(a, b, SPECTRAL)
     vc = parallel_definitional(u @ a @ uh, u @ b @ uh, SPECTRAL)
-    t.check("dependent pair parallel", v.holds, v.gap)
-    t.check("unitary conjugation preserves holding verdict", vc.holds, vc.gap)
+    t.holds("dependent pair parallel", v)
+    t.holds("unitary conjugation preserves holding verdict", vc)
 
     c, d, verdicts = _draw_guarded_independent(cfg, rng, (INF,), trace_margin=False)
-    vg = verdicts[INF]
     t.track(c, d)
     vgc = parallel_definitional(u @ c @ uh, u @ d @ uh, SPECTRAL)
-    t.check("independent pair fails parallelism", not vg.holds, -vg.gap)
-    t.check(
-        "unitary conjugation preserves failing verdict", not vgc.holds, -vgc.gap
-    )
+    t.fails("independent pair fails parallelism", verdicts[INF])
+    t.fails("unitary conjugation preserves failing verdict", vgc)
 
     eps = 0.01 if offset % 2 == 0 else 0.05
     umap = ensembles.near_isometry(rng, n, eps)
@@ -1029,10 +977,7 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     src_b = uinv @ beta @ umap
     t.track(umap, src_a, src_b)
     rep = epsilon_isometry_transfer(src_a, src_b, umap, eps)
-    t.check(
-        "conjugated pair parallel", rep.conjugated_parallel.holds,
-        rep.conjugated_parallel.gap,
-    )
+    t.holds("conjugated pair parallel", rep.conjugated_parallel)
     t.check(
         "transfer bound holds", rep.lower_bound_ok is True,
         rep.achieved - rep.lower_bound,
@@ -1051,7 +996,7 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     # its norming block preserves parallelism verdicts of block vectors in
     # both directions (the l3 norm is smooth).
     spec3 = NormSpec.lp(3.0)
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S14 block vectors"):
         phases = np.exp(2j * math.pi * rng.uniform(size=2))
         m = max(0, n - 2)
         rest = (0.1 + 0.6 * rng.uniform(size=m)) * np.exp(
@@ -1067,25 +1012,18 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
         y = np.zeros(n, dtype=complex)
         y[:2] = yb / vector_norm(yb, spec3)
         vxy = vector_parallel(x, y, spec3)
-        if vxy.gap <= -DECISIVE * vxy.tolerance:
+        if _decisive((vxy,)):
             break
-    else:
-        raise _miscalibrated("S14 block vectors")
     t.track(dvec, x, y)
     vimg = vector_parallel(amat @ x, amat @ y, spec3)
-    t.check("independent block vectors not parallel", not vxy.holds, -vxy.gap)
-    t.check(
-        "isometric image preserves failing verdict", not vimg.holds, -vimg.gap
-    )
+    t.fails("independent block vectors not parallel", vxy)
+    t.fails("isometric image preserves failing verdict", vimg)
     phase = np.exp(2j * math.pi * rng.uniform())
     ydep = phase * x
     vdep = vector_parallel(x, ydep, spec3)
     vdep_img = vector_parallel(amat @ x, amat @ ydep, spec3)
-    t.check("dependent block vectors parallel", vdep.holds, vdep.gap)
-    t.check(
-        "isometric image preserves holding verdict", vdep_img.holds,
-        vdep_img.gap,
-    )
+    t.holds("dependent block vectors parallel", vdep)
+    t.holds("isometric image preserves holding verdict", vdep_img)
 
     if offset == 0:
         half = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
@@ -1094,11 +1032,8 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
         mspec = NormSpec.max_norm()
         vm = vector_parallel(mx, my, mspec)
         vm_img = vector_parallel(half @ mx, half @ my, mspec)
-        t.check("max-norm fixture vectors parallel", vm.holds, vm.gap)
-        t.check(
-            "max-norm image breaks parallelism (non-smooth norm)",
-            not vm_img.holds, -vm_img.gap,
-        )
+        t.holds("max-norm fixture vectors parallel", vm)
+        t.fails("max-norm image breaks parallelism (non-smooth norm)", vm_img)
         ns = norming_set(half, mspec)
         t.check("max-norm fixture norming set sampled", len(ns.members) >= 1)
     return t
@@ -1107,45 +1042,43 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
 def _suite_hilbert_witness(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     """S15: the quadratic-form witness detects spectral parallelism on l2."""
     t = _Trial()
+    align_tol = SUITES["S15"].tolerances["alignment"]
     n = cfg.dimension
 
     a, b = ensembles.shared_top_direction_pair(rng, n, real=True)
     t.track(a, b)
     v = parallel_definitional(a, b, SPECTRAL)
     w = hilbert_parallel_witness(a, b)
-    t.check("aligned pair parallel", v.holds, v.gap)
+    t.holds("aligned pair parallel", v)
     t.check("witness detects parallelism", w.holds)
     na = schatten_norm(a, INF)
     nb = schatten_norm(b, INF)
     x = w.witness
     ax = a @ x
     bx = b @ x
-    t.check(
-        "witness norms the first factor",
-        float(np.linalg.norm(ax)) >= na * (1.0 - 1e-6),
-        float(np.linalg.norm(ax)) - na * (1.0 - 1e-6),
+    t.at_least(
+        "witness norms the first factor", float(np.linalg.norm(ax)),
+        na * (1.0 - align_tol),
     )
-    t.check(
-        "witness norms the second factor",
-        float(np.linalg.norm(bx)) >= nb * (1.0 - 1e-6),
-        float(np.linalg.norm(bx)) - nb * (1.0 - 1e-6),
+    t.at_least(
+        "witness norms the second factor", float(np.linalg.norm(bx)),
+        nb * (1.0 - align_tol),
     )
     r1 = ax / na
     r2 = bx / nb
     align = min(
         float(np.linalg.norm(r1 - r2)), float(np.linalg.norm(r1 + r2))
     )
-    t.check("witness images align", align <= 1e-6, 1e-6 - align)
+    t.at_most("witness images align", align, align_tol)
     if np.linalg.norm(ax) > 0:
         form = abs(complex(np.vdot(ax / np.linalg.norm(ax), bx)))
-        t.check(
-            "witness attains the mixed bound",
-            abs(form - nb) <= 1e-6 * max(1.0, nb),
-            1e-6 * max(1.0, nb) - abs(form - nb),
+        t.at_most(
+            "witness attains the mixed bound", abs(form - nb),
+            align_tol * max(1.0, nb),
         )
 
     kind = cfg.kind or "ginibre"
-    for _ in range(REDRAW_LIMIT):
+    for _ in _redraws("S15 non-parallel pair"):
         c = _single(kind, rng, n)
         d = _single(kind, rng, n)
         nc = schatten_norm(c, INF)
@@ -1157,18 +1090,21 @@ def _suite_hilbert_witness(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
         vf = parallel_definitional(c, d, SPECTRAL)
         if vf.gap <= -10.0 * DECISIVE * vf.tolerance:
             break
-    else:
-        raise _miscalibrated("S15 non-parallel pair")
     t.track(c, d)
     wf = hilbert_parallel_witness(c, d)
-    t.check("generic pair not parallel", not vf.holds, -vf.gap)
+    t.fails("generic pair not parallel", vf)
     t.check("witness rejects generic pair", not wf.holds)
     return t
 
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """Registry entry: runner plus validation metadata for one suite."""
+    """Registry entry: runner plus validation metadata for one suite.
+
+    ``tolerances`` are the values the suite's checks read, and each report
+    prints them as ``tolerances_used``.  A value that a library predicate
+    applies by default is listed by that constant's name.
+    """
 
     index: int
     runner: object
@@ -1191,49 +1127,49 @@ SUITES: dict[str, SuiteSpec] = {
         2, _suite_disjoint_implies_bj,
         "Disjoint supports imply mutual Birkhoff-James orthogonality",
         ("commuting_kernel_pair", "disjoint_pair"),
-        (2, 8), {"bj": 1e-7},
+        (2, 8), {"bj": PREDICATE_RTOL},
     ),
     "S3": SuiteSpec(
         3, _suite_bj_implies_disjoint,
         "Positive mutual BJ orthogonality forces disjoint supports",
-        (), (2, 8), {"bj": 1e-7, "residual": 1e-6},
+        (), (2, 8), {"bj": PREDICATE_RTOL, "residual": 1e-6},
     ),
     "S4": SuiteSpec(
         4, _suite_isosceles,
         "Isosceles orthogonality matches BJ on the positive cone",
-        (), (2, 8), {"isosceles": 1e-7, "bj": 1e-7},
+        (), (2, 8), {"isosceles": PREDICATE_RTOL, "bj": PREDICATE_RTOL},
     ),
     "S5": SuiteSpec(
         5, _suite_sip,
         "Semi-inner-product axioms and the BJ trace test",
-        _GENERIC_KINDS, (2, 8), {"axioms": 1e-8, "bj": 1e-7},
+        _GENERIC_KINDS, (2, 8), {"axioms": 1e-8, "bj": PREDICATE_RTOL},
     ),
     "S6": SuiteSpec(
         6, _suite_identity_trace,
         "Identity is BJ orthogonal to A exactly when tr A = 0",
-        _GENERIC_KINDS, (2, 8), {"bj": 1e-7, "trace": 1e-7},
+        _GENERIC_KINDS, (2, 8), {"bj": PREDICATE_RTOL, "trace": 1e-7},
     ),
     "S7": SuiteSpec(
         7, _suite_loewner_identity,
         "Only zero keeps |I + gamma A| above I for every gamma",
         _GENERIC_KINDS + ("nilpotent", "partial_isometry"),
-        (2, 8), {"modulus": 1e-7},
+        (2, 8), {"modulus": RANK_RTOL},
     ),
     "S8": SuiteSpec(
         8, _suite_loewner_domination,
         "Modulus domination forces trace orthogonality, kernels, and BJ",
-        (), (2, 8), {"modulus": 1e-7, "bj": 1e-7},
+        (), (2, 8), {"modulus": RANK_RTOL, "bj": PREDICATE_RTOL},
     ),
     "S9": SuiteSpec(
         9, _suite_parallel_dependence,
         "Schatten parallelism is linear dependence for 1 < p < inf",
         _GENERIC_KINDS, (2, 8),
-        {"parallel": 1e-7, "dependence": 1e-9},
+        {"parallel": PREDICATE_RTOL, "dependence": DEPENDENCE_RTOL},
     ),
     "S10": SuiteSpec(
         10, _suite_trace_characterization,
         "Four-way trace characterization of parallelism plus BJ duality",
-        _GENERIC_KINDS, (2, 8), {"parallel": 1e-7, "trace": 1e-7},
+        _GENERIC_KINDS, (2, 8), {"parallel": PREDICATE_RTOL, "trace": 1e-7},
     ),
     "S11": SuiteSpec(
         11, _suite_radius,
@@ -1243,25 +1179,25 @@ SUITES: dict[str, SuiteSpec] = {
     "S12": SuiteSpec(
         12, _suite_eigenvalue_criterion,
         "Eigenvalue criterion for parallelism to the identity",
-        (), (2, 8), {"parallel": 1e-7, "radius": 1e-6},
+        (), (2, 8), {"parallel": PREDICATE_RTOL, "radius": 1e-6},
     ),
     "S13": SuiteSpec(
         13, _suite_nilpotent_projection,
         "Nilpotent power pairs never parallel; projections need shared range",
         ("nilpotent", "projection"), (2, 6),
-        {"parallel": 1e-7, "angle": 1e-3},
+        {"parallel": PREDICATE_RTOL, "angle": 1e-3},
     ),
     "S14": SuiteSpec(
         14, _suite_isometry_transfer,
         "Unitary invariance and near-isometry transfer of parallelism",
         _GENERIC_KINDS + ("partial_isometry",), (2, 8),
-        {"parallel": 1e-7, "transfer": 1e-7},
+        {"parallel": PREDICATE_RTOL, "transfer": PREDICATE_RTOL},
     ),
     "S15": SuiteSpec(
         15, _suite_hilbert_witness,
         "Quadratic-form witness for spectral parallelism on l2",
         _GENERIC_KINDS, (2, 8),
-        {"witness": 1e-7, "alignment": 1e-6},
+        {"witness": PREDICATE_RTOL, "alignment": 1e-6},
     ),
 }
 
@@ -1370,125 +1306,110 @@ class Fixture:
     runner: object
 
     def run(self) -> FixtureResult:
-        checks: list[tuple[str, bool]] = []
-        self.runner(checks)
-        ok = all(flag for _, flag in checks)
+        t = _Trial()
+        self.runner(t)
         details = tuple(
-            f"{'PASS' if flag else 'FAIL'}  {label}" for label, flag in checks
+            f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok, _ in t.checks
         )
-        return FixtureResult(self.name, ok, details)
+        return FixtureResult(self.name, t.ok, details)
 
 
-def _fx_identity_vs_traceless(checks) -> None:
+def _fx_identity_vs_traceless(t: _Trial) -> None:
     eye = np.eye(2, dtype=complex)
     a = np.diag([0.5, -0.5]).astype(complex)
     for p in (1.0, 1.5, 2.0, 3.0, INF):
-        v = bj_definitional(eye, a, NormSpec.schatten(p))
-        checks.append(
-            (f"identity bj-orthogonal to diag(1/2,-1/2) at p={p}", v.holds)
+        t.holds(
+            f"identity bj-orthogonal to diag(1/2,-1/2) at p={p}",
+            bj_definitional(eye, a, NormSpec.schatten(p)),
         )
     for p in (1.5, 2.0, 3.0):
-        checks.append((f"trace route agrees at p={p}", bj_trace(eye, a, p)))
+        t.check(f"trace route agrees at p={p}", bj_trace(eye, a, p))
         sip = semi_inner_product(a, eye, p)
-        checks.append(
-            (f"semi-inner product vanishes at p={p}", abs(sip) <= 1e-12)
-        )
+        t.at_most(f"semi-inner product vanishes at p={p}", abs(sip), 1e-12)
 
 
-def _fx_trace_norm_asymmetry(checks) -> None:
+def _fx_trace_norm_asymmetry(t: _Trial) -> None:
     a = np.diag([1.0, 0.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    v1 = bj_definitional(a, eye, NormSpec.schatten(1.0))
-    checks.append(("rank-one bj-orthogonal to identity in trace norm", v1.holds))
-    v2 = bj_definitional(eye, a, NormSpec.schatten(1.0))
-    checks.append(
-        ("identity not bj-orthogonal to rank-one (asymmetry)", not v2.holds)
+    t.holds(
+        "rank-one bj-orthogonal to identity in trace norm",
+        bj_definitional(a, eye, NormSpec.schatten(1.0)),
+    )
+    t.fails(
+        "identity not bj-orthogonal to rank-one (asymmetry)",
+        bj_definitional(eye, a, NormSpec.schatten(1.0)),
     )
     rep = disjoint_supports(a, eye)
-    checks.append(("supports overlap on the right", not rep.right_disjoint))
-    checks.append(("supports overlap on the left", not rep.left_disjoint))
+    t.check("supports overlap on the right", not rep.right_disjoint)
+    t.check("supports overlap on the left", not rep.left_disjoint)
 
 
-def _fx_endpoint_parallelism(checks) -> None:
+def _fx_endpoint_parallelism(t: _Trial) -> None:
     a = np.diag([1.0, 0.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
     v1 = parallel_definitional(a, eye, NormSpec.schatten(1.0))
-    checks.append(("parallel in trace norm", v1.holds))
-    checks.append(
-        ("trace-norm extremal value is 3", abs(v1.achieved - 3.0) <= 1e-12)
-    )
+    t.holds("parallel in trace norm", v1)
+    t.at_most("trace-norm extremal value is 3", abs(v1.achieved - 3.0), 1e-12)
     vi = parallel_definitional(a, eye, NormSpec.schatten(INF))
-    checks.append(("parallel in spectral norm", vi.holds))
-    checks.append(
-        ("spectral extremal value is 2", abs(vi.achieved - 2.0) <= 1e-12)
-    )
+    t.holds("parallel in spectral norm", vi)
+    t.at_most("spectral extremal value is 2", abs(vi.achieved - 2.0), 1e-12)
     v2 = parallel_definitional(a, eye, NormSpec.schatten(2.0))
-    checks.append(("not parallel in frobenius norm", not v2.holds))
-    checks.append(
-        ("pair is linearly independent", not linearly_dependent(a, eye))
-    )
-    checks.append(
-        ("invertible trace-norm criterion detects parallelism",
-         parallel_trace_class(eye, a))
+    t.fails("not parallel in frobenius norm", v2)
+    t.check("pair is linearly independent", not linearly_dependent(a, eye))
+    t.check(
+        "invertible trace-norm criterion detects parallelism",
+        parallel_trace_class(eye, a),
     )
 
 
-def _fx_modulus_counterexample(checks) -> None:
+def _fx_modulus_counterexample(t: _Trial) -> None:
     b = np.eye(2, dtype=complex)
     a = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
-    checks.append(
-        ("perturbation is trace orthogonal",
-         abs(np.trace(b.conj().T @ a)) <= 1e-12)
+    t.at_most(
+        "perturbation is trace orthogonal", abs(np.trace(b.conj().T @ a)), 1e-12
     )
     evals = np.sort(np.linalg.eigvalsh(modulus(b + a)))
     expected = np.array([math.sqrt(2.0) - 1.0, math.sqrt(2.0) + 1.0])
-    checks.append(
-        ("modulus eigenvalues are sqrt(2) -/+ 1",
-         bool(np.all(np.abs(evals - expected) <= 1e-9)))
+    t.at_most(
+        "modulus eigenvalues are sqrt(2) -/+ 1",
+        float(np.max(np.abs(evals - expected))), 1e-9,
     )
-    checks.append(
-        ("modulus does not dominate the identity",
-         not loewner_geq(modulus(b + a), b))
+    t.check(
+        "modulus does not dominate the identity",
+        not loewner_geq(modulus(b + a), b),
     )
     rep = loewner_domination(b, a)
-    checks.append(("domination report rejects the pair", not rep.dominates))
-    checks.append(
-        ("domination report confirms trace orthogonality", rep.trace_orthogonal)
-    )
+    t.check("domination report rejects the pair", not rep.dominates)
+    t.check("domination report confirms trace orthogonality", rep.trace_orthogonal)
 
 
-def _fx_max_norm_vectors(checks) -> None:
+def _fx_max_norm_vectors(t: _Trial) -> None:
     spec = NormSpec.max_norm()
     x = np.array([1.0, -1.0], dtype=complex)
     y = np.array([-1.0, -1.0], dtype=complex)
     v = vector_parallel(x, y, spec)
-    checks.append(("max-norm vectors parallel", v.holds))
-    checks.append(("extremal sum is 2", abs(v.achieved - 2.0) <= 1e-9))
+    t.holds("max-norm vectors parallel", v)
+    t.at_most("extremal sum is 2", abs(v.achieved - 2.0), 1e-9)
     ex = np.array([0.0, 1.0], dtype=complex)
     ey = np.array([-1.0, 0.0], dtype=complex)
     v2 = vector_parallel(ex, ey, spec)
-    checks.append(
-        ("disjointly supported unit vectors not parallel (max norm)",
-         not v2.holds)
-    )
-    checks.append(("their extremal sum stays at 1", abs(v2.achieved - 1.0) <= 1e-9))
+    t.fails("disjointly supported unit vectors not parallel (max norm)", v2)
+    t.at_most("their extremal sum stays at 1", abs(v2.achieved - 1.0), 1e-9)
 
 
-def _fx_max_norm_operator(checks) -> None:
+def _fx_max_norm_operator(t: _Trial) -> None:
     half = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     spec = NormSpec.max_norm()
-    checks.append(
-        ("averaging operator has max-norm 1",
-         abs(norm_value(half, NormSpec.induced(INF)) - 1.0) <= 1e-9)
+    t.at_most(
+        "averaging operator has max-norm 1",
+        abs(norm_value(half, NormSpec.induced(INF)) - 1.0), 1e-9,
     )
     x = np.array([1.0, -1.0], dtype=complex)
     y = np.array([-1.0, -1.0], dtype=complex)
-    vx = vector_parallel(x, y, spec)
-    vimg = vector_parallel(half @ x, half @ y, spec)
-    checks.append(("source vectors parallel", vx.holds))
-    checks.append(
-        ("images not parallel (attainment transfer needs smoothness)",
-         not vimg.holds)
+    t.holds("source vectors parallel", vector_parallel(x, y, spec))
+    t.fails(
+        "images not parallel (attainment transfer needs smoothness)",
+        vector_parallel(half @ x, half @ y, spec),
     )
     ns = norming_set(half, spec)
     ones = np.array([1.0, 1.0], dtype=complex)
@@ -1497,27 +1418,22 @@ def _fx_max_norm_operator(checks) -> None:
         for m in ns.members
         for w in (ones, x)
     )
-    checks.append(("norming set contains a sign-pattern witness", found))
+    t.check("norming set contains a sign-pattern witness", found)
 
 
-def _fx_negated_identity(checks) -> None:
+def _fx_negated_identity(t: _Trial) -> None:
     eye = np.eye(2, dtype=complex)
     a = -eye
     w = numerical_radius_hilbert(a)
-    checks.append(("radius of -I equals its norm", abs(w.value - 1.0) <= 1e-9))
-    checks.append(("-I identity-parallel by radius", parallel_identity_radius(a)))
+    t.at_most("radius of -I equals its norm", abs(w.value - 1.0), 1e-9)
+    t.check("-I identity-parallel by radius", parallel_identity_radius(a))
     lam = eigen_parallel_identity(a)
-    checks.append(
-        ("eigen witness is -1", lam is not None and abs(lam + 1.0) <= 1e-9)
-    )
+    t.check("eigen witness is -1", lam is not None and abs(lam + 1.0) <= 1e-9)
     v = parallel_definitional(a, eye, SPECTRAL)
-    checks.append(("definitional parallelism holds", v.holds))
-    checks.append(
-        ("extremal scalar lands at -1", abs(v.lambda_star + 1.0) <= 1e-6)
-    )
-    checks.append(
-        ("the naive scalar +1 collapses the sum",
-         schatten_norm(a + eye, INF) <= 1e-12)
+    t.holds("definitional parallelism holds", v)
+    t.at_most("extremal scalar lands at -1", abs(v.lambda_star + 1.0), 1e-6)
+    t.at_most(
+        "the naive scalar +1 collapses the sum", schatten_norm(a + eye, INF), 1e-12
     )
 
 

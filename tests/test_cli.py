@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,3 +409,14 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "fixtures: 7/7 passed" in proc.stdout
+
+    def test_script_target_resolves_from_source(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        module_name, _, attr = scripts["schatten-lab"].partition(":")
+        target = getattr(importlib.import_module(module_name), attr)
+        assert target is main
+        assert target(["fixtures"]) == 0
+        assert "identity-vs-traceless-diagonal" in capsys.readouterr().out

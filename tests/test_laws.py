@@ -1,21 +1,30 @@
 """Tests for the law-suite harness: registry, determinism, replay, fixtures."""
 
 import dataclasses
+import inspect
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from schatten_lab.cmatrix import RANK_RTOL
 from schatten_lab.laws import (
+    REDRAW_LIMIT,
     EnsembleConfig,
     EnsembleMiscalibration,
     FailureRecord,
     SUITES,
+    _SINGLE_DRAWS,
+    _Trial,
+    _redraws,
     fixtures,
     replay_failure,
     run_fixtures,
     run_suite,
 )
+from schatten_lab.ortho import PREDICATE_RTOL
+from schatten_lab.parallel import DEPENDENCE_RTOL
 
 
 class TestRegistry:
@@ -178,3 +187,121 @@ class TestFixtures:
             assert res.ok, (res.name, res.details)
             assert res.details
             assert all(line.startswith("PASS") for line in res.details)
+
+
+class TestCheckVocabulary:
+    @pytest.mark.parametrize("value, bound", [
+        (0.25, 1.0), (1.0, 0.25), (-3e-9, 1e-9), (0.0, -0.0),
+    ])
+    def test_bound_checks_record_the_raw_triple(self, value, bound):
+        derived, raw = _Trial(), _Trial()
+        assert derived.at_most("m", value, bound) is (value <= bound)
+        raw.check("m", value <= bound, bound - value)
+        assert derived.at_least("l", value, bound) is (value >= bound)
+        raw.check("l", value >= bound, value - bound)
+        assert derived.checks == raw.checks
+
+    def test_equal_value_passes_with_zero_gap(self):
+        t = _Trial()
+        t.at_most("at most", 0.75, 0.75)
+        t.at_least("at least", 0.75, 0.75)
+        assert t.checks == [("at most", True, 0.0), ("at least", True, 0.0)]
+
+    @pytest.mark.parametrize("holds, gap", [(True, -1e-9), (False, -0.5)])
+    def test_verdict_checks_record_the_raw_triple(self, holds, gap):
+        v = SimpleNamespace(holds=holds, gap=gap)
+        derived, raw = _Trial(), _Trial()
+        derived.holds("h", v)
+        raw.check("h", v.holds, v.gap)
+        derived.fails("f", v)
+        raw.check("f", not v.holds, -v.gap)
+        assert derived.checks == raw.checks
+
+    def test_redraws_yield_the_limit_then_raise(self):
+        seen = 0
+        with pytest.raises(EnsembleMiscalibration, match="the probe draw"):
+            for _ in _redraws("the probe draw"):
+                seen += 1
+        assert seen == REDRAW_LIMIT
+
+    def test_redraws_left_early_do_not_raise(self):
+        for k, _ in enumerate(_redraws("an early draw")):
+            if k == 3:
+                break
+        assert k == 3
+
+
+# Listed tolerances that are a library predicate's default, with the
+# constant the suite's predicates apply.  Every other listed value is read
+# by the suite's checks or redraw guards.
+PREDICATE_DEFAULTS = {
+    ("S2", "bj"): PREDICATE_RTOL,
+    ("S3", "bj"): PREDICATE_RTOL,
+    ("S4", "isosceles"): PREDICATE_RTOL,
+    ("S4", "bj"): PREDICATE_RTOL,
+    ("S5", "bj"): PREDICATE_RTOL,
+    ("S6", "bj"): PREDICATE_RTOL,
+    ("S7", "modulus"): RANK_RTOL,
+    ("S8", "modulus"): RANK_RTOL,
+    ("S8", "bj"): PREDICATE_RTOL,
+    ("S9", "parallel"): PREDICATE_RTOL,
+    ("S9", "dependence"): DEPENDENCE_RTOL,
+    ("S10", "parallel"): PREDICATE_RTOL,
+    ("S12", "parallel"): PREDICATE_RTOL,
+    ("S13", "parallel"): PREDICATE_RTOL,
+    ("S14", "parallel"): PREDICATE_RTOL,
+    ("S14", "transfer"): PREDICATE_RTOL,
+    ("S15", "witness"): PREDICATE_RTOL,
+}
+
+LISTED = [(sid, key) for sid, spec in SUITES.items() for key in spec.tolerances]
+
+
+def _replay_lines(sid):
+    lines = []
+    for offset in range(3):
+        replay_failure(sid, 1, offset, printer=lines.append)
+    return lines
+
+
+class TestListedTolerances:
+    @pytest.mark.parametrize(
+        "sid, key", LISTED, ids=[f"{sid}-{key}" for sid, key in LISTED]
+    )
+    def test_listed_tolerance_is_the_one_used(self, sid, key, monkeypatch):
+        spec = SUITES[sid]
+        value = spec.tolerances[key]
+        if (sid, key) in PREDICATE_DEFAULTS:
+            assert value == PREDICATE_DEFAULTS[sid, key]
+            return
+        before = _replay_lines(sid)
+        # 200x moves every check-read value past the 7 printed digits of a
+        # gap, and S13's angle guard past the seed-1 draws it accepts.
+        moved = {**spec.tolerances, key: 200.0 * value}
+        monkeypatch.setitem(SUITES, sid, dataclasses.replace(spec, tolerances=moved))
+        assert _replay_lines(sid) != before
+
+
+class TestBenchmarkSurface:
+    # perfbench/workloads.py (verify-registry) calls the suite runners as
+    # runner(cfg, offset, rng) and records a trial that raises on a fresh
+    # _Trial; perfbench/tracer.py wraps _SINGLE_DRAWS.  A rename here would
+    # break every run of that workload.
+    def test_runners_take_cfg_offset_rng(self):
+        for sid, spec in SUITES.items():
+            params = list(inspect.signature(spec.runner).parameters)
+            assert params == ["cfg", "offset", "rng"], sid
+
+    def test_trial_surface(self):
+        t = _Trial()
+        assert t.ok and t.checks == []
+        assert t.check("raised ValueError: probe", False) is False
+        assert not t.ok
+        assert t.checks == [("raised ValueError: probe", False, 0.0)]
+        assert t.detail() == "raised ValueError: probe (gap=0.000000e+00)"
+
+    def test_single_draw_table(self):
+        assert set(_SINGLE_DRAWS) >= {"ginibre", "psd", "unitary"}
+        rng = np.random.default_rng(0)
+        for draw in _SINGLE_DRAWS.values():
+            assert draw(rng, 3).shape == (3, 3)
