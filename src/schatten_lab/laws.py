@@ -56,6 +56,8 @@ from .ortho import (
 )
 from .parallel import (
     DEPENDENCE_RTOL,
+    LP_RADIUS_RTOL,
+    RADIUS_RTOL,
     eigen_parallel_identity,
     epsilon_isometry_transfer,
     hilbert_parallel_witness,
@@ -1174,7 +1176,7 @@ SUITES: dict[str, SuiteSpec] = {
     "S11": SuiteSpec(
         11, _suite_radius,
         "Numerical radius laws and parallelism to the identity",
-        (), (2, 8), {"radius": 1e-7, "functional_radius": 1e-6},
+        (), (2, 8), {"radius": RADIUS_RTOL, "functional_radius": LP_RADIUS_RTOL},
     ),
     "S12": SuiteSpec(
         12, _suite_eigenvalue_criterion,

@@ -317,8 +317,8 @@ def numerical_radius_hilbert(a) -> RadiusResult:
     with ``search.circle_max``: a 1024-point phase grid searched coarse to
     fine with ``F(0) = 0`` (the top eigenvalue of ``Re(z A)`` is sublinear
     in ``z``, so arcs whose bound falls below the best value are skipped),
-    then golden-section on the best window to 1e-10.  The witness is the top
-    eigenvector at the optimal phase.
+    then golden section with Brent's parabolic steps on the best window to
+    1e-10.  The witness is the top eigenvector at the optimal phase.
     """
     a = cmatrix.as_square(a)
     ah = a.conj().T

@@ -24,6 +24,11 @@ from .search import circle_max, hill_climb
 
 # Relative scale below which the smaller singular value means dependence.
 DEPENDENCE_RTOL = 1e-9
+# Relative tolerances of ``parallel_identity_radius`` on the gap between the
+# norm and the numerical radius: the operator norm against the l2 radius
+# (a phase sweep), and an induced lp norm against the lp radius (an ascent).
+RADIUS_RTOL = 1e-7
+LP_RADIUS_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,15 +100,15 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
     """Definitional parallelism under ``spec`` via maximization over the circle.
 
     ``theta -> ||a + e^{i theta} b||`` is scanned on a phase grid by
-    ``search.circle_max`` and the best windows are refined by golden-section;
-    since the computed maximum never exceeds the true one, a ``holds``
-    verdict is trustworthy and a failure is a failure of the refined scan
-    only up to ``tolerance``.  Every norm comes from the closures of
-    ``norms.evaluator(spec)``, resolved once per call.  Exact convex norms
-    (Schatten p >= 1, induced p in {1, 2, inf}, vector norms) prune the
-    720-angle grid with ``F(0) = ||a||``; Schatten p < 1 evaluates all 720
-    angles, and generic induced p, whose values are only lower bounds, all
-    of a 96-angle grid (one power iteration per angle).
+    ``search.circle_max`` and the best windows are refined by golden section
+    with Brent's parabolic steps; since the computed maximum never exceeds
+    the true one, a ``holds`` verdict is trustworthy and a failure is a
+    failure of the refined scan only up to ``tolerance``.  Every norm comes
+    from the closures of ``norms.evaluator(spec)``, resolved once per call.
+    Exact convex norms (Schatten p >= 1, induced p in {1, 2, inf}, vector
+    norms) prune the 720-angle grid with ``F(0) = ||a||``; Schatten p < 1
+    evaluates all 720 angles, and generic induced p, whose values are only
+    lower bounds, all of a 96-angle grid (one power iteration per angle).
     """
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     batch, scalar, exact = evaluator(spec)
@@ -228,11 +233,11 @@ def parallel_identity_radius(a, spec: NormSpec = SPECTRAL) -> bool:
     if spec.kind == "schatten" and spec.p == INF:
         radius = numerical_radius_hilbert(a)
         nrm = schatten_norm(a, INF)
-        tol = 1e-7 * nrm
+        tol = RADIUS_RTOL * nrm
     elif spec.kind == "induced_lp" and 1 < spec.p < INF:
         radius = numerical_radius_banach(a, spec.p)
         nrm = induced_norm(a, spec.p).value
-        tol = 1e-6 * nrm
+        tol = LP_RADIUS_RTOL * nrm
     else:
         raise ValueError(
             "radius characterization needs the operator norm or an induced "

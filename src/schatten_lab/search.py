@@ -6,7 +6,8 @@ Three optimization shapes recur across the package:
   numerical radius) -- ``circle_max``, a phase grid searched coarse to fine
   (arcs whose convexity bound, from the objective's value F(0) at the
   circle's centre, cannot reach the best value so far are skipped; the
-  whole grid without F(0)), plus golden-section on the best windows;
+  whole grid without F(0)), plus golden section with Brent's parabolic
+  steps on the best windows;
 * minimize a convex function over a complex scalar (Birkhoff-James
   orthogonality) -- ``gamma_min``, a 16x16 polar grid evaluated ring by
   ring (a ray stops once its values rise: convexity keeps it rising), then
@@ -26,7 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# The golden-section fraction 1 - 1/phi.
+_CGOLD = (3.0 - np.sqrt(5.0)) / 2.0
+
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = float(np.sqrt(_EPS))
 
 TWO_PI = 2.0 * np.pi
 
@@ -36,36 +41,70 @@ _MARGIN = 1e-12
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Maximize ``f`` on ``[lo, hi]`` by golden-section; returns (x, f(x)).
+    """Maximize ``f`` on ``[lo, hi]``; returns (x, f(x)) at the best probe.
 
-    Stops once the bracket is within ``tol``, or after 200 steps.  Tracks
-    the best evaluated point, so the result never falls below the value at
-    any probe even when ``f`` is flat or multimodal on the bracket.
+    Golden section with Brent's parabolic steps (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 5; the ``fmin``/``fminbound``
+    scheme): a parabola through the three best points (x, w, v) proposes the
+    next probe, and a golden-section step replaces it when it leaves the
+    bracket or fails to halve the step before last.  No probe lies closer
+    than ``tol / 4`` to x.  Stops once the bracket is within ``tol``, or
+    within ``sqrt(eps)`` while x, w and v agree in value to ``8 eps |f(x)|``
+    (a smooth peak resolved to rounding; at a kink they keep differing), or
+    after 200 steps.  x is the best evaluated point, so the result never
+    falls below the value at any probe even when ``f`` is flat or
+    multimodal on the bracket.
     """
     a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    if fc >= fd:
-        best_x, best_v = c, fc
-    else:
-        best_x, best_v = d, fd
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0  # the last step and the one before it
+    tol1 = tol / 4.0
     for _ in range(200):
-        if (b - a) <= tol:
+        if b - a <= tol:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            if fc > best_v:
-                best_x, best_v = c, fc
+        if (b - a <= _SQRT_EPS
+                and max(abs(fx - fw), abs(fx - fv)) <= 8.0 * _EPS * abs(fx)):
+            break
+        m = 0.5 * (a + b)
+        golden = True
+        if abs(e) > tol1:
+            # The vertex of the parabola through (x, fx), (w, fw), (v, fv)
+            # is x + p / q.
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                golden = False
+                if (x + d) - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = tol1 if x < m else -tol1
+        if golden:
+            e = (a - x) if x >= m else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            if fd > best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _arc_bound(m, steps, grid: int, origin: float):
@@ -93,9 +132,10 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
     value so far, less a relative ``_MARGIN`` so rounding never prunes a tie.
     Skipped points cannot beat the grid maximum, so it is the full grid's.
     The top ``windows`` circular local maxima (among points evaluated with
-    both neighbours) are each refined by golden-section over one spacing on
-    either side, skipping, with an ``origin``, those whose one-spacing bound
-    is below the grid maximum.
+    both neighbours) are each refined by ``golden_section_max`` (golden
+    section with Brent's parabolic steps) over one spacing on either side,
+    skipping, with an ``origin``, those whose one-spacing bound is below the
+    grid maximum.
     """
     thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     vals = np.full(grid, -np.inf)
