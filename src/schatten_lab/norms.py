@@ -83,6 +83,12 @@ class NormSpec:
     def is_vector(self) -> bool:
         return self.kind in ("vector_lp", "vector_max")
 
+    @property
+    def smooth(self) -> bool:
+        """Whether the norm is differentiable away from 0: Schatten and
+        vector lp with 1 < p < inf."""
+        return self.kind in ("schatten", "vector_lp") and 1.0 < self.p < INF
+
 
 SPECTRAL = NormSpec.schatten(INF)
 TRACE = NormSpec.schatten(1.0)

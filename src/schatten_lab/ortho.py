@@ -82,8 +82,14 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
 
     Minimizes ``gamma -> ||a + gamma b||`` over the complex plane with
     ``search.gamma_min``: a 16x16 polar grid of radius ``4 ||a|| / ||b||``,
-    evaluated ring by ring on the rays still descending, then the in-repo
-    Nelder-Mead from the best grid point.  The map is convex, so the
+    evaluated ring by ring on the rays still descending, then a refinement
+    from the best grid point.  Under a norm smooth away from 0
+    (``NormSpec.smooth``: Schatten and vector lp with 1 < p < inf) it takes
+    Newton steps on batched quadratic models and hands over to Nelder-Mead
+    at a kink (the cone of a dependent pair); under the others (p = 1 or
+    inf, induced 2, max) it is Nelder-Mead.  Every refinement tolerance is
+    relative to the radius or to the grid minimum, so the verdict does not
+    depend on the operands' separate scales.  The map is convex, so the
     refined minimum is global.  Both operands are validated once, up front;
     every norm, on the grid and in the refinement, comes from the closures
     of ``norms.evaluator(spec)``, resolved once per call, and a non-finite
@@ -114,7 +120,7 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     def f_scalar(g):
         return scalar(a + g * b)
 
-    gamma, vmin = gamma_min(f_batch, f_scalar, radius=4.0 * na / nb)
+    gamma, vmin = gamma_min(f_batch, f_scalar, radius=4.0 * na / nb, smooth=spec.smooth)
     gap = vmin - na
     return Verdict(bool(gap >= -tol), gamma, float(gap), tol)
 

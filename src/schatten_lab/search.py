@@ -10,8 +10,12 @@ Three optimization shapes recur across the package:
   steps on the best windows;
 * minimize a convex function over a complex scalar (Birkhoff-James
   orthogonality) -- ``gamma_min``, a 16x16 polar grid evaluated ring by
-  ring (a ray stops once its values rise: convexity keeps it rising), then
-  an in-repo two-dimensional Nelder-Mead refinement (no SciPy dependency);
+  ring (a ray stops once its values rise: convexity keeps it rising), then,
+  for a function its caller declares smooth, Newton steps on quadratic
+  models fitted to batched six-point stencils, and otherwise, or where a
+  model fails (a kink), an in-repo two-dimensional Nelder-Mead (no SciPy
+  dependency); every refinement tolerance is relative to the search radius
+  or the grid minimum;
 * maximize a functional over the unit lp sphere of C^n, with complex
   starts for real operands too (Banach radius, norm attainment sets) --
   seeded multistart gradient ascent, all starts advancing together as one
@@ -175,7 +179,7 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
     return best_t % TWO_PI, best_v
 
 
-def gamma_min(f_batch, f_scalar, radius: float) -> tuple[complex, float]:
+def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False) -> tuple[complex, float]:
     """Minimize a convex ``gamma -> f(gamma)`` over the complex plane.
 
     Coarse polar grid out to ``radius`` (origin plus 16 rings of 16 angles,
@@ -183,10 +187,12 @@ def gamma_min(f_batch, f_scalar, radius: float) -> tuple[complex, float]:
     its ring 0) dies once a ring's value exceeds the previous ring's by more
     than a relative ``_MARGIN``.  ``f`` is convex along the ray, so its later
     points lie above one evaluated and the grid minimum is the full grid's.
-    A non-finite grid value raises ``ValueError``.  Then Nelder-Mead from the
-    best grid point on an initial simplex of one ring spacing.  Convexity
-    makes the refined local minimum global, so the grid only needs to land
-    in the right basin.
+    A non-finite grid value raises ``ValueError``.  Then ``_refine`` from the
+    best grid point: the quadratic-model Newton iteration when the caller
+    declares ``f`` ``smooth`` (differentiable away from isolated points, as
+    a Schatten or lp norm with 1 < p < inf is), Nelder-Mead otherwise and
+    wherever the model fails.  Convexity makes the refined local minimum
+    global, so the grid only needs to land in the right basin.
     """
     radii = radius * np.arange(1, 17) / 16
     angles = np.linspace(0.0, TWO_PI, 16, endpoint=False)
@@ -196,25 +202,132 @@ def gamma_min(f_batch, f_scalar, radius: float) -> tuple[complex, float]:
     vals = np.full(gammas.size, np.inf)
     idx, last = np.arange(17), np.zeros(16, dtype=int)  # each live ray's newest point
     while idx.size:
-        vals[idx] = f_batch(gammas[idx])
-        if not np.isfinite(vals[idx]).all():
-            raise ValueError("gamma_min: non-finite value on the grid")
+        vals[idx] = _finite_values(f_batch, gammas[idx], "grid")
         ring = idx[-last.size:]
         last = ring[vals[ring] <= vals[last] + _MARGIN * np.abs(vals[last])]
         idx = last[last < gammas.size - 16] + 16
     k = int(np.argmin(vals))
-    g0, v0 = complex(gammas[k]), float(vals[k])
+    return _refine(f_batch, f_scalar, complex(gammas[k]), float(vals[k]), radius, smooth)
 
-    h = max(radius / 16, 1e-12)
-    g, v = nelder_mead_complex(
-        f_scalar, g0, h,
-        xatol=1e-10 * (1.0 + radius),
-        fatol=1e-13 * (1.0 + abs(v0)),
-        maxfev=800,
-    )
-    if v < v0:
-        return g, v
-    return g0, v0
+
+def _refine(f_batch, f_scalar, g0: complex, v0: float, radius: float,
+            smooth: bool) -> tuple[complex, float]:
+    """Refine ``gamma_min``'s grid minimum ``(g0, v0)``; never returns worse.
+
+    Every tolerance is relative: positions to ``radius``, values to
+    ``|v0|``, so scaling the problem scales the result.  A ``smooth`` ``f``
+    runs ``_newton_min`` first, with the grid's ring spacing as its stencil
+    spacing and values resolved to 1e-14 ``|v0|``; if its model converges,
+    that is the result.  Otherwise Nelder-Mead (``xatol`` 1e-10 ``radius``,
+    ``fatol`` 1e-13 ``|v0|``, 800 evaluations of ``f_scalar`` at most)
+    continues from the best point so far, on a simplex of the last spacing.
+    """
+    g, v, h = g0, v0, radius / 16
+    if smooth:
+        g, v, h, converged = _newton_min(f_batch, g, v, h, radius, 1e-14 * abs(v0))
+        if converged:
+            return g, v
+    gn, vn = nelder_mead_complex(f_scalar, g, h, xatol=1e-10 * radius,
+                                 fatol=1e-13 * abs(v0), maxfev=800)
+    return (gn, vn) if vn < v else (g, v)
+
+
+# Offsets of the quadratic model's stencil around its centre c, in units of
+# the spacing h: c + h, c - h, c + ih, c - ih and the corner c + h + ih.
+_STENCIL = np.array([1.0, -1.0, 1j, -1j, 1.0 + 1j])
+_TRIAL = np.concatenate([[0.0], _STENCIL])
+
+
+def _finite_values(f_batch, points, where: str) -> np.ndarray:
+    """``f_batch(points)``; a non-finite value raises ``ValueError``."""
+    vals = np.asarray(f_batch(points), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"gamma_min: non-finite value on the {where}")
+    return vals
+
+
+def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
+                ftol: float) -> tuple[complex, float, float, bool]:
+    """Derivative-free Newton iteration for a smooth convex ``f`` from
+    ``(g, v = f(g))``; returns the best point evaluated, its value, the last
+    stencil spacing and whether the model converged.
+
+    Each model is the quadratic through ``v`` and the values on the stencil
+    ``g + h _STENCIL``: central differences give the gradient and the
+    Hessian's diagonal, the corner the mixed term.  The Newton step of a
+    positive definite model, cut to a trust radius (four spacings at first),
+    is evaluated in one ``f_batch`` call together with the stencil around
+    its end, whose spacing is the step's length (at least 1e-6 ``radius``,
+    at most the current spacing).  If the best of those six points lowers
+    the value it becomes the centre (a stencil point needs a stencil of its
+    own, one more call) and the trust radius grows to twice the step;
+    otherwise the trust radius shrinks to the minimum of the parabola along
+    the step, 1/10 to 1/2 of it.
+
+    Converged once the step is within 1e-10 ``radius``, or is rejected
+    while the model's gain and the trial's loss are both within ``ftol``
+    (the values cannot resolve it), on a stencil no wider than 1e-3 ``radius``: a wider
+    stencil is narrowed to that and refitted first, because far from the
+    minimum its differences can balance.  Not converged, so the caller hands
+    over to Nelder-Mead, when three successive models are not positive
+    definite though the spacing is quartered each time, when a step within
+    1e-10 ``radius`` still promises a gain above ``ftol`` (a kink, such as
+    the cone of a dependent pair), when the trust radius falls within
+    1e-10 ``radius``, or after 50 models.  A non-finite stencil value raises
+    ``ValueError``.
+    """
+    def stencil(c, h):
+        return _finite_values(f_batch, c + h * _STENCIL, "stencil")
+
+    xtol, hfine, hmin = 1e-10 * radius, 1e-3 * radius, 1e-6 * radius
+    trust = 4.0 * h
+    vals = stencil(g, h)
+    indefinite = 0
+    for _ in range(50):
+        fx, fmx, fy, fmy, fxy = vals
+        gx, gy = (fx - fmx) / (2.0 * h), (fy - fmy) / (2.0 * h)
+        hxx, hyy = (fx - 2.0 * v + fmx) / h ** 2, (fy - 2.0 * v + fmy) / h ** 2
+        hxy = (fxy - fx - fy + v) / h ** 2
+        det = hxx * hyy - hxy * hxy
+        if not (hxx > 0.0 and det > 0.0):
+            indefinite += 1
+            if indefinite == 3:
+                break
+            h /= 4.0
+            vals = stencil(g, h)
+            continue
+        indefinite = 0
+        d = complex(hxy * gy - hyy * gx, hxy * gx - hxx * gy) / det
+        gain = -0.5 * (gx * d.real + gy * d.imag)  # the model's, at g + d
+        step = abs(d)
+        if step > xtol:
+            if step > trust:
+                d *= trust / step
+                step = trust
+            hn = min(h, max(step, hmin))
+            pts = (g + d) + hn * _TRIAL
+            out = _finite_values(f_batch, pts, "stencil")
+            k = int(np.argmin(out))
+            if out[k] < v:
+                g, v, h = complex(pts[k]), float(out[k]), hn
+                vals = out[1:] if k == 0 else stencil(g, h)
+                trust = max(trust, 2.0 * step)
+                continue
+            if gain > ftol or out[0] - v > ftol:
+                slope = gx * d.real + gy * d.imag
+                curve = out[0] - v - slope
+                t = -slope / (2.0 * curve) if curve > 0.0 else 0.5
+                trust = min(max(t, 0.1), 0.5) * step
+                if trust <= xtol:
+                    break
+                continue
+        elif gain > ftol:
+            break
+        if h <= hfine:
+            return g, v, h, True
+        h = hfine
+        vals = stencil(g, h)
+    return g, v, h, False
 
 
 class _BudgetSpent(Exception):
@@ -234,63 +347,55 @@ def nelder_mead_complex(f, g0: complex, h: float, *, xatol: float, fatol: float,
     """
     nfev = 0
 
-    def value(pt):
+    def vertex(x, y):
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return float(f(complex(pt[0], pt[1])))
+        return float(f(complex(x, y))), x, y
 
-    def ordered(sim, fsim):
-        idx = sorted(range(3), key=fsim.__getitem__)
-        return [sim[i] for i in idx], [fsim[i] for i in idx]
-
-    def along(t):
-        # Point on the line from the worst vertex (t=0) through the centroid
-        # of the other two (t=1), for the current iteration's simplex.
-        return (t * cx + (1 - t) * wx, t * cy + (1 - t) * wy)
+    def ranked(*verts):
+        # Best first; the sort is stable, so ties keep the order given.
+        return sorted(verts, key=lambda v: v[0])
 
     x0, y0 = g0.real, g0.imag
-    sim = [(x0, y0), (x0 + h, y0), (x0, y0 + h)]
-    fsim = [value(pt) for pt in sim]
-    sim, fsim = ordered(sim, fsim)
+    b, m, w = ranked(vertex(x0, y0), vertex(x0 + h, y0), vertex(x0, y0 + h))
     try:
         while True:
-            (bx, by), (mx, my), (wx, wy) = sim
+            (fb, bx, by), (fm, mx, my), (fw, wx, wy) = b, m, w
             if (max(abs(mx - bx), abs(my - by), abs(wx - bx), abs(wy - by)) <= xatol
-                    and max(abs(fsim[0] - fsim[1]), abs(fsim[0] - fsim[2])) <= fatol):
+                    and max(abs(fb - fm), abs(fb - fw)) <= fatol):
                 break
             cx, cy = (bx + mx) / 2, (by + my) / 2
-            xr = along(2.0)
-            fr = value(xr)
-            if fr < fsim[0]:
-                xe = along(3.0)
-                fe = value(xe)
-                sim[2], fsim[2] = (xe, fe) if fe < fr else (xr, fr)
-            elif fr < fsim[1]:
-                sim[2], fsim[2] = xr, fr
-            else:
-                if fr < fsim[2]:
-                    xc = along(1.5)
-                    fc = value(xc)
-                    accept = fc <= fr
+            # Points t c + (1 - t) w on the line from the worst vertex (t = 0)
+            # through the centroid of the other two (t = 1): reflection t = 2,
+            # expansion 3, outside contraction 3/2, inside contraction 1/2.
+            new = r = vertex(2.0 * cx - wx, 2.0 * cy - wy)
+            if r[0] < fb:
+                e = vertex(3.0 * cx - 2.0 * wx, 3.0 * cy - 2.0 * wy)
+                new = e if e[0] < r[0] else r
+            elif r[0] >= fm:
+                if r[0] < fw:
+                    new = vertex(1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy)
+                    accept = new[0] <= r[0]
                 else:
-                    xc = along(0.5)
-                    fc = value(xc)
-                    accept = fc < fsim[2]
-                if accept:
-                    sim[2], fsim[2] = xc, fc
-                else:
+                    new = vertex(0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy)
+                    accept = new[0] < fw
+                if not accept:
                     # Shrink the other two vertices halfway toward the best.
-                    moved = [(bx + 0.5 * (px - bx), by + 0.5 * (py - by))
-                             for px, py in sim[1:]]
-                    fmoved = [value(pt) for pt in moved]
-                    sim[1:], fsim[1:] = moved, fmoved
-            sim, fsim = ordered(sim, fsim)
+                    b, m, w = ranked(b, vertex(bx + 0.5 * (mx - bx), by + 0.5 * (my - by)),
+                                     vertex(bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)))
+                    continue
+            # Into the worst vertex's place, in rank: ties stay behind.
+            if new[0] < fb:
+                b, m, w = new, b, m
+            elif new[0] < fm:
+                m, w = new, m
+            else:
+                w = new
     except _BudgetSpent:
         pass
-    (bx, by), fb = sim[0], fsim[0]
-    return complex(bx, by), fb
+    return complex(b[1], b[2]), b[0]
 
 
 def sphere_starts(n: int, count: int, seed: int) -> np.ndarray:

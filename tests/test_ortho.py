@@ -109,7 +109,7 @@ class TestBjDefinitional:
         for (a, b), want in (((ginibre(rng, 4), ginibre(rng, 4)), False),
                              (_disjoint_pair(rng), True)):
             assert bj_definitional(a, b, spec).holds == want
-            for s in (1e-8, 1e-4, 1e4, 1e8):
+            for s in (1e-13, 1e-8, 1e-4, 1e4, 1e8, 1e13):
                 assert bj_definitional(s * a, b, spec).holds == want
                 assert bj_definitional(a, s * b, spec).holds == want
 
