@@ -10,7 +10,9 @@ are fixed once:
 * The modulus is ``|a| = (a* a)^(1/2)``, acting on the domain side, so that
   ``a = isometry @ |a|`` is the right polar decomposition.
 * A singular value ``s_i <= RANK_RTOL * s_max`` is treated as zero whenever a
-  rank decision has to be made.
+  rank decision has to be made; ``_kept`` is that decision.
+* LAPACK non-convergence raises ``ConvergenceFailure`` (``_lapack``), except
+  in ``null_space`` and ``hermitian_eigensystem`` (a ``ValueError`` there).
 """
 
 from __future__ import annotations
@@ -105,36 +107,40 @@ class PolarFactors:
     modulus: np.ndarray
 
 
-def svd(a) -> SvdFactors:
-    a = as_matrix(a)
+def _lapack(fn, a: np.ndarray, **kwargs):
+    """``fn(a, **kwargs)`` for a ``numpy.linalg`` routine, with LAPACK's
+    non-convergence raised as ``ConvergenceFailure``.  Callers pass
+    ``np.linalg.<fn>`` at each call, never an alias bound at import, so that
+    a replaced ``numpy.linalg`` attribute is the one called."""
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return fn(a, **kwargs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(
-            f"svd did not converge for a {a.shape[0]}x{a.shape[1]} matrix "
+            f"LAPACK did not converge on an operand of shape {a.shape} "
             f"with Frobenius norm {np.linalg.norm(a):.6e}: {exc}"
         ) from exc
+
+
+def _kept(s: np.ndarray) -> np.ndarray:
+    """Mask of the singular values above ``RANK_RTOL * s_max`` along the last
+    axis (one matrix or a stack); a zero matrix keeps none."""
+    return s > RANK_RTOL * s[..., :1]
+
+
+def svd(a) -> SvdFactors:
+    a = as_matrix(a)
+    u, s, vh = _lapack(np.linalg.svd, a, full_matrices=False)
     return SvdFactors(u=u, singular_values=s, v=vh.conj().T)
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values of ``a`` in descending order."""
-    a = as_matrix(a)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(
-            f"svd did not converge for a {a.shape[0]}x{a.shape[1]} matrix "
-            f"with Frobenius norm {np.linalg.norm(a):.6e}: {exc}"
-        ) from exc
+    return _lapack(np.linalg.svd, as_matrix(a), compute_uv=False)
 
 
 def singular_values_batch(stack: np.ndarray) -> np.ndarray:
     """Singular values for a stack of matrices, shape (..., n, m) -> (..., r)."""
-    try:
-        return np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(f"batched svd did not converge: {exc}") from exc
+    return _lapack(np.linalg.svd, stack, compute_uv=False)
 
 
 def polar(a) -> PolarFactors:
@@ -146,8 +152,7 @@ def polar(a) -> PolarFactors:
     """
     f = svd(a)
     s = f.singular_values
-    cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
-    keep = s > cutoff
+    keep = _kept(s)
     modulus = (f.v * s) @ f.v.conj().T
     modulus = 0.5 * (modulus + modulus.conj().T)
     isometry = f.u[:, keep] @ f.v[:, keep].conj().T
@@ -173,8 +178,7 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def _abs_power(s: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """``v diag(s^t) v*`` for one matrix or a stack, with singular values at
     or below the ``RANK_RTOL`` cutoff sent to 0."""
-    cutoff = RANK_RTOL * s[..., :1]
-    st = np.power(s, t, out=np.zeros_like(s), where=s > cutoff)
+    st = np.power(s, t, out=np.zeros_like(s), where=_kept(s))
     m = (v * st[..., None, :]) @ _adjoint(v)
     return 0.5 * (m + _adjoint(m))
 
@@ -189,15 +193,7 @@ def eigenvalues(a) -> np.ndarray:
 
     Sorted by descending magnitude, ties broken by phase angle.
     """
-    a = as_square(a)
-    try:
-        w = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(
-            f"eigenvalue iteration did not converge for a {a.shape[0]}x"
-            f"{a.shape[0]} matrix with Frobenius norm "
-            f"{np.linalg.norm(a):.6e}: {exc}"
-        ) from exc
+    w = _lapack(np.linalg.eigvals, as_square(a))
     order = np.lexsort((np.angle(w), -np.abs(w)))
     return w[order]
 
@@ -260,18 +256,13 @@ def null_space(a) -> np.ndarray:
 
 
 def _kernel(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > RANK_RTOL * smax)) if smax > 0 else 0
-    return vh.conj().T[:, rank:]
+    return vh.conj().T[:, int(np.sum(_kept(s))):]
 
 
 def moduli_and_kernels(stack: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """``modulus(m)`` and ``null_space(m)`` for every member of a (k, n, m)
     complex128 stack, from one batched SVD, with the same cutoffs."""
-    try:
-        _, s, vh = np.linalg.svd(stack, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(f"batched svd did not converge: {exc}") from exc
+    _, s, vh = _lapack(np.linalg.svd, stack, full_matrices=True)
     r = min(stack.shape[-2:])
     moduli = _abs_power(s, _adjoint(vh[..., :r, :]), 1.0)
     return moduli, [_kernel(sk, vk) for sk, vk in zip(s, vh)]

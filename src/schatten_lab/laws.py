@@ -21,14 +21,16 @@ by ``break`` or ``return`` on a decisive draw.  A suite's
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ensembles
-from .cmatrix import RANK_RTOL, loewner_geq, modulus, svd
+from .cmatrix import RANK_RTOL, _kept, loewner_geq, modulus, svd
 from .ensembles import rng_for
 from .norms import (
     INF,
@@ -52,12 +54,12 @@ from .ortho import (
     loewner_identity_test,
     norm_additivity,
     semi_inner_product,
-    sip_trace_core,
 )
 from .parallel import (
     DEPENDENCE_RTOL,
     LP_RADIUS_RTOL,
     RADIUS_RTOL,
+    _trace_residuals,
     eigen_parallel_identity,
     epsilon_isometry_transfer,
     hilbert_parallel_witness,
@@ -94,6 +96,15 @@ class EnsembleMiscalibration(RuntimeError):
     """Raised when guarded redraws fail to produce a decisive input."""
 
 
+def _require_int(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) in
+    ``[lo, hi]``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or not lo <= value <= hi):
+        bound = f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Configuration for one suite run.
@@ -112,10 +123,9 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.kind is not None and self.kind not in ensembles.KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if not (2 <= int(self.dimension) <= 8):
-            raise ValueError("dimension must lie in [2, 8]")
-        if int(self.trials) < 1:
-            raise ValueError("trials must be positive")
+        _require_int("dimension", self.dimension, 2, 8)
+        _require_int("trials", self.trials, 1)
+        _require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -128,12 +138,7 @@ class FailureRecord:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed_offset": self.seed_offset,
-            "inputs_digest": self.inputs_digest,
-            "observed_gap": self.observed_gap,
-            "detail": self.detail,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -152,20 +157,9 @@ class SuiteReport:
         return not self.failures and self.passes == self.trials
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "suite_id": self.suite_id,
-            "config": {
-                "kind": self.config.kind,
-                "dimension": self.config.dimension,
-                "trials": self.config.trials,
-                "seed": self.config.seed,
-            },
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": [f.to_json_dict() for f in self.failures],
-            "tolerances_used": dict(self.tolerances_used),
-        }
+        doc = dataclasses.asdict(self)
+        doc["failures"] = list(doc["failures"])
+        return {"schema_version": SCHEMA_VERSION, **doc}
 
 
 class _Trial:
@@ -246,10 +240,7 @@ def _single(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _range_basis(m: np.ndarray) -> np.ndarray:
     f = svd(m)
-    s = f.singular_values
-    cutoff = RANK_RTOL * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return f.u[:, :rank]
+    return f.u[:, _kept(f.singular_values)]
 
 
 def _principal_cos(p: np.ndarray, q: np.ndarray) -> float:
@@ -262,15 +253,6 @@ def _principal_cos(p: np.ndarray, q: np.ndarray) -> float:
 
 def _fro(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))
-
-
-def _trace_residuals(a, b, p: float) -> tuple[float, float]:
-    """Relative defects of the two norm-equality trace conditions."""
-    na = schatten_norm(a, p)
-    nb = schatten_norm(b, p)
-    r_fwd = abs(abs(sip_trace_core(b, a, p)) - na ** (p - 1.0) * nb)
-    r_rev = abs(abs(sip_trace_core(a, b, p)) - nb ** (p - 1.0) * na)
-    return r_fwd / (na ** (p - 1.0) * nb), r_rev / (nb ** (p - 1.0) * na)
 
 
 # ---------------------------------------------------------------------------
@@ -740,10 +722,10 @@ def _suite_trace_characterization(cfg: EnsembleConfig, offset: int, rng) -> _Tri
     return t
 
 
-def _unit_nilpotent(rng, n: int) -> np.ndarray:
-    """A nilpotent draw scaled to spectral norm 1."""
-    for _ in _redraws("nilpotent draw"):
-        j = ensembles.nilpotent(rng, n)
+def _unit_draw(kind: str, rng, n: int) -> np.ndarray:
+    """A single draw of ``kind`` scaled to spectral norm 1."""
+    for _ in _redraws(f"{kind} draw"):
+        j = _single(kind, rng, n)
         nj = schatten_norm(j, INF)
         if nj >= 1e-8:
             return j / nj
@@ -792,7 +774,7 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             not parallel_identity_trace(g0, p), -devs[p],
         )
 
-    j = _unit_nilpotent(rng, n)
+    j = _unit_draw("nilpotent", rng, n)
     t.track(j)
     wj = numerical_radius_hilbert(j).value
     ceiling = math.cos(math.pi / (n + 1))
@@ -805,8 +787,7 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.fails("nilpotent not identity-parallel (definitional)", vj)
 
     if offset == 0:
-        jord = np.zeros((2, 2), dtype=complex)
-        jord[0, 1] = 1.0
+        jord = np.eye(2, k=1, dtype=complex)
         t.track(jord)
         wjord = numerical_radius_hilbert(jord).value
         t.at_most("jordan block radius is one half", abs(wjord - 0.5), 1e-9)
@@ -840,8 +821,7 @@ def _suite_radius(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             "diagonal identity-parallel on l3",
             parallel_identity_radius(dmat, spec3),
         )
-        nil2 = np.zeros((2, 2), dtype=complex)
-        nil2[0, 1] = 1.0
+        nil2 = np.eye(2, k=1, dtype=complex)
         t.check(
             "2x2 nilpotent not identity-parallel on l3",
             not parallel_identity_radius(nil2, spec3),
@@ -870,7 +850,7 @@ def _suite_eigenvalue_criterion(cfg: EnsembleConfig, offset: int, rng) -> _Trial
             tol["parallel"] * max(1.0, nrm + 1.0),
         )
 
-    j = _unit_nilpotent(rng, n)
+    j = _unit_draw("nilpotent", rng, n)
     t.track(j)
     t.check("nilpotent has no eigen witness", eigen_parallel_identity(j) is None)
     vj = parallel_definitional(j, eye, SPECTRAL)
@@ -902,11 +882,7 @@ def _suite_nilpotent_projection(cfg: EnsembleConfig, offset: int, rng) -> _Trial
 
     if kind in (None, "nilpotent"):
         for _ in _redraws("S13 nilpotent draw"):
-            j = ensembles.nilpotent(rng, n)
-            nj = schatten_norm(j, INF)
-            if nj < 1e-8:
-                continue
-            j = j / nj
+            j = _unit_draw("nilpotent", rng, n)
             powers = [np.eye(n, dtype=complex)]
             for _k in range(n):
                 powers.append(powers[-1] @ j)
@@ -1081,14 +1057,7 @@ def _suite_hilbert_witness(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
 
     kind = cfg.kind or "ginibre"
     for _ in _redraws("S15 non-parallel pair"):
-        c = _single(kind, rng, n)
-        d = _single(kind, rng, n)
-        nc = schatten_norm(c, INF)
-        nd = schatten_norm(d, INF)
-        if nc < 1e-8 or nd < 1e-8:
-            continue
-        c = c / nc
-        d = d / nd
+        c, d = _unit_draw(kind, rng, n), _unit_draw(kind, rng, n)
         vf = parallel_definitional(c, d, SPECTRAL)
         if vf.gap <= -10.0 * DECISIVE * vf.tolerance:
             break
@@ -1268,6 +1237,7 @@ def replay_failure(
     draw to reproduce; seed and offset pin the stream coordinates.
     Returns True when the replayed trial passes.
     """
+    _require_int("offset", offset, 0)
     base = config or EnsembleConfig()
     cfg = EnsembleConfig(
         kind=base.kind, dimension=base.dimension,

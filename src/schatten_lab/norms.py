@@ -38,6 +38,19 @@ INF = math.inf
 _KINDS = ("schatten", "induced_lp", "vector_lp", "vector_max")
 
 
+def _exponent(p, domain: str, who: str) -> float:
+    """``float(p)`` if it lies in ``domain``, an interval written like
+    ``"(1, inf]"``; otherwise ``ValueError`` naming ``who``.  NaN lies in
+    no interval."""
+    p = float(p)
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    above = lo <= p if domain[0] == "[" else lo < p
+    below = p <= hi if domain[-1] == "]" else p < hi
+    if not (above and below):
+        raise ValueError(f"{who} needs p in {domain}, got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Which norm a predicate runs under; ``p`` is unused for vector_max."""
@@ -54,14 +67,8 @@ class NormSpec:
             return
         if self.p is None:
             raise ValueError(f"{self.kind} requires an exponent p")
-        p = float(self.p)
-        if math.isnan(p):
-            raise ValueError("p must not be NaN")
-        if self.kind == "schatten" and not p > 0:
-            raise ValueError(f"schatten norms need p in (0, inf], got {p}")
-        if self.kind in ("induced_lp", "vector_lp") and not p >= 1:
-            raise ValueError(f"{self.kind} needs p in [1, inf], got {p}")
-        object.__setattr__(self, "p", p)
+        domain = "(0, inf]" if self.kind == "schatten" else "[1, inf]"
+        object.__setattr__(self, "p", _exponent(self.p, domain, f"{self.kind} norm"))
 
     @classmethod
     def schatten(cls, p) -> "NormSpec":
@@ -107,18 +114,9 @@ class RadiusResult:
     tolerance: float
 
 
-def _check_p(p) -> float:
-    p = float(p)
-    if math.isnan(p):
-        raise ValueError("p must not be NaN")
-    return p
-
-
 def schatten_norm(a, p) -> float:
     """Schatten p-(quasi-)norm: lp norm of the singular values."""
-    p = _check_p(p)
-    if not p > 0:
-        raise ValueError(f"schatten norms need p > 0, got {p}")
+    p = _exponent(p, "(0, inf]", "schatten norm")
     return float(_schatten_sum(cmatrix.singular_values(a), p))
 
 
@@ -214,9 +212,7 @@ def induced_norm(a, p) -> RadiusResult:
     maximizer.
     """
     a = cmatrix.as_matrix(a)
-    p = _check_p(p)
-    if not p >= 1:
-        raise ValueError(f"induced norms need p in [1, inf], got {p}")
+    p = _exponent(p, "[1, inf]", "induced norm")
     if p in (1, 2, INF):
         val, xs = _attaining(a, p)
         return RadiusResult(val, xs[0], 1e-12 * val)
@@ -365,9 +361,7 @@ def numerical_radius_banach(a, p) -> RadiusResult:
     projected ascent with backtracking (value is a certified lower bound).
     """
     a = cmatrix.as_square(a)
-    p = _check_p(p)
-    if not (1 < p < INF):
-        raise ValueError(f"lp numerical radius needs 1 < p < inf, got {p}")
+    p = _exponent(p, "(1, inf)", "lp numerical radius")
     n = a.shape[0]
     ac = a.conj()
 

@@ -12,13 +12,12 @@ Clarkson-type inequality gaps, and Loewner-order modulus tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cmatrix
-from .norms import INF, NormSpec, evaluator, schatten_norm
+from .norms import INF, NormSpec, _exponent, evaluator, schatten_norm
 from .search import gamma_min
 
 # Default decision tolerance, relative (for Birkhoff-James, to ||a||).
@@ -134,8 +133,7 @@ def sip_trace_core(b, a, p: float) -> complex:
     a, b = cmatrix.as_pair(a, b)
     f = cmatrix.svd(a)
     s = f.singular_values
-    cutoff = cmatrix.RANK_RTOL * (s[0] if s.size else 0.0)
-    keep = s > cutoff
+    keep = cmatrix._kept(s)
     if not np.any(keep):
         return 0j
     uk = f.u[:, keep]
@@ -151,9 +149,7 @@ def semi_inner_product(b, a, p: float) -> complex:
     Compatible with the Schatten p-norm: ``[a, a] = ||a||_p^2``, linear in
     ``b``, conjugate-homogeneous in ``a``.  Returns 0 for ``a = 0``.
     """
-    p = float(p)
-    if not (1 <= p < INF):
-        raise ValueError(f"semi-inner product needs 1 <= p < inf, got {p}")
+    p = _exponent(p, "[1, inf)", "semi-inner product")
     na = schatten_norm(a, p)
     if na == 0.0:
         return 0j
@@ -165,9 +161,7 @@ def bj_trace(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
 
     True iff ``|[b, a]| <= tol * ||a||_p ||b||_p``.
     """
-    p = float(p)
-    if not (1 < p < INF):
-        raise ValueError(f"the trace characterization needs 1 < p < inf, got {p}")
+    p = _exponent(p, "(1, inf)", "the trace characterization")
     val = semi_inner_product(b, a, p)
     scale = schatten_norm(a, p) * schatten_norm(b, p)
     return bool(abs(val) <= tol_rel * max(scale, 1e-300))
@@ -180,9 +174,7 @@ def isosceles(a, b, p: float, complex_mode: bool = True,
     In complex mode the imaginary pairing ``||a + ib||_p = ||a - ib||_p``
     must hold as well (the two equalities jointly).
     """
-    p = float(p)
-    if not p >= 1:
-        raise ValueError(f"isosceles orthogonality needs p >= 1, got {p}")
+    p = _exponent(p, "[1, inf]", "isosceles orthogonality")
     a, b = cmatrix.as_pair(a, b)
     scale = max(schatten_norm(a, p) + schatten_norm(b, p), 1e-300)
     ok = abs(schatten_norm(a + b, p) - schatten_norm(a - b, p)) <= tol_rel * scale
@@ -209,9 +201,7 @@ def clarkson_gap(a, b, p: float) -> float:
     Non-positive for 0 < p <= 2, non-negative for p >= 2, zero at p = 2;
     for p != 2 the gap vanishes exactly on pairs with ``a* a b* b = 0``.
     """
-    p = float(p)
-    if not (0 < p < INF):
-        raise ValueError(f"clarkson gap needs finite p > 0, got {p}")
+    p = _exponent(p, "(0, inf)", "clarkson gap")
     a, b = cmatrix.as_pair(a, b)
     return float(
         schatten_norm(a + b, p) ** p + schatten_norm(a - b, p) ** p
@@ -224,9 +214,7 @@ def norm_additivity(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
 
     ``||a + b||_p^p = ||a - b||_p^p = ||a||_p^p + ||b||_p^p``.
     """
-    p = float(p)
-    if not (0 < p < INF):
-        raise ValueError(f"norm additivity needs finite p > 0, got {p}")
+    p = _exponent(p, "(0, inf)", "norm additivity")
     a, b = cmatrix.as_pair(a, b)
     base = schatten_norm(a, p) ** p + schatten_norm(b, p) ** p
     scale = max(base, 1e-300)

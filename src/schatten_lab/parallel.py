@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .norms import (INF, NormSpec, SPECTRAL, _attaining, evaluator, induced_norm,
-                    norm_value, numerical_radius_banach, numerical_radius_hilbert,
-                    schatten_norm)
+from .norms import (INF, NormSpec, SPECTRAL, _attaining, _exponent, evaluator,
+                    induced_norm, norm_value, numerical_radius_banach,
+                    numerical_radius_hilbert, schatten_norm)
 from .ortho import PREDICATE_RTOL, sip_trace_core
 from .search import circle_max, hill_climb
 
@@ -170,20 +170,23 @@ def parallel_trace_p(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
     ``|tr(|a|^{p-1} u_a* b)| = ||a||_p^{p-1} ||b||_p`` and the same with the
     roles of ``a`` and ``b`` exchanged.
     """
-    p = float(p)
-    if not (1 < p < INF):
-        raise ValueError(f"the trace characterization needs 1 < p < inf, got {p}")
+    p = _exponent(p, "(1, inf)", "the trace characterization")
     a, b = cmatrix.as_pair(a, b)
+    return bool(max(_trace_residuals(a, b, p)) <= tol_rel)
+
+
+def _trace_residuals(a, b, p: float) -> tuple[float, float]:
+    """Relative defects of the two norm-equality trace conditions:
+    ``|tr(|a|^{p-1} u_a* b)|`` against ``||a||_p^{p-1} ||b||_p``, and the same
+    with ``a`` and ``b`` exchanged.  Both are 0 when either operand has zero
+    norm, as a zero operand is parallel to everything."""
     na = schatten_norm(a, p)
     nb = schatten_norm(b, p)
     if na == 0.0 or nb == 0.0:
-        return True
-
-    def attains(x, y, nx, ny):
-        rhs = nx ** (p - 1.0) * ny
-        return abs(abs(sip_trace_core(y, x, p)) - rhs) <= tol_rel * rhs
-
-    return bool(attains(a, b, na, nb) and attains(b, a, nb, na))
+        return 0.0, 0.0
+    fwd, rev = na ** (p - 1.0) * nb, nb ** (p - 1.0) * na
+    return (abs(abs(sip_trace_core(b, a, p)) - fwd) / fwd,
+            abs(abs(sip_trace_core(a, b, p)) - rev) / rev)
 
 
 def parallel_trace_class(a, b, tol_rel: float = PREDICATE_RTOL) -> bool:
@@ -194,8 +197,7 @@ def parallel_trace_class(a, b, tol_rel: float = PREDICATE_RTOL) -> bool:
     not apply -- use ``parallel_definitional`` with the trace spec instead.
     """
     a, b = cmatrix.as_pair(cmatrix.as_square(a), b)
-    s = cmatrix.singular_values(a)
-    if s[0] == 0.0 or s[-1] <= cmatrix.RANK_RTOL * s[0]:
+    if not cmatrix._kept(cmatrix.singular_values(a)).all():
         raise ValueError(
             "first operand is singular to working precision; "
             "use parallel_definitional with the trace norm"
@@ -210,9 +212,7 @@ def parallel_identity_trace(a, p: float, tol_rel: float = PREDICATE_RTOL) -> boo
 
     ``a`` is parallel to ``I`` iff ``|tr a| = n^{(p-1)/p} ||a||_p``.
     """
-    p = float(p)
-    if not (1 <= p < INF):
-        raise ValueError(f"identity-trace test needs 1 <= p < inf, got {p}")
+    p = _exponent(p, "[1, inf)", "identity-trace test")
     a = cmatrix.as_square(a)
     n = a.shape[0]
     na = schatten_norm(a, p)
@@ -364,7 +364,7 @@ def epsilon_isometry_transfer(a, b, u, eps: float, *,
     if u.shape != (n, n):
         raise ValueError(f"conjugator shape {u.shape} does not match operands {a.shape}")
     su = cmatrix.singular_values(u)
-    if su[0] == 0.0 or su[-1] <= cmatrix.RANK_RTOL * su[0]:
+    if not cmatrix._kept(su).all():
         raise ValueError("conjugator is singular to working precision")
     slack = eps / 10.0 + 1e-9
     if su[0] > 1.0 + eps + slack or su[-1] < 1.0 - eps - slack:

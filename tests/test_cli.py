@@ -360,6 +360,13 @@ class TestVerifyCommand:
         assert main(["verify", "S1", "--trials", "2", "--seed", "5"]) == 0
         capsys.readouterr()
 
+    def test_negative_seed_is_usage_error_before_any_suite(self, capsys):
+        code = main(["verify", "S1", "S7", "--trials", "1", "--seed", "-3"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed must be an integer >= 0")
+
     def test_dim_validation_maps_to_usage_error(self, capsys):
         code = main(["verify", "S13", "--trials", "1", "--dim", "7"])
         assert code == 2

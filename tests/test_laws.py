@@ -63,6 +63,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(trials=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dimension", 3.5), ("trials", 1.5), ("seed", 1.5), ("seed", -3),
+        ("dimension", True), ("trials", True), ("seed", True), ("seed", "1"),
+    ])
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        # A float dimension or trial count used to construct and then fail
+        # inside numpy; seed 1.5 ran seed 1's stream while reporting 1.5, and
+        # a negative seed passed the suites that reduce it mod 2^63.
+        with pytest.raises(ValueError, match=field):
+            EnsembleConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = EnsembleConfig(dimension=np.int64(3), trials=np.int32(2), seed=np.uint8(0))
+        assert run_suite("S1", cfg).passed
+
+    def test_replay_rejects_negative_offset(self):
+        with pytest.raises(ValueError, match="offset"):
+            replay_failure("S1", 1, -1, printer=lambda line: None)
+        with pytest.raises(ValueError, match="seed"):
+            replay_failure("S1", -1, 0, printer=lambda line: None)
+
     def test_frozen(self):
         cfg = EnsembleConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
