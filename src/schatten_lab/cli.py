@@ -262,13 +262,9 @@ def cmd_verify(args) -> int:
 
     all_ok = True
     for sid in suite_ids:
-        dim = args.dim
-        if dim is None:
-            lo, hi = SUITES[sid].dim_range
-            dim = min(max(4, lo), hi)
         try:
             config = EnsembleConfig(
-                kind=None, dimension=dim, trials=args.trials, seed=seed
+                kind=None, dimension=args.dim, trials=args.trials, seed=seed
             )
             report = run_suite(sid, config)
         except (ValueError, KeyError) as exc:
@@ -290,7 +286,11 @@ def cmd_verify(args) -> int:
             payload = json.dumps(
                 report.to_json_dict(), indent=2, sort_keys=True
             )
-            (json_dir / f"{sid}.json").write_text(payload + "\n", encoding="utf-8")
+            path = json_dir / f"{sid}.json"
+            try:
+                path.write_text(payload + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
         all_ok = all_ok and report.passed
     print("verify: all suites passed" if all_ok else "verify: FAILURES present")
     return 0 if all_ok else 1
@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument(
-        "--dim", type=int, default=None,
-        help="matrix dimension (default 4, capped per suite)",
+        "--dim", type=int, default=4,
+        help="matrix dimension (default 4)",
     )
     p_verify.add_argument(
         "--json", default=None, metavar="DIR",

@@ -146,17 +146,14 @@ def singular_values_batch(stack: np.ndarray) -> np.ndarray:
 def polar(a) -> PolarFactors:
     """Right polar decomposition of ``a``.
 
-    Null singular directions are excluded from the isometry, so
-    ``isometry* @ isometry`` is the support projection of ``a`` rather than
-    a full isometry when ``a`` is rank deficient.
+    Null singular directions are excluded from both factors, so the modulus
+    is ``modulus(a)`` and ``isometry* @ isometry`` is the support projection
+    of ``a`` rather than a full isometry when ``a`` is rank deficient.
     """
     f = svd(a)
-    s = f.singular_values
-    keep = _kept(s)
-    modulus = (f.v * s) @ f.v.conj().T
-    modulus = 0.5 * (modulus + modulus.conj().T)
+    keep = _kept(f.singular_values)
     isometry = f.u[:, keep] @ f.v[:, keep].conj().T
-    return PolarFactors(isometry=isometry, modulus=modulus)
+    return PolarFactors(isometry=isometry, modulus=_abs_power(f.singular_values, f.v, 1.0))
 
 
 def abs_power(a, t: float) -> np.ndarray:

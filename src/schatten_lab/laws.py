@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ensembles
-from .cmatrix import RANK_RTOL, _kept, loewner_geq, modulus, svd
+from .cmatrix import RANK_RTOL, loewner_geq, modulus
 from .ensembles import rng_for
 from .norms import (
     INF,
@@ -96,13 +96,14 @@ class EnsembleMiscalibration(RuntimeError):
     """Raised when guarded redraws fail to produce a decisive input."""
 
 
-def _require_int(name: str, value, lo: int, hi: float = math.inf) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) in
-    ``[lo, hi]``."""
+def _require_int(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """``value`` as a Python ``int``, which JSON can encode (a numpy integer
+    cannot); ``ValueError`` unless it is an integer, not a bool, in ``[lo, hi]``."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or not lo <= value <= hi):
         bound = f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,9 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.kind is not None and self.kind not in ensembles.KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        _require_int("dimension", self.dimension, 2, 8)
-        _require_int("trials", self.trials, 1)
-        _require_int("seed", self.seed, 0)
+        for name, lo, hi in (("dimension", 2, 8), ("trials", 1, math.inf),
+                             ("seed", 0, math.inf)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), lo, hi))
 
 
 @dataclass(frozen=True)
@@ -238,17 +239,10 @@ def _single(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
     return _SINGLE_DRAWS[kind](rng, n)
 
 
-def _range_basis(m: np.ndarray) -> np.ndarray:
-    f = svd(m)
-    return f.u[:, _kept(f.singular_values)]
-
-
 def _principal_cos(p: np.ndarray, q: np.ndarray) -> float:
-    """Largest canonical-angle cosine between the ranges of two projections."""
-    bp, bq = _range_basis(p), _range_basis(q)
-    if bp.shape[1] == 0 or bq.shape[1] == 0:
-        return 0.0
-    return float(np.linalg.norm(bp.conj().T @ bq, 2))
+    """Largest canonical-angle cosine between the ranges of two orthogonal
+    projections: the spectral norm of their product."""
+    return float(np.linalg.norm(p @ q, 2))
 
 
 def _fro(m) -> float:
@@ -641,13 +635,11 @@ def _draw_guarded_independent(cfg, rng, ps, *, trace_margin=True):
         return c, d, verdicts
 
 
-def _suite_parallel_dependence(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
-    """S9: for 1 < p < inf, Schatten parallelism is exactly linear dependence."""
-    t = _Trial()
-    n = cfg.dimension
-    ps = (1.5, 2.0, 3.0)
-
-    a, b = ensembles.dependent_pair(rng, n)
+def _dependence_blocks(t: _Trial, cfg: EnsembleConfig, rng, ps):
+    """The opening of S9 and S10: a dependent pair, parallel and meeting the
+    trace condition at every p, then a guarded independent pair failing
+    both.  Returns the dependent pair."""
+    a, b = ensembles.dependent_pair(rng, cfg.dimension)
     t.track(a, b)
     t.check("dependent pair recognized", linearly_dependent(a, b))
     for p in ps:
@@ -664,6 +656,14 @@ def _suite_parallel_dependence(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
             f"independent pair fails trace condition p={p}",
             not parallel_trace_p(c, d, p),
         )
+    return a, b
+
+
+def _suite_parallel_dependence(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
+    """S9: for 1 < p < inf, Schatten parallelism is exactly linear dependence."""
+    t = _Trial()
+    n = cfg.dimension
+    _dependence_blocks(t, cfg, rng, (1.5, 2.0, 3.0))
 
     if offset == 0:
         diag = np.zeros((n, n), dtype=complex)
@@ -687,25 +687,11 @@ def _suite_trace_characterization(cfg: EnsembleConfig, offset: int, rng) -> _Tri
     n = cfg.dimension
     ps = (1.5, 2.0, 3.0)
 
-    a, b = ensembles.dependent_pair(rng, n)
-    t.track(a, b)
-    t.check("dependent pair recognized", linearly_dependent(a, b))
+    a, b = _dependence_blocks(t, cfg, rng, ps)
     for p in ps:
-        v = parallel_definitional(a, b, NormSpec.schatten(p))
-        t.holds(f"dependent definitional p={p}", v)
         r_fwd, r_rev = _trace_residuals(a, b, p)
         t.at_most(f"dependent trace forward p={p}", r_fwd, tol["trace"])
         t.at_most(f"dependent trace mirrored p={p}", r_rev, tol["trace"])
-        t.check(f"dependent conjunction p={p}", parallel_trace_p(a, b, p))
-
-    c, d, verdicts = _draw_guarded_independent(cfg, rng, ps)
-    t.track(c, d)
-    t.check("independent pair recognized", not linearly_dependent(c, d))
-    for p in ps:
-        t.fails(f"independent definitional fails p={p}", verdicts[p])
-        t.check(
-            f"independent trace fails p={p}", not parallel_trace_p(c, d, p)
-        )
 
     pa, pb = ensembles.shared_top_direction_pair(rng, n)
     t.track(pa, pb)
@@ -877,7 +863,7 @@ def _suite_nilpotent_projection(cfg: EnsembleConfig, offset: int, rng) -> _Trial
     """S13: nilpotent powers never parallel; projections need a shared range."""
     t = _Trial()
     tol = SUITES["S13"].tolerances
-    n = min(cfg.dimension, 6)
+    n = cfg.dimension
     kind = cfg.kind
 
     if kind in (None, "nilpotent"):
@@ -906,7 +892,7 @@ def _suite_nilpotent_projection(cfg: EnsembleConfig, offset: int, rng) -> _Trial
             t.fails(f"powers {k} and {ell} not parallel", v)
 
     if kind in (None, "projection"):
-        p1, q1 = ensembles.intersecting_projection_pair(rng, cfg.dimension)
+        p1, q1 = ensembles.intersecting_projection_pair(rng, n)
         t.track(p1, q1)
         v1 = parallel_definitional(p1, q1, SPECTRAL)
         t.holds("intersecting projections parallel", v1)
@@ -916,9 +902,7 @@ def _suite_nilpotent_projection(cfg: EnsembleConfig, offset: int, rng) -> _Trial
         )
 
         for _ in _redraws("S13 trivially intersecting projections"):
-            p2, q2 = ensembles.trivial_intersection_projection_pair(
-                rng, cfg.dimension
-            )
+            p2, q2 = ensembles.trivial_intersection_projection_pair(rng, n)
             if _principal_cos(p2, q2) <= 1.0 - tol["angle"]:
                 break
         t.track(p2, q2)
@@ -1004,16 +988,7 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.holds("isometric image preserves holding verdict", vdep_img)
 
     if offset == 0:
-        half = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-        mx = np.array([1.0, -1.0], dtype=complex)
-        my = np.array([-1.0, -1.0], dtype=complex)
-        mspec = NormSpec.max_norm()
-        vm = vector_parallel(mx, my, mspec)
-        vm_img = vector_parallel(half @ mx, half @ my, mspec)
-        t.holds("max-norm fixture vectors parallel", vm)
-        t.fails("max-norm image breaks parallelism (non-smooth norm)", vm_img)
-        ns = norming_set(half, mspec)
-        t.check("max-norm fixture norming set sampled", len(ns.members) >= 1)
+        _fx_max_norm_operator(t)
     return t
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .norms import INF, NormSpec, _exponent, evaluator, schatten_norm
+from .norms import INF, NormSpec, _exponent, _schatten_sum, evaluator, schatten_norm
 from .search import gamma_min
 
 # Default decision tolerance, relative (for Birkhoff-James, to ||a||).
@@ -124,23 +124,27 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     return Verdict(bool(gap >= -tol), gamma, float(gap), tol)
 
 
-def sip_trace_core(b, a, p: float) -> complex:
-    """The trace form ``tr(|a|^{p-1} u* b)`` with ``a = u |a|`` polar.
+def _trace_form(b: np.ndarray, a: np.ndarray, p: float) -> tuple[complex, float]:
+    """``(tr(|a|^{p-1} u* b), ||a||_p)`` for a validated pair, with
+    ``a = u |a|`` polar, both from one SVD of ``a``.
 
-    Null singular directions of ``a`` contribute nothing for every p >= 1
-    (the p = 1 power ``|a|^0`` is the support projection).
+    Null singular directions of ``a`` contribute nothing to the trace form
+    for every p >= 1 (the p = 1 power ``|a|^0`` is the support projection).
     """
-    a, b = cmatrix.as_pair(a, b)
     f = cmatrix.svd(a)
     s = f.singular_values
+    na = float(_schatten_sum(s, p))
     keep = cmatrix._kept(s)
     if not np.any(keep):
-        return 0j
-    uk = f.u[:, keep]
-    vk = f.v[:, keep]
-    sk = s[keep]
-    diag = np.einsum("ik,ij,jk->k", uk.conj(), b, vk)
-    return complex(np.sum(sk ** (p - 1.0) * diag))
+        return 0j, na
+    diag = np.einsum("ik,ij,jk->k", f.u[:, keep].conj(), b, f.v[:, keep])
+    return complex(np.sum(s[keep] ** (p - 1.0) * diag)), na
+
+
+def sip_trace_core(b, a, p: float) -> complex:
+    """The trace form ``tr(|a|^{p-1} u* b)`` with ``a = u |a|`` polar."""
+    a, b = cmatrix.as_pair(a, b)
+    return _trace_form(b, a, p)[0]
 
 
 def semi_inner_product(b, a, p: float) -> complex:
@@ -150,10 +154,9 @@ def semi_inner_product(b, a, p: float) -> complex:
     ``b``, conjugate-homogeneous in ``a``.  Returns 0 for ``a = 0``.
     """
     p = _exponent(p, "[1, inf)", "semi-inner product")
-    na = schatten_norm(a, p)
-    if na == 0.0:
-        return 0j
-    return na ** (2.0 - p) * sip_trace_core(b, a, p)
+    a, b = cmatrix.as_pair(a, b)
+    t, na = _trace_form(b, a, p)
+    return na ** (2.0 - p) * t if na > 0.0 else 0j
 
 
 def bj_trace(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
@@ -162,9 +165,10 @@ def bj_trace(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
     True iff ``|[b, a]| <= tol * ||a||_p ||b||_p``.
     """
     p = _exponent(p, "(1, inf)", "the trace characterization")
-    val = semi_inner_product(b, a, p)
-    scale = schatten_norm(a, p) * schatten_norm(b, p)
-    return bool(abs(val) <= tol_rel * max(scale, 1e-300))
+    a, b = cmatrix.as_pair(a, b)
+    t, na = _trace_form(b, a, p)
+    scale = na * schatten_norm(b, p)
+    return bool(na == 0.0 or abs(na ** (2.0 - p) * t) <= tol_rel * max(scale, 1e-300))
 
 
 def isosceles(a, b, p: float, complex_mode: bool = True,

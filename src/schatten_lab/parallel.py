@@ -19,7 +19,7 @@ from . import cmatrix
 from .norms import (INF, NormSpec, SPECTRAL, _attaining, _exponent, evaluator,
                     induced_norm, norm_value, numerical_radius_banach,
                     numerical_radius_hilbert, schatten_norm)
-from .ortho import PREDICATE_RTOL, sip_trace_core
+from .ortho import PREDICATE_RTOL, _trace_form, sip_trace_core
 from .search import circle_max, hill_climb
 
 # Relative scale below which the smaller singular value means dependence.
@@ -180,21 +180,21 @@ def _trace_residuals(a, b, p: float) -> tuple[float, float]:
     ``|tr(|a|^{p-1} u_a* b)|`` against ``||a||_p^{p-1} ||b||_p``, and the same
     with ``a`` and ``b`` exchanged.  Both are 0 when either operand has zero
     norm, as a zero operand is parallel to everything."""
-    na = schatten_norm(a, p)
-    nb = schatten_norm(b, p)
+    ta, na = _trace_form(b, a, p)
+    tb, nb = _trace_form(a, b, p)
     if na == 0.0 or nb == 0.0:
         return 0.0, 0.0
     fwd, rev = na ** (p - 1.0) * nb, nb ** (p - 1.0) * na
-    return (abs(abs(sip_trace_core(b, a, p)) - fwd) / fwd,
-            abs(abs(sip_trace_core(a, b, p)) - rev) / rev)
+    return abs(abs(ta) - fwd) / fwd, abs(abs(tb) - rev) / rev
 
 
 def parallel_trace_class(a, b, tol_rel: float = PREDICATE_RTOL) -> bool:
     """Trace-norm parallelism for an invertible first operand:
 
-    ``a`` is parallel to ``b`` in the trace norm iff ``|tr(|a| a^{-1} b)| = ||b||_1``.
-    Raises for (numerically) singular ``a``, where the characterization does
-    not apply -- use ``parallel_definitional`` with the trace spec instead.
+    ``a`` is parallel to ``b`` in the trace norm iff ``|tr(|a| a^{-1} b)| = ||b||_1``,
+    and ``|a| a^{-1} = u*`` for ``a = u |a|``: the p = 1 trace form.  Raises
+    for (numerically) singular ``a``, where the characterization does not
+    apply -- use ``parallel_definitional`` with the trace spec instead.
     """
     a, b = cmatrix.as_pair(cmatrix.as_square(a), b)
     if not cmatrix._kept(cmatrix.singular_values(a)).all():
@@ -202,7 +202,7 @@ def parallel_trace_class(a, b, tol_rel: float = PREDICATE_RTOL) -> bool:
             "first operand is singular to working precision; "
             "use parallel_definitional with the trace norm"
         )
-    t = complex(np.trace(cmatrix.modulus(a) @ np.linalg.solve(a, b)))
+    t = sip_trace_core(b, a, 1.0)
     nb = schatten_norm(b, 1.0)
     return bool(abs(abs(t) - nb) <= tol_rel * max(nb, 1e-300))
 

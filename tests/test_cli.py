@@ -348,6 +348,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "cannot create report directory" in err
 
+    def test_unwritable_report_is_usage_error(self, tmp_path, capsys):
+        # A directory in the report's place: the suite runs, the write fails.
+        (tmp_path / "S1.json").mkdir()
+        code = main(["verify", "S1", "--trials", "1", "--json", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out.startswith("S1: 1/1 trials passed [ok]")
+        assert err.startswith(f"error: cannot write {tmp_path / 'S1.json'}: ")
+
     def test_seed_env_var_used_and_validated(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "9")
         assert main(["verify", "S1", "--trials", "2"]) == 0

@@ -132,6 +132,15 @@ class TestPolarAndModulus:
         gram = f.isometry.conj().T @ f.isometry
         assert np.allclose(gram @ gram, gram, atol=1e-10)
 
+    def test_polar_modulus_is_modulus_below_the_rank_cutoff(self):
+        # A singular value at 3e-11 s_max is below RANK_RTOL: both moduli
+        # drop it, so they agree bit for bit.
+        rng = _rng(11)
+        u, _ = np.linalg.qr(_draw(rng, (4, 4)))
+        v, _ = np.linalg.qr(_draw(rng, (4, 4)))
+        a = (u * np.array([1.0, 0.5, 0.25, 3e-11])) @ v.conj().T
+        assert np.array_equal(polar(a).modulus, modulus(a))
+
     def test_abs_power_on_diagonal(self):
         a = np.diag([3.0, 4.0]).astype(complex)
         assert np.allclose(abs_power(a, 2.0), np.diag([9.0, 16.0]), atol=1e-12)

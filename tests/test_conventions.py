@@ -1,18 +1,22 @@
 """Conventions shared across modules: the exponent domain of every entry that
-takes p, the one rank cutoff, which LAPACK failures become
+takes p, the one rank cutoff, the one trace form, which LAPACK failures become
 ``ConvergenceFailure``, and the rule that ``numpy.linalg`` routines are looked
 up when called (never bound at import), which the benchmark's tracer relies
 on to count LAPACK calls."""
 
 import ast
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import schatten_lab
-from schatten_lab import cmatrix, laws
+from schatten_lab import cmatrix
 from schatten_lab.norms import (
     NormSpec,
     induced_norm,
@@ -20,6 +24,7 @@ from schatten_lab.norms import (
     schatten_norm,
 )
 from schatten_lab.ortho import (
+    PREDICATE_RTOL,
     bj_trace,
     clarkson_gap,
     isosceles,
@@ -28,6 +33,7 @@ from schatten_lab.ortho import (
     sip_trace_core,
 )
 from schatten_lab.parallel import (
+    _trace_residuals,
     epsilon_isometry_transfer,
     parallel_identity_trace,
     parallel_trace_class,
@@ -129,9 +135,6 @@ class TestRankCutoff:
             with pytest.raises(ValueError, match="singular"):
                 epsilon_isometry_transfer(np.eye(4), np.eye(4), a, 0.5)
 
-    def test_range_basis(self, s, rank):
-        assert laws._range_basis(_with_singular_values(s)).shape[1] == rank
-
 
 def test_stack_members_keep_their_own_ranks():
     stack = np.stack([_with_singular_values(s) for _, s, _ in _RANK_CASES])
@@ -142,6 +145,109 @@ def test_stack_members_keep_their_own_ranks():
         # The modulus keeps exactly the kept singular values.
         w = np.linalg.eigvalsh(m)
         assert np.sum(w > cmatrix.RANK_RTOL * max(s[0], 1e-300)) == rank
+
+
+# -- the trace form -------------------------------------------------------------
+#
+# One SVD of the first operand gives both the trace form tr(|a|^{p-1} u* b)
+# and ||a||_p.  The references below are the routes it replaced: separate
+# Schatten norms times ``sip_trace_core``, and tr(|a| a^{-1} b) by a solve.
+
+
+def _sip_reference(b, a, p):
+    na = schatten_norm(a, p)
+    return na ** (2.0 - p) * sip_trace_core(b, a, p) if na > 0 else 0j
+
+
+def _bj_trace_reference(a, b, p):
+    scale = schatten_norm(a, p) * schatten_norm(b, p)
+    return abs(_sip_reference(b, a, p)) <= PREDICATE_RTOL * max(scale, 1e-300)
+
+
+def _residuals_reference(a, b, p):
+    na, nb = schatten_norm(a, p), schatten_norm(b, p)
+    if na == 0.0 or nb == 0.0:
+        return 0.0, 0.0
+    fwd, rev = na ** (p - 1.0) * nb, nb ** (p - 1.0) * na
+    return (abs(abs(sip_trace_core(b, a, p)) - fwd) / fwd,
+            abs(abs(sip_trace_core(a, b, p)) - rev) / rev)
+
+
+def _trace_class_reference(a, b):
+    t = complex(np.trace(cmatrix.modulus(a) @ np.linalg.solve(a, b)))
+    nb = schatten_norm(b, 1.0)
+    return abs(abs(t) - nb) <= PREDICATE_RTOL * max(nb, 1e-300)
+
+
+def _trace_pairs():
+    rng = np.random.default_rng(29)
+
+    def g(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    pairs = [(f"ginibre n={n}", g(n), g(n)) for n in (2, 3, 4, 5)]
+    a = g(4)
+    pairs.append(("dependent", a, -1.3j * a))
+    deficient = g(4) @ np.diag([1.0, 1.0, 0.0, 0.0]) @ g(4)
+    pairs += [("rank-deficient first", deficient, g(4)),
+              ("rank-deficient second", g(4), deficient),
+              ("zero first", np.zeros((3, 3), dtype=complex), g(3)),
+              ("zero second", g(3), np.zeros((3, 3), dtype=complex))]
+    return pairs
+
+
+_TRACE_PAIRS = _trace_pairs()
+
+
+@pytest.mark.parametrize("a, b", [c[1:] for c in _TRACE_PAIRS],
+                         ids=[c[0] for c in _TRACE_PAIRS])
+class TestOneTraceForm:
+    def test_semi_inner_product(self, a, b):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            scale = schatten_norm(a, p) * schatten_norm(b, p)
+            assert abs(semi_inner_product(b, a, p) - _sip_reference(b, a, p)) \
+                <= 1e-13 * scale
+
+    def test_bj_trace(self, a, b):
+        for p in (1.5, 2.0, 3.0):
+            assert bj_trace(a, b, p) == _bj_trace_reference(a, b, p)
+            # And on b orthogonalized against a, where the relation holds.
+            na = schatten_norm(a, p)
+            if na > 0:
+                c = b - (_sip_reference(b, a, p) / na**2) * a
+                assert bj_trace(a, c, p) == _bj_trace_reference(a, c, p)
+
+    def test_trace_residuals(self, a, b):
+        for p in (1.5, 2.0, 3.0):
+            for new, old in zip(_trace_residuals(a, b, p), _residuals_reference(a, b, p)):
+                assert abs(new - old) <= 1e-13
+
+    def test_parallel_trace_class(self, a, b):
+        if not cmatrix._kept(cmatrix.singular_values(a)).all():
+            with pytest.raises(ValueError, match="singular"):
+                parallel_trace_class(a, b)
+            return
+        t = complex(np.trace(cmatrix.modulus(a) @ np.linalg.solve(a, b)))
+        assert abs(sip_trace_core(b, a, 1.0) - t) <= 1e-13 * schatten_norm(b, 1.0)
+        assert parallel_trace_class(a, b) == _trace_class_reference(a, b)
+
+
+@pytest.mark.parametrize("call, svds", [
+    (lambda a, b: semi_inner_product(b, a, 1.5), 1),
+    (lambda a, b: bj_trace(a, b, 1.5), 2),
+    (lambda a, b: parallel_trace_p(a, b, 1.5), 2),
+], ids=["semi_inner_product", "bj_trace", "parallel_trace_p"])
+def test_trace_form_svd_counts(monkeypatch, call, svds):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    call(_A, _B)
+    assert len(calls) == svds
 
 
 # -- LAPACK failures -----------------------------------------------------------
@@ -263,3 +369,41 @@ class TestTracerContract:
     ])
     def test_guard_passes_call_time_lookups(self, source):
         assert linalg_bindings(source) == []
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+# The benchmark's traced run, cut to one untimed operation per workload.
+_TRACED_WARM_UP = """
+import json
+import schatten_lab
+from tracer import Tracer
+from workloads import WORKLOADS
+
+tracer = Tracer()
+tracer.install(schatten_lab)
+for make in WORKLOADS.values():
+    workload = make(schatten_lab, 1, tracer)
+    tracer.begin_op()
+    workload.warm_up()
+    tracer.end_op()
+layers = tracer.per_layer(0.0)
+tracer.stop()
+print(json.dumps(sorted(layers)))
+"""
+
+
+@pytest.mark.skipif(not (_ROOT / "perfbench" / "tracer.py").is_file(),
+                    reason="needs the benchmark harness next to the package")
+def test_traced_warm_up_of_every_workload():
+    # The tracer binds package functions and optimizer parameters by name,
+    # so a name it binds that the package drops raises here, in a fresh
+    # process (installing the tracer rebinds the package's functions).
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", _TRACED_WARM_UP], env=env, cwd=_ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    declared = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert {m["name"] for m in declared["per_layer"]} <= set(json.loads(proc.stdout))

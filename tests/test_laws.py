@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from schatten_lab.cmatrix import RANK_RTOL
+from schatten_lab import ensembles
+from schatten_lab.cmatrix import RANK_RTOL, _kept, svd
 from schatten_lab.laws import (
     REDRAW_LIMIT,
     EnsembleConfig,
@@ -17,6 +18,7 @@ from schatten_lab.laws import (
     SUITES,
     _SINGLE_DRAWS,
     _Trial,
+    _principal_cos,
     _redraws,
     fixtures,
     replay_failure,
@@ -77,6 +79,17 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         cfg = EnsembleConfig(dimension=np.int64(3), trials=np.int32(2), seed=np.uint8(0))
         assert run_suite("S1", cfg).passed
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", np.int64(3)), ("dimension", np.int64(3)), ("trials", np.int32(2)),
+    ])
+    def test_numpy_integers_give_the_python_int_report(self, field, value):
+        base = {"dimension": 4, "trials": 2, "seed": 1}
+        cfg = EnsembleConfig(**{**base, field: value})
+        assert type(getattr(cfg, field)) is int
+        same = EnsembleConfig(**{**base, field: int(value)})
+        assert json.dumps(run_suite("S7", cfg).to_json_dict(), sort_keys=True) \
+            == json.dumps(run_suite("S7", same).to_json_dict(), sort_keys=True)
 
     def test_replay_rejects_negative_offset(self):
         with pytest.raises(ValueError, match="offset"):
@@ -176,6 +189,43 @@ class TestReplay:
         )
         # Different dimension changes the draw, hence the digest.
         assert base[1] != other[1]
+
+
+class TestCheckLabels:
+    @pytest.mark.parametrize("sid", list(SUITES))
+    def test_labels_unique_within_a_trial(self, sid):
+        # Suites share check blocks; a label must still name one check.
+        spec = SUITES[sid]
+        cfg = EnsembleConfig(trials=3, seed=1)
+        for offset in range(3):
+            trial = spec.runner(cfg, offset, ensembles.rng_for(1, spec.index, offset))
+            labels = [label for label, _, _ in trial.checks]
+            assert len(labels) == len(set(labels)), (sid, offset)
+
+
+def _principal_cos_reference(p, q):
+    """The range-basis route: orthonormal bases from the kept left singular
+    vectors of each projection, then the spectral norm of ``Bp* Bq``."""
+    def basis(m):
+        f = svd(m)
+        return f.u[:, _kept(f.singular_values)]
+
+    bp, bq = basis(p), basis(q)
+    if bp.shape[1] == 0 or bq.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(bp.conj().T @ bq, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("draw", [
+    ensembles.intersecting_projection_pair,
+    ensembles.trivial_intersection_projection_pair,
+], ids=["intersecting", "trivially-intersecting"])
+def test_principal_cos_matches_range_bases(draw, n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        p, q = draw(rng, n)
+        assert abs(_principal_cos(p, q) - _principal_cos_reference(p, q)) <= 1e-12
 
 
 class TestFailureRecord:
