@@ -4,7 +4,9 @@ numerical radii in Hilbert and lp settings.
 A ``NormSpec`` names the norm every predicate works under:
 
 * ``schatten`` with ``0 < p <= inf`` -- singular value p-sums (quasi-norm for
-  p < 1, operator norm at p = inf);
+  p < 1, operator norm at p = inf; at p = 2 the Frobenius norm, summed over
+  the entries with no SVD), rescaled by a power of two where a plain sum
+  would overflow or underflow;
 * ``induced_lp`` with ``1 <= p <= inf`` -- operator norm induced by the
   vector lp norm (exact for p in {1, 2, inf}; otherwise Boyd's power
   iteration, run on a whole stack at once, whose value is attained at a unit
@@ -115,19 +117,87 @@ class RadiusResult:
 
 
 def schatten_norm(a, p) -> float:
-    """Schatten p-(quasi-)norm: lp norm of the singular values."""
+    """Schatten p-(quasi-)norm: lp norm of the singular values (at p = 2 the
+    Frobenius norm, read from the entries)."""
     p = _exponent(p, "(0, inf]", "schatten norm")
+    if p == 2.0:
+        return float(_frobenius(cmatrix.as_matrix(a)))
     return float(_schatten_sum(cmatrix.singular_values(a), p))
 
 
+# A sum of squares or p-th powers at or above _SUM_LO lost nothing that
+# matters to underflow: each underflowed term is off by at most 2^-1075.
+_SUM_LO = 2.0 ** -970
+_HUGE = float(np.finfo(float).max)
+
+
+def _within(v: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every entry of ``v`` (0-d included) lies in [lo, hi]; NaN
+    does not.  A 0-d array is compared as a scalar, which is much faster."""
+    if v.ndim == 0:
+        v = v[()]
+        return bool(lo <= v <= hi)
+    return bool(lo <= v.min() and v.max() <= hi)
+
+
+def _top_scaled(norm, v: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``norm`` along the last axis of ``v`` as ``2^e norm(v / 2^e)``, with
+    ``2^e`` the power of two just above each row's largest modulus ``top``:
+    the scaling is exact, and the scaled terms can neither overflow nor
+    underflow as a whole (Blue 1978, ACM TOMS 4).  A zero row gives 0."""
+    e = np.frexp(top)[1]
+    return np.ldexp(norm(np.ldexp(v, -e[..., None])), e)
+
+
+def _l2(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes of a complex128 matrix or
+    stack, ``sqrt(sum re^2 + im^2)``, with no SVD.
+
+    A matrix whose sum of squares leaves ``[_SUM_LO, max]`` (squares that
+    underflowed, or overflowed) is recomputed by ``_top_scaled``; the others
+    keep the plain sum, so each value depends on its own matrix alone.
+    """
+    v = np.ascontiguousarray(x).reshape(x.shape[:-2] + (-1,)).view(np.float64)
+    r = _l2(v)
+    lo = _SUM_LO ** 0.5
+    if _within(r, lo, _HUGE):
+        return r
+    ok = (r >= lo) & (r <= _HUGE)
+    return np.where(ok, r, _top_scaled(_l2, v, np.abs(v).max(axis=-1)))
+
+
 def _schatten_sum(s: np.ndarray, p: float) -> np.ndarray:
-    """lp norm along the last axis of singular values sorted descending."""
+    """lp norm along the last axis of singular values sorted descending.
+
+    For p > 1 a row whose top value ``s0`` would let the p-th powers
+    overflow, or sum below ``_SUM_LO``, is recomputed by ``_top_scaled`` as
+    ``s0 ||s / s0||_p``; every other row, and every row at p <= 1 or
+    p = inf, keeps the plain sum.
+    """
     if p == INF:
         return s[..., 0]
-    return (s**p).sum(axis=-1) ** (1.0 / p)
+
+    def plain(w):
+        return (w**p).sum(axis=-1) ** (1.0 / p)
+
+    if p <= 1.0:
+        return plain(s)
+    s0 = s[..., 0]
+    lo, hi = _SUM_LO ** (1.0 / p), (_HUGE / s.shape[-1]) ** (1.0 / p)
+    if _within(s0, lo, hi):
+        return plain(s)
+    ok = (s0 >= lo) & (s0 <= hi)
+    # Ones stand in for the rescaled rows, whose plain powers would overflow.
+    return np.where(ok, plain(np.where(ok[..., None], s, 1.0)), _top_scaled(plain, s, s0))
 
 
 def schatten_norm_batch(stack: np.ndarray, p: float) -> np.ndarray:
+    if p == 2.0:
+        return _frobenius(stack)
     return _schatten_sum(cmatrix.singular_values_batch(stack), p)
 
 
@@ -233,13 +303,20 @@ def evaluator(spec: NormSpec):
     ``ValueError``), so it can never reach a verdict.  ``exact`` is False
     only for generic induced p, whose values are power-iteration bounds.
 
-    Schatten norms read the singular values alone, induced p in {1, inf} the
+    Schatten norms read the singular values alone, except at p = 2, where
+    ``_frobenius`` sums the squared entries; induced p in {1, inf} the
     column or row sums, induced p = 2 the top singular value (no singular
     vectors); generic induced p runs ``_induced_power`` on the whole stack.
     """
     p = spec.p
     exact = True
-    if spec.kind == "schatten":
+    if spec.kind == "schatten" and p == 2:
+        def value(m):
+            return float(_frobenius(m))
+
+        def batch(stack):
+            return _frobenius(stack)
+    elif spec.kind == "schatten":
         def value(m):
             return float(_schatten_sum(np.linalg.svd(m, compute_uv=False), p))
 
@@ -317,10 +394,11 @@ def numerical_radius_hilbert(a) -> RadiusResult:
 
     Maximizes the top eigenvalue of the Hermitian parts ``Re(e^{i theta} A)``
     with ``search.circle_max``: a 1024-point phase grid searched coarse to
-    fine with ``F(0) = 0`` (the top eigenvalue of ``Re(z A)`` is sublinear
-    in ``z``, so arcs whose bound falls below the best value are skipped),
-    then golden section with Brent's parabolic steps on the best window to
-    1e-10.  The witness is the top eigenvector at the optimal phase.
+    fine from every 32nd phase with ``F(0) = 0`` (the top eigenvalue of
+    ``Re(z A)`` is sublinear in ``z``, so arcs whose bound falls below the
+    best value are skipped), then golden section with Brent's parabolic
+    steps on the best window to 1e-10.  The witness is the top eigenvector
+    at the optimal phase.
     """
     a = cmatrix.as_square(a)
     ah = a.conj().T

@@ -124,14 +124,17 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     return Verdict(bool(gap >= -tol), gamma, float(gap), tol)
 
 
-def _trace_form(b: np.ndarray, a: np.ndarray, p: float) -> tuple[complex, float]:
+def _trace_form(b: np.ndarray, a: np.ndarray, p: float,
+                f: cmatrix.SvdFactors | None = None) -> tuple[complex, float]:
     """``(tr(|a|^{p-1} u* b), ||a||_p)`` for a validated pair, with
-    ``a = u |a|`` polar, both from one SVD of ``a``.
+    ``a = u |a|`` polar, both from one SVD of ``a`` (``f``, if the caller
+    has it already).
 
     Null singular directions of ``a`` contribute nothing to the trace form
     for every p >= 1 (the p = 1 power ``|a|^0`` is the support projection).
     """
-    f = cmatrix.svd(a)
+    if f is None:
+        f = cmatrix.svd(a)
     s = f.singular_values
     na = float(_schatten_sum(s, p))
     keep = cmatrix._kept(s)

@@ -19,7 +19,7 @@ from . import cmatrix
 from .norms import (INF, NormSpec, SPECTRAL, _attaining, _exponent, evaluator,
                     induced_norm, norm_value, numerical_radius_banach,
                     numerical_radius_hilbert, schatten_norm)
-from .ortho import PREDICATE_RTOL, _trace_form, sip_trace_core
+from .ortho import PREDICATE_RTOL, _trace_form
 from .search import circle_max, hill_climb
 
 # Relative scale below which the smaller singular value means dependence.
@@ -106,9 +106,10 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
     failure of the refined scan only up to ``tolerance``.  Every norm comes
     from the closures of ``norms.evaluator(spec)``, resolved once per call.
     Exact convex norms (Schatten p >= 1, induced p in {1, 2, inf}, vector
-    norms) prune the 720-angle grid with ``F(0) = ||a||``; Schatten p < 1
-    evaluates all 720 angles, and generic induced p, whose values are only
-    lower bounds, all of a 96-angle grid (one power iteration per angle).
+    norms) search the 720-angle grid from every 32nd angle and prune it with
+    ``F(0) = ||a||``; Schatten p < 1 evaluates all 720 angles, and generic
+    induced p, whose values are only lower bounds, all of a 96-angle grid
+    (one power iteration per angle).
     """
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     batch, scalar, exact = evaluator(spec)
@@ -197,12 +198,13 @@ def parallel_trace_class(a, b, tol_rel: float = PREDICATE_RTOL) -> bool:
     apply -- use ``parallel_definitional`` with the trace spec instead.
     """
     a, b = cmatrix.as_pair(cmatrix.as_square(a), b)
-    if not cmatrix._kept(cmatrix.singular_values(a)).all():
+    f = cmatrix.svd(a)
+    if not cmatrix._kept(f.singular_values).all():
         raise ValueError(
             "first operand is singular to working precision; "
             "use parallel_definitional with the trace norm"
         )
-    t = sip_trace_core(b, a, 1.0)
+    t, _ = _trace_form(b, a, 1.0, f)
     nb = schatten_norm(b, 1.0)
     return bool(abs(abs(t) - nb) <= tol_rel * max(nb, 1e-300))
 

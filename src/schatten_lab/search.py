@@ -4,10 +4,10 @@ Three optimization shapes recur across the package:
 
 * maximize a continuous function of a unimodular phase (parallelism, l2
   numerical radius) -- ``circle_max``, a phase grid searched coarse to fine
-  (arcs whose convexity bound, from the objective's value F(0) at the
-  circle's centre, cannot reach the best value so far are skipped; the
-  whole grid without F(0)), plus golden section with Brent's parabolic
-  steps on the best windows;
+  from every 32nd angle (arcs whose convexity bound, from the objective's
+  value F(0) at the circle's centre, cannot reach the best value so far are
+  skipped; the whole grid without F(0)), plus golden section with Brent's
+  parabolic steps on the best windows;
 * minimize a convex function over a complex scalar (Birkhoff-James
   orthogonality) -- ``gamma_min``, a 16x16 polar grid evaluated ring by
   ring (a ray stops once its values rise: convexity keeps it rising), then,
@@ -28,6 +28,8 @@ the earliest start on ties so results do not depend on iteration order.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -124,6 +126,15 @@ def _arc_bound(m, steps, grid: int, origin: float):
     return m + (r - 1.0) * (np.maximum(m, 0.0) + origin)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_angles(grid: int) -> np.ndarray:
+    """The ``grid`` equally spaced angles of [0, 2pi), built once per size
+    (the package uses three: 96, 720 and 1024) and read-only."""
+    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    thetas.flags.writeable = False
+    return thetas
+
+
 def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
                tol: float = 1e-12, origin: float | None = None) -> tuple[float, float]:
     """Maximize ``theta -> f(theta)`` over [0, 2pi).
@@ -131,21 +142,26 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
     ``f_batch`` evaluates an array of angles at once; ``f_scalar`` a single
     angle.  With ``origin`` None the whole ``grid`` is one batch.  Given
     ``origin = F(0)`` of an objective ``F(e^{i theta})`` that ``_arc_bound``
-    holds for, the grid is searched coarse to fine: every 8th point, then,
-    level by level, the midpoint of every arc whose bound reaches the best
-    value so far, less a relative ``_MARGIN`` so rounding never prunes a tie.
-    Skipped points cannot beat the grid maximum, so it is the full grid's.
-    The top ``windows`` circular local maxima (among points evaluated with
-    both neighbours) are each refined by ``golden_section_max`` (golden
-    section with Brent's parabolic steps) over one spacing on either side,
-    skipping, with an ``origin``, those whose one-spacing bound is below the
-    grid maximum.
+    holds for, the grid is searched coarse to fine: every 32nd point (every
+    8th on a grid under 256, so that arcs stay well under a half circle),
+    then, level by level, the midpoint of every arc whose bound reaches the
+    best value so far, less a relative ``_MARGIN`` so rounding never prunes
+    a tie.  Skipped points cannot beat the grid maximum, so it is the full
+    grid's.  The top ``windows`` circular local maxima (among points
+    evaluated with both neighbours) are each refined by
+    ``golden_section_max`` (golden section with Brent's parabolic steps)
+    over one spacing on either side, skipping, with an ``origin``, those
+    whose one-spacing bound is below the grid maximum.
     """
-    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    thetas = _grid_angles(grid)
     vals = np.full(grid, -np.inf)
     seen = np.zeros(grid, dtype=bool)
     # The bound needs arcs well under a half circle; small grids run whole.
-    idx = np.arange(0, grid, 8 if origin is not None and grid >= 32 else 1)
+    if origin is None or grid < 32:
+        step = 1
+    else:
+        step = 32 if grid >= 256 else 8
+    idx = np.arange(0, grid, step)
     lo, hi = idx, np.append(idx[1:], grid)  # arcs [lo, hi]; index grid is 0
     while idx.size:
         vals[idx] = f_batch(thetas[idx])
@@ -159,10 +175,12 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
             lo, hi = lo[live], hi[live]
         idx = (lo + hi) // 2
         lo, hi = np.concatenate([lo, idx]), np.concatenate([idx, hi])
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    local = np.nonzero((vals >= left) & (vals >= right)
-                       & seen & np.roll(seen, 1) & np.roll(seen, -1))[0]
+    # Circular local maxima among the evaluated points with both neighbours.
+    ks = np.flatnonzero(seen)
+    left, right = (ks - 1) % grid, (ks + 1) % grid
+    inner = seen[left] & seen[right]
+    ks, left, right = ks[inner], left[inner], right[inner]
+    local = ks[(vals[ks] >= vals[left]) & (vals[ks] >= vals[right])]
     if local.size == 0:
         local = np.array([int(np.argmax(vals))])
     order = local[np.argsort(vals[local])[::-1]]

@@ -236,7 +236,8 @@ class TestOneTraceForm:
     (lambda a, b: semi_inner_product(b, a, 1.5), 1),
     (lambda a, b: bj_trace(a, b, 1.5), 2),
     (lambda a, b: parallel_trace_p(a, b, 1.5), 2),
-], ids=["semi_inner_product", "bj_trace", "parallel_trace_p"])
+    (parallel_trace_class, 2),
+], ids=["semi_inner_product", "bj_trace", "parallel_trace_p", "parallel_trace_class"])
 def test_trace_form_svd_counts(monkeypatch, call, svds):
     calls = []
     svd = np.linalg.svd

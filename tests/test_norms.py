@@ -1,6 +1,7 @@
 """Tests for norm evaluation and numerical radii."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from schatten_lab.norms import (
     NormSpec,
     SPECTRAL,
     TRACE,
+    _frobenius,
     evaluator,
     induced_norm,
     norm_value,
@@ -23,6 +25,8 @@ from schatten_lab.norms import (
     schatten_norm_batch,
     vector_norm,
 )
+from schatten_lab.ortho import bj_definitional
+from schatten_lab.parallel import parallel_definitional
 from schatten_lab.search import _lp_normalize, multistart_ascent
 
 
@@ -270,8 +274,9 @@ class TestEvaluator:
                 assert value == ref
 
     def test_scalar_rejects_non_finite_values(self):
-        # Finite entries whose cubed values overflow.
-        for spec, x in ((NormSpec.schatten(3.0), 1e200 * np.eye(2, dtype=complex)),
+        # Finite entries whose cubed values overflow; the Schatten sum is
+        # rescaled, so there the norm itself, 3^(1/3) 1.5e308, overflows.
+        for spec, x in ((NormSpec.schatten(3.0), 1.5e308 * np.eye(3, dtype=complex)),
                         (NormSpec.induced(3.0), 1e200 * np.eye(2, dtype=complex)),
                         (NormSpec.lp(3.0), np.full(2, 1e200 + 0j))):
             with np.errstate(over="ignore", invalid="ignore"), \
@@ -281,6 +286,78 @@ class TestEvaluator:
             nan = np.full((2,) if spec.is_vector else (2, 2), np.nan + 0j)
             with pytest.raises(ValueError):
                 evaluator(spec)[1](nan)
+
+
+def _ulps(value, ref):
+    return abs(value - ref) / np.spacing(abs(ref)) if ref else abs(value)
+
+
+class TestFrobenius:
+    """Schatten 2 reads the entries, ``norms._frobenius``, not an SVD."""
+
+    @staticmethod
+    def _operands():
+        rng = _rng(67)
+        rank_two = _draw(rng, (6, 2)) @ _draw(rng, (2, 6))
+        return ([_draw(rng, (n, n)) / math.sqrt(2.0 * n) for n in (2, 4, 8) for _ in range(10)]
+                + [rank_two, _draw(rng, (3, 7)), _draw(rng, (7, 3)), np.zeros((4, 4), complex)])
+
+    def test_agrees_with_singular_values(self):
+        for x in self._operands():
+            s = np.linalg.svd(x, compute_uv=False)
+            assert _ulps(_frobenius(x), math.sqrt(float(np.sum(s**2)))) <= 4
+
+    def test_scalar_batch_and_schatten_norm_agree_bitwise(self):
+        batch, scalar, _ = evaluator(FROBENIUS)
+        rng = _rng(71)
+        for shape in ((4, 4), (8, 8), (3, 5)):
+            stack = _draw(rng, (6,) + shape)
+            values = batch(stack)
+            assert np.array_equal(values, schatten_norm_batch(stack, 2.0))
+            for i in range(6):
+                assert scalar(stack[i]) == values[i] == schatten_norm(stack[i], 2.0)
+
+    def test_powers_of_two_scale_exactly(self):
+        for x in self._operands():
+            base = _frobenius(x)
+            for k in (600, -600):
+                assert _ulps(_frobenius(2.0**k * x), 2.0**k * base) <= 4
+
+    @pytest.mark.parametrize("s", [1e200, 1e-200])
+    def test_extreme_scales_are_finite(self, s):
+        # The squares overflow (or underflow) at these scales; the rescaled
+        # sum does not.
+        x = _draw(_rng(73), (4, 4))
+        value = _frobenius(s * x)
+        assert math.isfinite(value) and value > 0.0
+        assert abs(value / (s * _frobenius(x)) - 1.0) <= 1e-15
+
+
+class TestScaleSafeSums:
+    @pytest.mark.parametrize("s", [1e-160, 1e120])
+    def test_schatten_sum_at_extreme_scales(self, s):
+        # The plain sum of cubes underflows to 0 (overflows to inf) here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = schatten_norm(s * np.eye(3), 3.0)
+        assert _ulps(value, 3.0 ** (1.0 / 3.0) * s) <= 4
+
+    def test_stack_rows_rescale_alone(self):
+        stack = np.stack([1e120 * np.eye(3), np.eye(3), np.zeros((3, 3)),
+                          1e-160 * np.eye(3)]).astype(complex)
+        batch, scalar, _ = evaluator(NormSpec.schatten(3.0))
+        values = batch(stack)
+        assert [scalar(m) for m in stack] == list(values)
+        assert values[1] == schatten_norm(np.eye(3), 3.0) and values[2] == 0.0
+
+    def test_frobenius_verdicts_at_tiny_scale(self):
+        # Both operands of the seed-5 Ginibre pair scaled by 1e-200: the
+        # verdicts must be the unscaled ones (not parallel, not orthogonal).
+        rng = _rng(5)
+        a, b = ginibre(rng, 4), ginibre(rng, 4)
+        for s in (1.0, 1e-200):
+            assert not bj_definitional(s * a, s * b, FROBENIUS).holds
+            assert not parallel_definitional(s * a, s * b, FROBENIUS).holds
 
 
 class TestHilbertRadius:

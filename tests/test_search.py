@@ -5,10 +5,10 @@ import inspect
 import numpy as np
 import pytest
 
-from schatten_lab.ensembles import ginibre
-from schatten_lab.norms import INF, NormSpec, evaluator
+from schatten_lab.ensembles import dependent_pair, ginibre, nilpotent, normal_matrix
+from schatten_lab.norms import FROBENIUS, INF, NormSpec, evaluator
 from schatten_lab.ortho import bj_definitional
-from schatten_lab import search
+from schatten_lab import norms, parallel, search
 from schatten_lab.search import (_arc_bound, _lp_normalize, circle_max, gamma_min,
                                  golden_section_max, multistart_ascent, nelder_mead_complex,
                                  sphere_starts)
@@ -375,11 +375,11 @@ def _pairs():
 
 
 def _assert_arcs_bounded(f_batch, grid, origin):
-    """A dense 33-point maximum inside every arc of 8, 4, 2 and 1 grid
-    spacings never exceeds the bound from the arc's endpoint values."""
+    """A dense 33-point maximum inside every arc of 32, 16, 8, 4, 2 and 1
+    grid spacings never exceeds the bound from the arc's endpoint values."""
     fine = np.linspace(0.0, 1.0, 33)
     vals = f_batch(np.arange(grid) * 2 * np.pi / grid)
-    for steps in (8, 4, 2, 1):
+    for steps in (32, 16, 8, 4, 2, 1):
         lo = np.arange(0, grid, steps)
         m = np.maximum(vals[lo], vals[(lo + steps) % grid])
         dense = f_batch(((lo[:, None] + steps * fine) * 2 * np.pi / grid).ravel())
@@ -393,6 +393,25 @@ class TestCircleMax:
             f_batch, f_scalar, na = _circle_problem(a, b, spec)
             full = circle_max(f_batch, f_scalar)
             assert circle_max(f_batch, f_scalar, origin=na) == full
+
+    @pytest.mark.parametrize("spec", _CONVEX_SPECS, ids=str)
+    def test_pruned_matches_full_grid_on_structured_pairs(self, spec):
+        # A dependent pair, and a normal and a nilpotent operand against I.
+        # ||t + lambda I|| is flat in lambda under S2, I1 and I-inf for the
+        # nilpotent t, so there nothing can be pruned.
+        rng = np.random.default_rng(41)
+        for a, b in (dependent_pair(rng, 8), (normal_matrix(rng, 8), np.eye(8, dtype=complex)),
+                     (nilpotent(rng, 8), np.eye(8, dtype=complex))):
+            f_batch, f_scalar, na = _circle_problem(a, b, spec)
+            assert circle_max(f_batch, f_scalar, origin=na) == circle_max(f_batch, f_scalar)
+
+    @pytest.mark.parametrize("grid", [8, 16, 32, 64, 96, 256])
+    def test_pruned_matches_full_grid_on_small_grids(self, grid):
+        for a, b in _pairs():
+            for spec in (NormSpec.schatten(1.0), NormSpec.schatten(INF), NormSpec.induced(1.0)):
+                f_batch, f_scalar, na = _circle_problem(a, b, spec)
+                full = circle_max(f_batch, f_scalar, grid=grid)
+                assert circle_max(f_batch, f_scalar, grid=grid, origin=na) == full
 
     def test_sub_arcs_never_exceed_the_bound(self):
         rng = np.random.default_rng(23)
@@ -462,6 +481,67 @@ class TestCircleMax:
                 assert len(seen) == grid
             else:
                 assert len(seen) < grid
+
+
+def _angles_per_call(monkeypatch, module, run):
+    """Mean number of angles ``module.circle_max`` passes to ``f_batch``
+    per call while ``run()`` runs."""
+    counts, calls = [], []
+    inner = module.circle_max
+
+    def counted(f_batch, f_scalar, **kwargs):
+        def f(thetas):
+            counts.append(len(thetas))
+            return f_batch(thetas)
+
+        calls.append(1)
+        return inner(f, f_scalar, **kwargs)
+
+    monkeypatch.setattr(module, "circle_max", counted)
+    run()
+    return sum(counts) / len(calls)
+
+
+class TestEvaluationCounts:
+    """Ceilings on the circle search's work on fixed 8x8 pairs: the counts
+    when the first level took every 32nd angle were 51 (S1), 49.75 (S-inf,
+    I2) and 44.75 (Hilbert radius) per call; every 8th angle gave about
+    105 and 135."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(43)
+        return [(ginibre(rng, 8), ginibre(rng, 8)) for _ in range(4)]
+
+    @pytest.mark.parametrize("spec, ceiling", [
+        (NormSpec.schatten(1.0), 56), (NormSpec.schatten(INF), 55), (NormSpec.induced(2.0), 55),
+    ], ids=str)
+    def test_parallel_angles(self, monkeypatch, spec, ceiling):
+        def run():
+            for a, b in self._pairs():
+                parallel.parallel_definitional(a, b, spec)
+
+        assert _angles_per_call(monkeypatch, parallel, run) <= ceiling
+
+    def test_hilbert_radius_phases(self, monkeypatch):
+        def run():
+            for a, _ in self._pairs():
+                norms.numerical_radius_hilbert(a)
+
+        assert _angles_per_call(monkeypatch, norms, run) <= 50
+
+    def test_frobenius_calls_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        a, b = self._pairs()[0]
+        batch, scalar, _ = evaluator(FROBENIUS)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        scalar(a)
+        batch(np.stack([a, b]))
+        norms.schatten_norm(a, 2.0)
+        norms.schatten_norm_batch(np.stack([a, b]), 2.0)
+        parallel.parallel_definitional(a, b, FROBENIUS)
 
 
 def _form_problem(n=3, seed=7):
