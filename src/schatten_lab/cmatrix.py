@@ -138,11 +138,6 @@ def singular_values(a) -> np.ndarray:
     return _lapack(np.linalg.svd, as_matrix(a), compute_uv=False)
 
 
-def singular_values_batch(stack: np.ndarray) -> np.ndarray:
-    """Singular values for a stack of matrices, shape (..., n, m) -> (..., r)."""
-    return _lapack(np.linalg.svd, stack, compute_uv=False)
-
-
 def polar(a) -> PolarFactors:
     """Right polar decomposition of ``a``.
 

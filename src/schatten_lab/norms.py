@@ -13,9 +13,10 @@ A ``NormSpec`` names the norm every predicate works under:
   vector and so is a certified lower bound);
 * ``vector_lp`` / ``vector_max`` -- norms of vector operands.
 
-``evaluator(spec)`` resolves a spec once into batched and scalar closures
-over validated operands; the predicates' optimizers call those closures, and
-``norm_value`` / ``norm_value_batch`` dispatch through them.
+``evaluator(spec)`` resolves a spec once into one closure per norm, for a
+validated operand or a stack (a failed SVD raises numpy's ``LinAlgError`` in
+both), and its checked scalar form; the predicates' optimizers call those
+closures, and ``norm_value`` / ``norm_value_batch`` dispatch through them.
 
 Radius computations return a ``RadiusResult`` carrying the value and a
 witness vector.  The l2 radius sweeps the phase with ``search.circle_max``;
@@ -120,9 +121,7 @@ def schatten_norm(a, p) -> float:
     """Schatten p-(quasi-)norm: lp norm of the singular values (at p = 2 the
     Frobenius norm, read from the entries)."""
     p = _exponent(p, "(0, inf]", "schatten norm")
-    if p == 2.0:
-        return float(_frobenius(cmatrix.as_matrix(a)))
-    return float(_schatten_sum(cmatrix.singular_values(a), p))
+    return float(_schatten(cmatrix.as_matrix(a), p))
 
 
 # A sum of squares or p-th powers at or above _SUM_LO lost nothing that
@@ -195,10 +194,12 @@ def _schatten_sum(s: np.ndarray, p: float) -> np.ndarray:
     return np.where(ok, plain(np.where(ok[..., None], s, 1.0)), _top_scaled(plain, s, s0))
 
 
-def schatten_norm_batch(stack: np.ndarray, p: float) -> np.ndarray:
+def _schatten(x: np.ndarray, p: float) -> np.ndarray:
+    """Schatten p-norms over the last two axes of a matrix or stack:
+    ``_frobenius`` at p = 2, else ``_schatten_sum`` of the singular values."""
     if p == 2.0:
-        return _frobenius(stack)
-    return _schatten_sum(cmatrix.singular_values_batch(stack), p)
+        return _frobenius(x)
+    return _schatten_sum(np.linalg.svd(x, compute_uv=False), p)
 
 
 def vector_norm(x, spec: NormSpec) -> float:
@@ -293,15 +294,15 @@ def induced_norm(a, p) -> RadiusResult:
 def evaluator(spec: NormSpec):
     """Resolve ``spec`` once into ``(batch, scalar, exact)``.
 
-    ``batch`` maps a stack of operands -- shape (k, n, m) for matrices, (k, n)
-    for vectors -- to their k norms; ``scalar`` maps one operand to its norm
-    as a float.  Both take complex128 operands that the caller has already
-    validated (``cmatrix.as_pair``), so hot loops such as ``a + gamma b``
-    inside an optimizer skip validation.  The scalar result is checked
-    instead: a non-finite value raises ``ValueError`` (an SVD that fails, as
-    on NaN entries, raises ``numpy.linalg.LinAlgError``, also a
-    ``ValueError``), so it can never reach a verdict.  ``exact`` is False
-    only for generic induced p, whose values are power-iteration bounds.
+    ``batch``, the norm's one closure, reduces the last axis (vectors) or two
+    (matrices): one operand gives a 0-d value, a (k, n) or (k, n, m) stack
+    its k norms.  ``scalar`` is ``float(batch(x))``, checked: a non-finite
+    value raises ``ValueError``, so it can never reach a verdict.  Both take
+    complex128 operands the caller has validated (``cmatrix.as_pair``), so
+    hot loops such as ``a + gamma b`` skip validation.  A failed SVD, as on
+    a NaN member, raises ``numpy.linalg.LinAlgError`` (a ``ValueError``) in
+    both.  ``exact`` is False only for generic induced p, whose values are
+    power-iteration bounds.
 
     Schatten norms read the singular values alone, except at p = 2, where
     ``_frobenius`` sums the squared entries; induced p in {1, inf} the
@@ -310,64 +311,37 @@ def evaluator(spec: NormSpec):
     """
     p = spec.p
     exact = True
-    if spec.kind == "schatten" and p == 2:
-        def value(m):
-            return float(_frobenius(m))
-
-        def batch(stack):
-            return _frobenius(stack)
-    elif spec.kind == "schatten":
-        def value(m):
-            return float(_schatten_sum(np.linalg.svd(m, compute_uv=False), p))
-
-        def batch(stack):
-            return schatten_norm_batch(stack, p)
+    if spec.kind == "schatten":
+        def norm(x):
+            return _schatten(x, p)
     elif spec.kind == "vector_max" or (spec.is_vector and p == INF):
-        def value(x):
-            return float(np.abs(x).max())
-
-        def batch(stack):
-            return np.abs(stack).max(axis=-1)
+        def norm(x):
+            return np.abs(x).max(axis=-1)
     elif spec.is_vector:
-        def value(x):
-            return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
-
-        def batch(stack):
-            return np.sum(np.abs(stack) ** p, axis=-1) ** (1.0 / p)
+        def norm(x):
+            return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
     elif p == 1:
-        def value(m):
-            return float(np.abs(m).sum(axis=0).max())
-
-        def batch(stack):
-            return np.abs(stack).sum(axis=-2).max(axis=-1)
+        def norm(x):
+            return np.abs(x).sum(axis=-2).max(axis=-1)
     elif p == INF:
-        def value(m):
-            return float(np.abs(m).sum(axis=1).max())
-
-        def batch(stack):
-            return np.abs(stack).sum(axis=-1).max(axis=-1)
+        def norm(x):
+            return np.abs(x).sum(axis=-1).max(axis=-1)
     elif p == 2:
-        def value(m):
-            return float(np.linalg.svd(m, compute_uv=False)[0])
-
-        def batch(stack):
-            return cmatrix.singular_values_batch(stack)[..., 0]
+        def norm(x):
+            return np.linalg.svd(x, compute_uv=False)[..., 0]
     else:
         exact = False
 
-        def value(m):
-            return float(_induced_power(m[None], p)[0][0])
-
-        def batch(stack):
-            return _induced_power(stack, p)[0]
+        def norm(x):
+            return _induced_power(x.reshape((-1,) + x.shape[-2:]), p)[0].reshape(x.shape[:-2])
 
     def scalar(m):
-        v = value(m)
+        v = float(norm(m))
         if not math.isfinite(v):
             raise ValueError(f"norm evaluated to {v} under {spec}")
         return v
 
-    return batch, scalar, exact
+    return norm, scalar, exact
 
 
 def operator_norm(a, spec: NormSpec) -> float:
@@ -403,16 +377,11 @@ def numerical_radius_hilbert(a) -> RadiusResult:
     a = cmatrix.as_square(a)
     ah = a.conj().T
 
-    def tops(thetas):
-        phases = np.exp(1j * thetas)
-        stack = 0.5 * (phases[:, None, None] * a + np.conj(phases)[:, None, None] * ah)
-        return np.linalg.eigvalsh(stack)[:, -1]
+    def top(thetas):  # one phase or an array of them
+        phases = np.exp(1j * np.asarray(thetas))[..., None, None]
+        return np.linalg.eigvalsh(0.5 * (phases * a + np.conj(phases) * ah))[..., -1]
 
-    def top_at(t):
-        h = 0.5 * (np.exp(1j * t) * a + np.exp(-1j * t) * ah)
-        return float(np.linalg.eigvalsh(h)[-1])
-
-    t_star, value = circle_max(tops, top_at, grid=1024, windows=1, tol=1e-10, origin=0.0)
+    t_star, value = circle_max(top, top, grid=1024, windows=1, tol=1e-10, origin=0.0)
     h = 0.5 * (np.exp(1j * t_star) * a + np.exp(-1j * t_star) * ah)
     witness = np.linalg.eigh(h)[1][:, -1]
     return RadiusResult(float(value), witness, 1e-10 * value)

@@ -119,7 +119,7 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     def f_scalar(g):
         return scalar(a + g * b)
 
-    gamma, vmin = gamma_min(f_batch, f_scalar, radius=4.0 * na / nb, smooth=spec.smooth)
+    gamma, vmin = gamma_min(f_batch, f_scalar, radius=4.0 * (na / nb), smooth=spec.smooth)
     gap = vmin - na
     return Verdict(bool(gap >= -tol), gamma, float(gap), tol)
 

@@ -37,7 +37,7 @@ class ParallelVerdict:
 
     ``achieved = max_lambda ||a + lambda b||`` at ``lambda_star``; the pair is
     parallel iff ``achieved`` reaches ``target = ||a|| + ||b||`` within
-    ``tolerance``.
+    ``tolerance`` (relative to the smaller norm).
     """
 
     holds: bool
@@ -110,13 +110,17 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
     ``F(0) = ||a||``; Schatten p < 1 evaluates all 720 angles, and generic
     induced p, whose values are only lower bounds, all of a 96-angle grid
     (one power iteration per angle).
+    The tolerance, ``2 tol_rel min(||a||, ||b||)``, is scale-free: for unit
+    a', b' the deficit ``t + 1 - max ||t a' + lambda b'||`` is concave,
+    non-negative and 0 at t = 0, so it never falls, and a pair's deficit is
+    at least ``min(||a||, ||b||)`` times its unit pair's.
     """
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     batch, scalar, exact = evaluator(spec)
     na = scalar(a)
     nb = scalar(b)
     target = na + nb
-    tol = tol_rel * target
+    tol = 2.0 * tol_rel * min(na, nb)
     if na == 0.0 or nb == 0.0:
         return ParallelVerdict(True, 1.0 + 0j, target, target, tol, degenerate=True)
 

@@ -236,13 +236,19 @@ def _refine(f_batch, f_scalar, g0: complex, v0: float, radius: float,
     ``|v0|``, so scaling the problem scales the result.  A ``smooth`` ``f``
     runs ``_newton_min`` first, with the grid's ring spacing as its stencil
     spacing and values resolved to 1e-14 ``|v0|``; if its model converges,
-    that is the result.  Otherwise Nelder-Mead (``xatol`` 1e-10 ``radius``,
+    that is the result.  It sees the values scaled by the power of two that
+    takes ``|v0|`` into [0.5, 1): exact, so no step changes, and no
+    curvature overflows or underflows.  Otherwise Nelder-Mead (``xatol`` 1e-10 ``radius``,
     ``fatol`` 1e-13 ``|v0|``, 800 evaluations of ``f_scalar`` at most)
     continues from the best point so far, on a simplex of the last spacing.
     """
     g, v, h = g0, v0, radius / 16
     if smooth:
-        g, v, h, converged = _newton_min(f_batch, g, v, h, radius, 1e-14 * abs(v0))
+        e = int(np.frexp(v0)[1])
+        s0 = float(np.ldexp(v0, -e))
+        g, v, h, converged = _newton_min(lambda pts: np.ldexp(f_batch(pts), -e),
+                                         g, s0, h, radius, 1e-14 * abs(s0))
+        v = float(np.ldexp(v, e))
         if converged:
             return g, v
     gn, vn = nelder_mead_complex(f_scalar, g, h, xatol=1e-10 * radius,

@@ -19,7 +19,6 @@ from schatten_lab.cmatrix import (
     null_space,
     polar,
     singular_values,
-    singular_values_batch,
     support_projection,
     svd,
 )
@@ -89,13 +88,6 @@ class TestSvd:
             s = f.singular_values
             assert np.all(s[:-1] >= s[1:] - 1e-15)
             assert np.all(s >= 0)
-
-    def test_batch_matches_loop(self):
-        rng = _rng(11)
-        stack = _draw(rng, (6, 3, 3))
-        batch = singular_values_batch(stack)
-        for i in range(6):
-            assert np.allclose(batch[i], singular_values(stack[i]), atol=1e-12)
 
 
 class TestPolarAndModulus:

@@ -264,7 +264,6 @@ _M = np.eye(3, dtype=complex)
 @pytest.mark.parametrize("fname, call", [
     ("svd", lambda: cmatrix.svd(_M)),
     ("svd", lambda: cmatrix.singular_values(_M)),
-    ("svd", lambda: cmatrix.singular_values_batch(_M[None])),
     ("svd", lambda: cmatrix.moduli_and_kernels(_M[None])),
     ("eigvals", lambda: cmatrix.eigenvalues(_M)),
 ])

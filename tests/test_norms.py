@@ -22,7 +22,6 @@ from schatten_lab.norms import (
     numerical_radius_hilbert,
     operator_norm,
     schatten_norm,
-    schatten_norm_batch,
     vector_norm,
 )
 from schatten_lab.ortho import bj_definitional
@@ -113,7 +112,7 @@ class TestSchattenNorm:
         rng = _rng(41)
         stack = _draw(rng, (5, 3, 3))
         for p in (1.0, 2.5, INF):
-            batch = schatten_norm_batch(stack, p)
+            batch = evaluator(NormSpec.schatten(p))[0](stack)
             for i in range(5):
                 assert abs(batch[i] - schatten_norm(stack[i], p)) <= 1e-12
 
@@ -253,13 +252,15 @@ class TestEvaluator:
     def test_scalar_is_norm_value(self, spec):
         # The scalar gives the value of the validating routes: bit for bit,
         # except that induced p = 2 reads the top singular value without
-        # singular vectors, which moves it by round-off.
-        _, scalar, _ = evaluator(spec)
+        # singular vectors, which moves it by round-off.  The one closure
+        # given one operand gives the scalar as a 0-d value.
+        batch, scalar, _ = evaluator(spec)
         rng = _rng(61)
         for _ in range(5):
             x = _draw(rng, (5,) if spec.is_vector else (4, 4))
             value = scalar(x)
             assert value == norm_value(x, spec)
+            assert np.ndim(batch(x)) == 0 and float(batch(x)) == value
             if spec.kind == "vector_max" or spec == NormSpec.lp(INF):
                 ref = float(np.abs(x).max())
             elif spec.is_vector:
@@ -272,6 +273,17 @@ class TestEvaluator:
                 assert abs(value - ref) <= 1e-14 * ref
             else:
                 assert value == ref
+
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(p) for p in (0.5, 1.0, 1.5, 3.0, INF)]
+                             + [NormSpec.induced(2.0)], ids=_spec_id)
+    def test_svd_on_non_finite_member_is_lin_alg_error(self, spec):
+        # Both forms raise numpy's LinAlgError, a ValueError (exit 2 in the
+        # CLI), never ConvergenceFailure.
+        batch, scalar, _ = evaluator(spec)
+        stack = np.stack([np.eye(3, dtype=complex), np.full((3, 3), np.nan + 0j)])
+        for call in (lambda: batch(stack), lambda: scalar(stack[1])):
+            with pytest.raises(np.linalg.LinAlgError):
+                call()
 
     def test_scalar_rejects_non_finite_values(self):
         # Finite entries whose cubed values overflow; the Schatten sum is
@@ -313,7 +325,7 @@ class TestFrobenius:
         for shape in ((4, 4), (8, 8), (3, 5)):
             stack = _draw(rng, (6,) + shape)
             values = batch(stack)
-            assert np.array_equal(values, schatten_norm_batch(stack, 2.0))
+            assert np.array_equal(values, evaluator(NormSpec.schatten(2.0))[0](stack))
             for i in range(6):
                 assert scalar(stack[i]) == values[i] == schatten_norm(stack[i], 2.0)
 

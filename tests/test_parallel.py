@@ -390,6 +390,23 @@ class TestScaleInvariance:
         a, b = self._pair()
         assert not parallel_definitional(s * a, s * b, FROBENIUS).holds
 
+    # Separate scales (a by the first factor, b by the second): parallelism
+    # is homogeneous in each operand alone too.
+    _SEPARATE = [(1.0, s) for s in (1e-8, 1e-4, 1e4, 1e8)] + [
+        (s, 1.0) for s in (1e-8, 1e-4, 1e4, 1e8)]
+
+    @pytest.mark.parametrize("spec", [FROBENIUS, SPECTRAL, NormSpec.schatten(3.0)], ids=str)
+    @pytest.mark.parametrize("sa, sb", _SEPARATE)
+    def test_definitional_separate_scales(self, spec, sa, sb):
+        a, b = self._pair()
+        assert not parallel_definitional(sa * a, sb * b, spec).holds
+
+    @pytest.mark.parametrize("spec", [FROBENIUS, SPECTRAL, NormSpec.schatten(3.0)], ids=str)
+    @pytest.mark.parametrize("sa, sb", [(1.0, 1.0), (1e-8, 1e-8)] + _SEPARATE)
+    def test_definitional_dependent_pair_at_every_scale(self, spec, sa, sb):
+        _, b = self._pair()
+        assert parallel_definitional(sa * b, sb * (0.7 - 0.4j) * b, spec).holds
+
     @pytest.mark.parametrize("s", [1.0, 1e-7, 1e-8])
     def test_identity_radius(self, s):
         a, _ = self._pair()

@@ -1,6 +1,7 @@
 """Tests for the deterministic optimizers in ``schatten_lab.search``."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,33 @@ class TestNewtonRefiner:
         assert counts["batch"][0] <= 12
         assert counts["scalar"][0] <= 20
 
+    @pytest.mark.parametrize("spec", [FROBENIUS, NormSpec.schatten(1.5),
+                                      NormSpec.schatten(3.0)], ids=str)
+    def test_extreme_scales_refine_as_at_scale_one(self, spec, monkeypatch):
+        # Values near 1e200 overflowed the model's determinant, and near
+        # 1e-200 underflowed it, so the model read as indefinite and
+        # Nelder-Mead took over with about 130 scalar calls.
+        scalar_calls = []
+        refine = search._refine
+
+        def counting(f_batch, f_scalar, *args):
+            f_scalar, calls = _counted(f_scalar)
+            scalar_calls.append(calls)
+            return refine(f_batch, f_scalar, *args)
+
+        monkeypatch.setattr(search, "_refine", counting)
+        rng = np.random.default_rng(5)
+        a, b = ginibre(rng, 4), ginibre(rng, 4)
+        ref = bj_definitional(a, b, spec)
+        radius = 4.0 * evaluator(spec)[1](a) / evaluator(spec)[1](b)
+        for s in (1e-200, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdict = bj_definitional(s * a, s * b, spec)
+            assert verdict.holds == ref.holds
+            assert abs(verdict.extremal_scalar - ref.extremal_scalar) <= 1e-9 * radius
+        assert scalar_calls == [[0]] * 4
+
 
 def _probed(f):
     """``f`` wrapped to record every (x, f(x)) it is asked for."""
@@ -540,7 +568,7 @@ class TestEvaluationCounts:
         scalar(a)
         batch(np.stack([a, b]))
         norms.schatten_norm(a, 2.0)
-        norms.schatten_norm_batch(np.stack([a, b]), 2.0)
+        evaluator(NormSpec.schatten(2.0))[0](np.stack([a, b]))
         parallel.parallel_definitional(a, b, FROBENIUS)
 
 
