@@ -119,7 +119,7 @@ class RadiusResult:
 
 def schatten_norm(a, p) -> float:
     """Schatten p-(quasi-)norm: lp norm of the singular values (at p = 2 the
-    Frobenius norm, read from the entries)."""
+    Frobenius norm, read from the entries); a failed SVD raises ``LinAlgError``."""
     p = _exponent(p, "(0, inf]", "schatten norm")
     return float(_schatten(cmatrix.as_matrix(a), p))
 
@@ -381,7 +381,8 @@ def numerical_radius_hilbert(a) -> RadiusResult:
         phases = np.exp(1j * np.asarray(thetas))[..., None, None]
         return np.linalg.eigvalsh(0.5 * (phases * a + np.conj(phases) * ah))[..., -1]
 
-    t_star, value = circle_max(top, top, grid=1024, windows=1, tol=1e-10, origin=0.0)
+    t_star, value = circle_max(top, lambda t: float(top(t)), grid=1024, windows=1,
+                               tol=1e-10, origin=0.0)
     h = 0.5 * (np.exp(1j * t_star) * a + np.exp(-1j * t_star) * ah)
     witness = np.linalg.eigh(h)[1][:, -1]
     return RadiusResult(float(value), witness, 1e-10 * value)

@@ -104,8 +104,7 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
             f"p in {{1, 2, inf}}, got p={spec.p}"
         )
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
-    na = scalar(a)
-    nb = scalar(b)
+    na, nb = scalar(a), scalar(b)
     tol = tol_rel * na
     if nb == 0.0 or na == 0.0:
         return Verdict(True, 0j, 0.0, tol, degenerate=True)

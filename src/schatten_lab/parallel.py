@@ -20,7 +20,7 @@ from .norms import (INF, NormSpec, SPECTRAL, _attaining, _exponent, evaluator,
                     induced_norm, norm_value, numerical_radius_banach,
                     numerical_radius_hilbert, schatten_norm)
 from .ortho import PREDICATE_RTOL, _trace_form
-from .search import circle_max, hill_climb
+from .search import _EPS, circle_max, hill_climb
 
 # Relative scale below which the smaller singular value means dependence.
 DEPENDENCE_RTOL = 1e-9
@@ -37,7 +37,7 @@ class ParallelVerdict:
 
     ``achieved = max_lambda ||a + lambda b||`` at ``lambda_star``; the pair is
     parallel iff ``achieved`` reaches ``target = ||a|| + ||b||`` within
-    ``tolerance`` (relative to the smaller norm).
+    ``tolerance`` (relative to the smaller norm, floored at round-off).
     """
 
     holds: bool
@@ -113,14 +113,15 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
     The tolerance, ``2 tol_rel min(||a||, ||b||)``, is scale-free: for unit
     a', b' the deficit ``t + 1 - max ||t a' + lambda b'||`` is concave,
     non-negative and 0 at t = 0, so it never falls, and a pair's deficit is
-    at least ``min(||a||, ||b||)`` times its unit pair's.
+    at least ``min(||a||, ||b||)`` times its unit pair's.  Its floor,
+    ``16 eps (||a|| + ||b||)``, is 8 times the round-off of ``target -
+    achieved`` on dependent pairs and rules once the norms differ by 6e7.
     """
     a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     batch, scalar, exact = evaluator(spec)
-    na = scalar(a)
-    nb = scalar(b)
+    na, nb = scalar(a), scalar(b)
     target = na + nb
-    tol = 2.0 * tol_rel * min(na, nb)
+    tol = max(2.0 * tol_rel * min(na, nb), 16 * _EPS * target)
     if na == 0.0 or nb == 0.0:
         return ParallelVerdict(True, 1.0 + 0j, target, target, tol, degenerate=True)
 

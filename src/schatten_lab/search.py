@@ -244,10 +244,9 @@ def _refine(f_batch, f_scalar, g0: complex, v0: float, radius: float,
     """
     g, v, h = g0, v0, radius / 16
     if smooth:
-        e = int(np.frexp(v0)[1])
-        s0 = float(np.ldexp(v0, -e))
+        s0, e = np.frexp(v0)  # v0 = s0 2^e exactly
         g, v, h, converged = _newton_min(lambda pts: np.ldexp(f_batch(pts), -e),
-                                         g, s0, h, radius, 1e-14 * abs(s0))
+                                         g, float(s0), h, radius, 1e-14 * abs(float(s0)))
         v = float(np.ldexp(v, e))
         if converged:
             return g, v

@@ -3,10 +3,8 @@
 import dataclasses
 import importlib.metadata
 import json
-import os
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -287,37 +285,28 @@ class TestMatrixFileErrors:
             load_matrix(str(bad))
 
 
-def _run_cli(*argv):
-    """The CLI as a separate process, from this source tree."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "schatten_lab.cli", *argv],
-                          capture_output=True, text=True, env=env)
-
-
 class TestNearOverflow:
-    """Operands near the largest float: never a traceback with exit 1."""
+    """Operands near the largest float: never an uncaught error with exit 1."""
 
     @pytest.mark.parametrize("norm, p", [("schatten", "inf"), ("induced", "2")])
-    def test_pencil_overflow_is_usage_error(self, files, norm, p):
-        # ||a + gamma b|| overflows on the search grid.
+    def test_pencil_overflow_is_usage_error(self, files, capsys, norm, p):
+        # a + gamma b overflows on the search grid.  numpy's overflow
+        # warning still reaches the caller; it is expected here, so it stays
+        # visible until the operands are scaled at predicate entry.
         a = files("a", np.diag([1.5e308, 1.5e308]))
         b = files("b", np.diag([1.5e308, -1.5e308]))
-        proc = _run_cli("check", "bj", a, b, "--norm", norm, "--p", p)
-        assert proc.returncode == 2
-        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
-        assert "Traceback" not in proc.stderr
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["check", "bj", a, b, "--norm", norm, "--p", p])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("norm, p", [("schatten", "inf"), ("induced", "2")])
-    def test_radius_near_overflow_gives_a_verdict(self, files, norm, p):
+    def test_radius_near_overflow_gives_a_verdict(self, files, capsys, norm, p):
         # 4 ||a|| / ||b|| overflowed to inf here, so the grid was NaN.
         a = files("a", np.diag([1e308, 1e308]))
         b = files("b", np.diag([1e308, -1e308]))
-        proc = _run_cli("check", "bj", a, b, "--norm", norm, "--p", p)
-        assert "Traceback" not in proc.stderr
-        assert proc.returncode == 0
-        assert "verdict: HOLDS" in proc.stdout
+        assert main(["check", "bj", a, b, "--norm", norm, "--p", p]) == 0
+        assert "verdict: HOLDS" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -391,9 +391,11 @@ class TestScaleInvariance:
         assert not parallel_definitional(s * a, s * b, FROBENIUS).holds
 
     # Separate scales (a by the first factor, b by the second): parallelism
-    # is homogeneous in each operand alone too.
-    _SEPARATE = [(1.0, s) for s in (1e-8, 1e-4, 1e4, 1e8)] + [
-        (s, 1.0) for s in (1e-8, 1e-4, 1e4, 1e8)]
+    # is homogeneous in each operand alone too.  From a ratio of about 6e7
+    # the tolerance is the round-off floor, 16 eps (||a|| + ||b||), which
+    # still separates this pair at 1e12 (its gap is about 190 tolerances).
+    _SCALES = (1e-12, 1e-10, 1e-8, 1e-4, 1e4, 1e8, 1e10, 1e12)
+    _SEPARATE = [(1.0, s) for s in _SCALES] + [(s, 1.0) for s in _SCALES]
 
     @pytest.mark.parametrize("spec", [FROBENIUS, SPECTRAL, NormSpec.schatten(3.0)], ids=str)
     @pytest.mark.parametrize("sa, sb", _SEPARATE)
