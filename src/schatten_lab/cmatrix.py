@@ -11,8 +11,8 @@ are fixed once:
   ``a = isometry @ |a|`` is the right polar decomposition.
 * A singular value ``s_i <= RANK_RTOL * s_max`` is treated as zero whenever a
   rank decision has to be made; ``_kept`` is that decision.
-* LAPACK non-convergence raises ``ConvergenceFailure`` (``_lapack``), except
-  in ``null_space`` and ``hermitian_eigensystem`` (a ``ValueError`` there).
+* LAPACK non-convergence raises numpy's ``LinAlgError``, a ``ValueError``,
+  from every factorization: the routines call ``np.linalg`` directly.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ import numpy as np
 RANK_RTOL = 1e-10
 # Gate for inputs that must be Hermitian (Loewner comparisons).
 HERMITIAN_RTOL = 1e-8
-
-
-class ConvergenceFailure(RuntimeError):
-    """A factorization failed to converge within its iteration cap."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -107,20 +103,6 @@ class PolarFactors:
     modulus: np.ndarray
 
 
-def _lapack(fn, a: np.ndarray, **kwargs):
-    """``fn(a, **kwargs)`` for a ``numpy.linalg`` routine, with LAPACK's
-    non-convergence raised as ``ConvergenceFailure``.  Callers pass
-    ``np.linalg.<fn>`` at each call, never an alias bound at import, so that
-    a replaced ``numpy.linalg`` attribute is the one called."""
-    try:
-        return fn(a, **kwargs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(
-            f"LAPACK did not converge on an operand of shape {a.shape} "
-            f"with Frobenius norm {np.linalg.norm(a):.6e}: {exc}"
-        ) from exc
-
-
 def _kept(s: np.ndarray) -> np.ndarray:
     """Mask of the singular values above ``RANK_RTOL * s_max`` along the last
     axis (one matrix or a stack); a zero matrix keeps none."""
@@ -129,13 +111,13 @@ def _kept(s: np.ndarray) -> np.ndarray:
 
 def svd(a) -> SvdFactors:
     a = as_matrix(a)
-    u, s, vh = _lapack(np.linalg.svd, a, full_matrices=False)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
     return SvdFactors(u=u, singular_values=s, v=vh.conj().T)
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values of ``a`` in descending order."""
-    return _lapack(np.linalg.svd, as_matrix(a), compute_uv=False)
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
 def polar(a) -> PolarFactors:
@@ -185,7 +167,7 @@ def eigenvalues(a) -> np.ndarray:
 
     Sorted by descending magnitude, ties broken by phase angle.
     """
-    w = _lapack(np.linalg.eigvals, as_square(a))
+    w = np.linalg.eigvals(as_square(a))
     order = np.lexsort((np.angle(w), -np.abs(w)))
     return w[order]
 
@@ -254,7 +236,7 @@ def _kernel(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
 def moduli_and_kernels(stack: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """``modulus(m)`` and ``null_space(m)`` for every member of a (k, n, m)
     complex128 stack, from one batched SVD, with the same cutoffs."""
-    _, s, vh = _lapack(np.linalg.svd, stack, full_matrices=True)
+    _, s, vh = np.linalg.svd(stack, full_matrices=True)
     r = min(stack.shape[-2:])
     moduli = _abs_power(s, _adjoint(vh[..., :r, :]), 1.0)
     return moduli, [_kernel(sk, vk) for sk, vk in zip(s, vh)]

@@ -69,7 +69,6 @@ from .parallel import (
     parallel_identity_radius,
     parallel_identity_trace,
     parallel_trace_class,
-    parallel_trace_p,
     vector_parallel,
 )
 
@@ -614,7 +613,8 @@ def _suite_loewner_domination(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
 
 
 def _draw_guarded_independent(cfg, rng, ps, *, trace_margin=True):
-    """Draw an independent pair failing parallelism decisively at every p."""
+    """Draw an independent pair failing parallelism decisively at every p;
+    returns it with its verdicts and the trace residuals it was guarded with."""
     n = cfg.dimension
     kind = cfg.kind or "ginibre"
     for _ in _redraws("independent guarded pair"):
@@ -628,35 +628,35 @@ def _draw_guarded_independent(cfg, rng, ps, *, trace_margin=True):
         verdicts = {p: parallel_definitional(c, d, NormSpec.schatten(p)) for p in ps}
         if not _decisive(verdicts.values()):
             continue
-        if trace_margin and not all(
-            min(_trace_residuals(c, d, p)) >= DECISIVE * PREDICATE_RTOL for p in ps
-        ):
+        residuals = {p: _trace_residuals(c, d, p) for p in ps if trace_margin}
+        if not all(min(r) >= DECISIVE * PREDICATE_RTOL for r in residuals.values()):
             continue
-        return c, d, verdicts
+        return c, d, verdicts, residuals
 
 
 def _dependence_blocks(t: _Trial, cfg: EnsembleConfig, rng, ps):
     """The opening of S9 and S10: a dependent pair, parallel and meeting the
-    trace condition at every p, then a guarded independent pair failing
-    both.  Returns the dependent pair."""
+    trace condition (``parallel_trace_p``'s test) at every p, then a guarded
+    independent pair failing both.  Returns the dependent pair's residuals."""
     a, b = ensembles.dependent_pair(rng, cfg.dimension)
     t.track(a, b)
     t.check("dependent pair recognized", linearly_dependent(a, b))
+    dependent = {p: _trace_residuals(a, b, p) for p in ps}
     for p in ps:
         v = parallel_definitional(a, b, NormSpec.schatten(p))
         t.holds(f"dependent pair parallel p={p}", v)
-        t.check(f"dependent pair trace condition p={p}", parallel_trace_p(a, b, p))
+        t.check(f"dependent pair trace condition p={p}", max(dependent[p]) <= PREDICATE_RTOL)
 
-    c, d, verdicts = _draw_guarded_independent(cfg, rng, ps)
+    c, d, verdicts, independent = _draw_guarded_independent(cfg, rng, ps)
     t.track(c, d)
     t.check("independent pair recognized", not linearly_dependent(c, d))
     for p in ps:
         t.fails(f"independent pair fails parallelism p={p}", verdicts[p])
         t.check(
             f"independent pair fails trace condition p={p}",
-            not parallel_trace_p(c, d, p),
+            not max(independent[p]) <= PREDICATE_RTOL,
         )
-    return a, b
+    return dependent
 
 
 def _suite_parallel_dependence(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
@@ -687,9 +687,9 @@ def _suite_trace_characterization(cfg: EnsembleConfig, offset: int, rng) -> _Tri
     n = cfg.dimension
     ps = (1.5, 2.0, 3.0)
 
-    a, b = _dependence_blocks(t, cfg, rng, ps)
+    residuals = _dependence_blocks(t, cfg, rng, ps)
     for p in ps:
-        r_fwd, r_rev = _trace_residuals(a, b, p)
+        r_fwd, r_rev = residuals[p]
         t.at_most(f"dependent trace forward p={p}", r_fwd, tol["trace"])
         t.at_most(f"dependent trace mirrored p={p}", r_rev, tol["trace"])
 
@@ -925,7 +925,7 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
     t.holds("dependent pair parallel", v)
     t.holds("unitary conjugation preserves holding verdict", vc)
 
-    c, d, verdicts = _draw_guarded_independent(cfg, rng, (INF,), trace_margin=False)
+    c, d, verdicts, _ = _draw_guarded_independent(cfg, rng, (INF,), trace_margin=False)
     t.track(c, d)
     vgc = parallel_definitional(u @ c @ uh, u @ d @ uh, SPECTRAL)
     t.fails("independent pair fails parallelism", verdicts[INF])

@@ -14,9 +14,9 @@ A ``NormSpec`` names the norm every predicate works under:
 * ``vector_lp`` / ``vector_max`` -- norms of vector operands.
 
 ``evaluator(spec)`` resolves a spec once into one closure per norm, for a
-validated operand or a stack (a failed SVD raises numpy's ``LinAlgError`` in
-both), and its checked scalar form; the predicates' optimizers call those
-closures, and ``norm_value`` / ``norm_value_batch`` dispatch through them.
+validated operand or a stack, and its scalar form, both raising on a
+non-finite value; the predicates' optimizers call those closures, and
+``norm_value`` / ``norm_value_batch`` dispatch through them.
 
 Radius computations return a ``RadiusResult`` carrying the value and a
 witness vector.  The l2 radius sweeps the phase with ``search.circle_max``;
@@ -296,13 +296,13 @@ def evaluator(spec: NormSpec):
 
     ``batch``, the norm's one closure, reduces the last axis (vectors) or two
     (matrices): one operand gives a 0-d value, a (k, n) or (k, n, m) stack
-    its k norms.  ``scalar`` is ``float(batch(x))``, checked: a non-finite
-    value raises ``ValueError``, so it can never reach a verdict.  Both take
-    complex128 operands the caller has validated (``cmatrix.as_pair``), so
-    hot loops such as ``a + gamma b`` skip validation.  A failed SVD, as on
-    a NaN member, raises ``numpy.linalg.LinAlgError`` (a ``ValueError``) in
-    both.  ``exact`` is False only for generic induced p, whose values are
-    power-iteration bounds.
+    its k norms.  ``scalar`` is ``float(batch(x))``.  A non-finite value, of
+    any stack member, raises ``ValueError`` in both, so it never reaches a
+    search or a verdict; so does a failed SVD (numpy's ``LinAlgError``), as
+    on a NaN member.  Both take complex128 operands the caller has validated
+    (``cmatrix.as_pair``), so hot loops such as ``a + gamma b`` skip
+    validation.  ``exact`` is False only for generic induced p, whose values
+    are power-iteration bounds.
 
     Schatten norms read the singular values alone, except at p = 2, where
     ``_frobenius`` sums the squared entries; induced p in {1, inf} the
@@ -335,13 +335,19 @@ def evaluator(spec: NormSpec):
         def norm(x):
             return _induced_power(x.reshape((-1,) + x.shape[-2:]), p)[0].reshape(x.shape[:-2])
 
-    def scalar(m):
+    def batch(x):
+        v = norm(x)
+        if not np.isfinite(v).all():  # norms are >= 0: the max is NaN or inf
+            raise ValueError(f"norm evaluated to {np.max(v)} under {spec}")
+        return v
+
+    def scalar(m):  # the same test, cheaper on one value
         v = float(norm(m))
         if not math.isfinite(v):
             raise ValueError(f"norm evaluated to {v} under {spec}")
         return v
 
-    return norm, scalar, exact
+    return batch, scalar, exact
 
 
 def operator_norm(a, spec: NormSpec) -> float:
@@ -359,7 +365,7 @@ def norm_value(operand, spec: NormSpec) -> float:
 
 
 def norm_value_batch(stack: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """Norms of a stack of operands: shape (k, n, m) for matrices, (k, n) for vectors."""
+    """Norms of a (k, n, m) stack of matrices or (k, n) of vectors; raises if one is not finite."""
     return evaluator(spec)[0](stack)
 
 

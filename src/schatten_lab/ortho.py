@@ -125,9 +125,10 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
 
 def _trace_form(b: np.ndarray, a: np.ndarray, p: float,
                 f: cmatrix.SvdFactors | None = None) -> tuple[complex, float]:
-    """``(tr(|a|^{p-1} u* b), ||a||_p)`` for a validated pair, with
+    """``(tr(|a / ||a||_p|^{p-1} u* b), ||a||_p)`` for a validated pair, with
     ``a = u |a|`` polar, both from one SVD of ``a`` (``f``, if the caller
-    has it already).
+    has it already).  The unit operand's singular values are at most 1, so
+    the form scales with ``b`` alone, at any scale of ``a``.
 
     Null singular directions of ``a`` contribute nothing to the trace form
     for every p >= 1 (the p = 1 power ``|a|^0`` is the support projection).
@@ -140,13 +141,14 @@ def _trace_form(b: np.ndarray, a: np.ndarray, p: float,
     if not np.any(keep):
         return 0j, na
     diag = np.einsum("ik,ij,jk->k", f.u[:, keep].conj(), b, f.v[:, keep])
-    return complex(np.sum(s[keep] ** (p - 1.0) * diag)), na
+    return complex(np.sum((s[keep] / na) ** (p - 1.0) * diag)), na
 
 
 def sip_trace_core(b, a, p: float) -> complex:
     """The trace form ``tr(|a|^{p-1} u* b)`` with ``a = u |a|`` polar."""
     a, b = cmatrix.as_pair(a, b)
-    return _trace_form(b, a, p)[0]
+    t, na = _trace_form(b, a, p)
+    return na ** (p - 1.0) * t
 
 
 def semi_inner_product(b, a, p: float) -> complex:
@@ -158,19 +160,18 @@ def semi_inner_product(b, a, p: float) -> complex:
     p = _exponent(p, "[1, inf)", "semi-inner product")
     a, b = cmatrix.as_pair(a, b)
     t, na = _trace_form(b, a, p)
-    return na ** (2.0 - p) * t if na > 0.0 else 0j
+    return na * t
 
 
 def bj_trace(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
     """Trace characterization of Birkhoff-James orthogonality, 1 < p < inf.
 
-    True iff ``|[b, a]| <= tol * ||a||_p ||b||_p``.
+    True iff ``|[b, a]| <= tol * ||a||_p ||b||_p``, read at unit ``a``.
     """
     p = _exponent(p, "(1, inf)", "the trace characterization")
     a, b = cmatrix.as_pair(a, b)
     t, na = _trace_form(b, a, p)
-    scale = na * schatten_norm(b, p)
-    return bool(na == 0.0 or abs(na ** (2.0 - p) * t) <= tol_rel * max(scale, 1e-300))
+    return bool(na == 0.0 or abs(t) <= tol_rel * schatten_norm(b, p))
 
 
 def isosceles(a, b, p: float, complex_mode: bool = True,
@@ -192,12 +193,12 @@ def isosceles(a, b, p: float, complex_mode: bool = True,
 
 def disjoint_supports(a, b, tol: float = SUPPORT_RTOL) -> SupportReport:
     a, b = cmatrix.as_pair(a, b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na, nb = schatten_norm(a, 2.0), schatten_norm(b, 2.0)
     if na == 0.0 or nb == 0.0:
         return SupportReport(True, True, 0.0, 0.0, degenerate=True)
-    right = float(np.linalg.norm(a @ b.conj().T)) / (na * nb)
-    left = float(np.linalg.norm(a.conj().T @ b)) / (na * nb)
+    a, b = a / na, b / nb  # unit operands, whose products cannot underflow
+    right = schatten_norm(a @ b.conj().T, 2.0)
+    left = schatten_norm(a.conj().T @ b, 2.0)
     return SupportReport(bool(right <= tol), bool(left <= tol), right, left)
 
 
@@ -222,11 +223,13 @@ def norm_additivity(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
     """
     p = _exponent(p, "(0, inf)", "norm additivity")
     a, b = cmatrix.as_pair(a, b)
-    base = schatten_norm(a, p) ** p + schatten_norm(b, p) ** p
-    scale = max(base, 1e-300)
+    na, nb = schatten_norm(a, p), schatten_norm(b, p)
+    top = max(na, nb) or 1.0  # p-th powers of the pair scaled to a top norm of 1
+    a, b = a / top, b / top
+    base = (na / top) ** p + (nb / top) ** p
     return bool(
-        abs(schatten_norm(a + b, p) ** p - base) <= tol_rel * scale
-        and abs(schatten_norm(a - b, p) ** p - base) <= tol_rel * scale
+        abs(schatten_norm(a + b, p) ** p - base) <= tol_rel * base
+        and abs(schatten_norm(a - b, p) ** p - base) <= tol_rel * base
     )
 
 
@@ -290,8 +293,8 @@ def loewner_domination(b, a, gamma_samples=None, *, tol_rel: float = PREDICATE_R
     moduli, kernels = cmatrix.moduli_and_kernels(b + gammas[:, None, None] * a)
     dominates = bool(cmatrix.loewner_geq_batch(moduli, cmatrix.modulus(b)).all())
 
-    scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    trace_orthogonal = bool(abs(np.trace(b.conj().T @ a)) <= tol_rel * scale)
+    na, nb = schatten_norm(a, 2.0), schatten_norm(b, 2.0)
+    trace_orthogonal = bool(na == 0.0 or nb == 0.0 or abs(np.vdot(b / nb, a / na)) <= tol_rel)
 
     joint = cmatrix.null_space(np.vstack([b, a]))
     kernel_identity = all(_subspaces_equal(kernel, joint, 1e-6)

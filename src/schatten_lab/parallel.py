@@ -184,14 +184,14 @@ def parallel_trace_p(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
 def _trace_residuals(a, b, p: float) -> tuple[float, float]:
     """Relative defects of the two norm-equality trace conditions:
     ``|tr(|a|^{p-1} u_a* b)|`` against ``||a||_p^{p-1} ||b||_p``, and the same
-    with ``a`` and ``b`` exchanged.  Both are 0 when either operand has zero
-    norm, as a zero operand is parallel to everything."""
+    with ``a`` and ``b`` exchanged, both read at unit ``a`` (``_trace_form``)
+    so that no power of a norm is formed.  Both are 0 when either operand
+    has zero norm, as a zero operand is parallel to everything."""
     ta, na = _trace_form(b, a, p)
     tb, nb = _trace_form(a, b, p)
     if na == 0.0 or nb == 0.0:
         return 0.0, 0.0
-    fwd, rev = na ** (p - 1.0) * nb, nb ** (p - 1.0) * na
-    return abs(abs(ta) - fwd) / fwd, abs(abs(tb) - rev) / rev
+    return abs(abs(ta) - nb) / nb, abs(abs(tb) - na) / na
 
 
 def parallel_trace_class(a, b, tol_rel: float = PREDICATE_RTOL) -> bool:

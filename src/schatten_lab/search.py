@@ -25,6 +25,8 @@ Three optimization shapes recur across the package:
 
 Every routine is deterministic for a fixed seed; multistart reductions keep
 the earliest start on ties so results do not depend on iteration order.
+The routines take the objective's values as given: the predicates' norm
+closures (``norms.evaluator``) raise ``ValueError`` on a non-finite one.
 """
 
 from __future__ import annotations
@@ -205,12 +207,12 @@ def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False) -> tuple[c
     its ring 0) dies once a ring's value exceeds the previous ring's by more
     than a relative ``_MARGIN``.  ``f`` is convex along the ray, so its later
     points lie above one evaluated and the grid minimum is the full grid's.
-    A non-finite grid value raises ``ValueError``.  Then ``_refine`` from the
-    best grid point: the quadratic-model Newton iteration when the caller
-    declares ``f`` ``smooth`` (differentiable away from isolated points, as
-    a Schatten or lp norm with 1 < p < inf is), Nelder-Mead otherwise and
-    wherever the model fails.  Convexity makes the refined local minimum
-    global, so the grid only needs to land in the right basin.
+    Then ``_refine`` from the best grid point: the quadratic-model Newton
+    iteration when the caller declares ``f`` ``smooth`` (differentiable away
+    from isolated points, as a Schatten or lp norm with 1 < p < inf is),
+    Nelder-Mead otherwise and wherever the model fails.  Convexity makes the
+    refined local minimum global, so the grid only needs to land in the
+    right basin.
     """
     radii = radius * np.arange(1, 17) / 16
     angles = np.linspace(0.0, TWO_PI, 16, endpoint=False)
@@ -220,7 +222,7 @@ def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False) -> tuple[c
     vals = np.full(gammas.size, np.inf)
     idx, last = np.arange(17), np.zeros(16, dtype=int)  # each live ray's newest point
     while idx.size:
-        vals[idx] = _finite_values(f_batch, gammas[idx], "grid")
+        vals[idx] = f_batch(gammas[idx])
         ring = idx[-last.size:]
         last = ring[vals[ring] <= vals[last] + _MARGIN * np.abs(vals[last])]
         idx = last[last < gammas.size - 16] + 16
@@ -261,14 +263,6 @@ _STENCIL = np.array([1.0, -1.0, 1j, -1j, 1.0 + 1j])
 _TRIAL = np.concatenate([[0.0], _STENCIL])
 
 
-def _finite_values(f_batch, points, where: str) -> np.ndarray:
-    """``f_batch(points)``; a non-finite value raises ``ValueError``."""
-    vals = np.asarray(f_batch(points), dtype=float)
-    if not np.isfinite(vals).all():
-        raise ValueError(f"gamma_min: non-finite value on the {where}")
-    return vals
-
-
 def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
                 ftol: float) -> tuple[complex, float, float, bool]:
     """Derivative-free Newton iteration for a smooth convex ``f`` from
@@ -296,15 +290,11 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
     definite though the spacing is quartered each time, when a step within
     1e-10 ``radius`` still promises a gain above ``ftol`` (a kink, such as
     the cone of a dependent pair), when the trust radius falls within
-    1e-10 ``radius``, or after 50 models.  A non-finite stencil value raises
-    ``ValueError``.
+    1e-10 ``radius``, or after 50 models.
     """
-    def stencil(c, h):
-        return _finite_values(f_batch, c + h * _STENCIL, "stencil")
-
     xtol, hfine, hmin = 1e-10 * radius, 1e-3 * radius, 1e-6 * radius
     trust = 4.0 * h
-    vals = stencil(g, h)
+    vals = f_batch(g + h * _STENCIL)
     indefinite = 0
     for _ in range(50):
         fx, fmx, fy, fmy, fxy = vals
@@ -317,7 +307,7 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
             if indefinite == 3:
                 break
             h /= 4.0
-            vals = stencil(g, h)
+            vals = f_batch(g + h * _STENCIL)
             continue
         indefinite = 0
         d = complex(hxy * gy - hyy * gx, hxy * gx - hxx * gy) / det
@@ -329,11 +319,11 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
                 step = trust
             hn = min(h, max(step, hmin))
             pts = (g + d) + hn * _TRIAL
-            out = _finite_values(f_batch, pts, "stencil")
+            out = f_batch(pts)
             k = int(np.argmin(out))
             if out[k] < v:
                 g, v, h = complex(pts[k]), float(out[k]), hn
-                vals = out[1:] if k == 0 else stencil(g, h)
+                vals = out[1:] if k == 0 else f_batch(g + h * _STENCIL)
                 trust = max(trust, 2.0 * step)
                 continue
             if gain > ftol or out[0] - v > ftol:
@@ -349,7 +339,7 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
         if h <= hfine:
             return g, v, h, True
         h = hfine
-        vals = stencil(g, h)
+        vals = f_batch(g + h * _STENCIL)
     return g, v, h, False
 
 

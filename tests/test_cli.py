@@ -164,6 +164,16 @@ class TestCheckCommand:
         assert code == 2
         assert "1 < p < inf" in capsys.readouterr().err
 
+    def test_lapack_failure_is_usage_error(self, files, capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        a = files("a", np.diag([2.0, 1.0]))
+        b = files("b", [[0.0, 1.0], [1.0, 0.0]])
+        monkeypatch.setattr(np.linalg, "svd", diverging)
+        assert main(["check", "sip", a, b, "--p", "3"]) == 2
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
+
     def test_shape_mismatch_is_usage_error(self, files, capsys):
         a = files("a", np.eye(2))
         b = files("b", np.eye(3))
@@ -299,6 +309,20 @@ class TestNearOverflow:
             code = main(["check", "bj", a, b, "--norm", norm, "--p", p])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_circle_overflow_is_usage_error(self, files, capsys):
+        # a + lambda b overflows on the circle grid.  The evaluator's batch
+        # form raises there, so no inf or NaN reaches the search's bounds;
+        # only the pencil's own overflow warning is seen.
+        a = files("a", np.diag([1.5e308, 1.5e308]))
+        b = files("b", np.diag([1.5e308, -1.5e308]))
+        with pytest.warns(RuntimeWarning) as record:
+            code = main(["check", "parallel", a, b, "--norm", "induced", "--p", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(not w.filename.endswith("search.py") for w in record)
+        assert any(w.filename.endswith("parallel.py") for w in record)
 
     @pytest.mark.parametrize("norm, p", [("schatten", "inf"), ("induced", "2")])
     def test_radius_near_overflow_gives_a_verdict(self, files, capsys, norm, p):

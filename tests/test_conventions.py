@@ -1,8 +1,8 @@
 """Conventions shared across modules: the exponent domain of every entry that
-takes p, the one rank cutoff, the one trace form, which LAPACK failures become
-``ConvergenceFailure``, and the rule that ``numpy.linalg`` routines are looked
-up when called (never bound at import), which the benchmark's tracer relies
-on to count LAPACK calls."""
+takes p, the one rank cutoff, the one trace form, that every LAPACK failure
+is numpy's ``LinAlgError``, and the rule that ``numpy.linalg`` routines are
+looked up when called (never bound at import), which the benchmark's tracer
+relies on to count LAPACK calls."""
 
 import ast
 import json
@@ -19,6 +19,7 @@ import schatten_lab
 from schatten_lab import cmatrix
 from schatten_lab.norms import (
     NormSpec,
+    evaluator,
     induced_norm,
     numerical_radius_banach,
     schatten_norm,
@@ -266,22 +267,23 @@ _M = np.eye(3, dtype=complex)
     ("svd", lambda: cmatrix.singular_values(_M)),
     ("svd", lambda: cmatrix.moduli_and_kernels(_M[None])),
     ("eigvals", lambda: cmatrix.eigenvalues(_M)),
-])
-def test_lapack_failure_is_convergence_failure(monkeypatch, fname, call):
-    monkeypatch.setattr(np.linalg, fname, _diverging)
-    with pytest.raises(cmatrix.ConvergenceFailure, match="did not converge"):
-        call()
-
-
-@pytest.mark.parametrize("fname, call", [
     ("svd", lambda: cmatrix.null_space(_M)),
     ("eigh", lambda: cmatrix.hermitian_eigensystem(_M)),
-])
-def test_lapack_failure_stays_a_value_error(monkeypatch, fname, call):
-    # LinAlgError is a ValueError, which the CLI maps to exit 2.
+    ("svd", lambda: schatten_norm(_M, 3.0)),
+    ("svd", lambda: evaluator(NormSpec.schatten(3.0))[0](_M[None])),
+    ("svd", lambda: evaluator(NormSpec.schatten(3.0))[1](_M)),
+    ("svd", lambda: evaluator(NormSpec.induced(2.0))[0](_M[None])),
+    ("svd", lambda: evaluator(NormSpec.induced(2.0))[1](_M)),
+], ids=["svd", "singular_values", "moduli_and_kernels", "eigenvalues", "null_space",
+        "hermitian_eigensystem", "schatten_norm", "evaluator-S3-batch",
+        "evaluator-S3-scalar", "evaluator-I2-batch", "evaluator-I2-scalar"])
+def test_lapack_failure_is_lin_alg_error(monkeypatch, fname, call):
+    # Every factoring entry point lets numpy's LinAlgError through unchanged:
+    # it is a ValueError, which the CLI maps to exit 2.
     monkeypatch.setattr(np.linalg, fname, _diverging)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge") as info:
         call()
+    assert type(info.value) is np.linalg.LinAlgError
 
 
 # -- the tracer contract ------------------------------------------------------

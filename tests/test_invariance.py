@@ -1,0 +1,149 @@
+"""Scale, unitary and adjoint invariance of the verdicts, as seeded property
+tests on three pairs: the seed-5 Ginibre pair, a dependent pair and a
+disjoint pair.
+
+Every relation here is homogeneous, so a joint scale of both operands far
+from 1 must keep the scale-1 verdict; the Schatten relations are also
+unitarily invariant, ``(u a v, u b v)``, and invariant under adjoints."""
+
+import math
+
+import numpy as np
+import pytest
+
+from schatten_lab import ensembles
+from schatten_lab.norms import NormSpec
+from schatten_lab.ortho import (
+    bj_definitional,
+    bj_trace,
+    disjoint_supports,
+    loewner_domination,
+    norm_additivity,
+    semi_inner_product,
+)
+from schatten_lab.parallel import parallel_definitional, parallel_trace_p
+
+INF = math.inf
+
+# The benchmark's eight norms.
+_NORMS = [NormSpec.schatten(p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
+    NormSpec.induced(p) for p in (1.0, 2.0, INF)]
+_SCHATTEN = [spec for spec in _NORMS if spec.kind == "schatten"]
+# Joint scales whose squares, cubes or products leave the float range.
+_SCALES = (2.0 ** -500, 2.0 ** 500, 1e-150, 1e150)
+# Scales at which the trace routes, supports and additivity once broke.
+_WIDE_SCALES = _SCALES + (1e-200, 1e-160, 1e-110, 1e-100, 1e110, 1e160, 1e200)
+_TRACE_PS = (1.5, 3.0)
+
+
+def _seed5_pair():
+    rng = np.random.default_rng(5)
+    return ensembles.ginibre(rng, 4), ensembles.ginibre(rng, 4)
+
+
+def _pairs():
+    a, b = _seed5_pair()
+    rng = np.random.default_rng(61)
+    x, y = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+    x[:2, :2], y[2:, 2:] = ensembles.ginibre(rng, 2), ensembles.ginibre(rng, 2)
+    return {"seed-5": (a, b), "dependent": (b, (0.7 - 0.4j) * b), "disjoint": (x, y)}
+
+
+_PAIRS = _pairs()
+
+
+def _cheap_verdicts(a, b):
+    """The trace routes, supports and additivity: no search, so cheap."""
+    out = {}
+    for p in _TRACE_PS:
+        out["bj_trace", p] = bj_trace(a, b, p)
+        out["parallel_trace_p", p] = parallel_trace_p(a, b, p)
+        out["norm_additivity", p] = norm_additivity(a, b, p)
+    rep = disjoint_supports(a, b)
+    out["supports"] = (rep.right_disjoint, rep.left_disjoint, rep.degenerate)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_PAIRS))
+class TestJointScale:
+    def test_definitional_verdicts(self, name):
+        a, b = _PAIRS[name]
+        for spec in _NORMS:
+            bj = bj_definitional(a, b, spec).holds
+            par = parallel_definitional(a, b, spec).holds
+            for s in _SCALES:
+                assert bj_definitional(s * a, s * b, spec).holds == bj, (spec, s)
+                assert parallel_definitional(s * a, s * b, spec).holds == par, (spec, s)
+
+    def test_trace_supports_and_additivity(self, name):
+        a, b = _PAIRS[name]
+        at_one = _cheap_verdicts(a, b)
+        for s in _WIDE_SCALES:
+            assert _cheap_verdicts(s * a, s * b) == at_one, s
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(ensembles.ginibre(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _schatten_verdicts(a, b):
+    out = _cheap_verdicts(a, b)
+    for spec in _SCHATTEN:
+        out["bj", spec.p] = bj_definitional(a, b, spec).holds
+        out["parallel", spec.p] = parallel_definitional(a, b, spec).holds
+    return out
+
+
+@pytest.mark.parametrize("name", list(_PAIRS))
+def test_schatten_verdicts_unitarily_invariant_and_under_adjoints(name):
+    a, b = _PAIRS[name]
+    rng = np.random.default_rng(67)
+    u, v = _unitary(rng, 4), _unitary(rng, 4)
+    at_one = _schatten_verdicts(a, b)
+    assert _schatten_verdicts(u @ a @ v, u @ b @ v) == at_one
+    adjoint = _schatten_verdicts(a.conj().T, b.conj().T)
+    # The adjoint exchanges the row and the column spaces.
+    right, left, degenerate = adjoint.pop("supports")
+    assert (left, right, degenerate) == at_one.pop("supports")
+    assert adjoint == at_one
+
+
+class TestScaleRepros:
+    """Scale-1 verdicts once lost to a power or product formed at scale."""
+
+    def test_bj_trace(self):
+        a, b = _seed5_pair()
+        assert not bj_definitional(a, b, NormSpec.schatten(3.0)).holds
+        assert not bj_trace(a, b, 3.0)
+        assert not bj_trace(1e-110 * a, 1e-110 * b, 3.0)
+        for s in (1e-160, 1e160):
+            assert not bj_trace(s * a, s * b, 1.5)
+
+    def test_parallel_trace_p(self):
+        # Raised ZeroDivisionError at 1e-110 and OverflowError at 1e160.
+        a, b = _seed5_pair()
+        for s in (1e-110, 1e160):
+            assert not parallel_trace_p(s * a, s * b, 3.0)
+
+    def test_semi_inner_product(self):
+        # Was 0j at 1e-110 and NaN at 1e110; the form has degree 2.
+        a, b = _seed5_pair()
+        at_one = semi_inner_product(b, a, 3.0)
+        for s in (1e-110, 1e110):
+            assert abs(semi_inner_product(s * b, s * a, 3.0) / s ** 2 - at_one) \
+                <= 1e-13 * abs(at_one)
+
+    def test_supports(self):
+        # ||a b*||_F underflowed at 1e-100; the norms themselves at 1e-200.
+        a, b = _seed5_pair()
+        for s in (1e-100, 1e-200):
+            rep = disjoint_supports(s * a, s * b)
+            assert not (rep.right_disjoint or rep.left_disjoint or rep.degenerate)
+        assert not loewner_domination(1e-200 * a, 1e-200 * b, bj_ps=()).trace_orthogonal
+
+    def test_norm_additivity(self):
+        # True at 1e-110; an OverflowError from a float power at 1e110.
+        a, b = _seed5_pair()
+        for s in (1e-110, 1e110):
+            assert not norm_additivity(s * a, s * b, 3.0)

@@ -278,7 +278,7 @@ class TestEvaluator:
                              + [NormSpec.induced(2.0)], ids=_spec_id)
     def test_svd_on_non_finite_member_is_lin_alg_error(self, spec):
         # Both forms raise numpy's LinAlgError, a ValueError (exit 2 in the
-        # CLI), never ConvergenceFailure.
+        # CLI), before any finiteness check.
         batch, scalar, _ = evaluator(spec)
         stack = np.stack([np.eye(3, dtype=complex), np.full((3, 3), np.nan + 0j)])
         for call in (lambda: batch(stack), lambda: scalar(stack[1])):
@@ -298,6 +298,22 @@ class TestEvaluator:
             nan = np.full((2,) if spec.is_vector else (2, 2), np.nan + 0j)
             with pytest.raises(ValueError):
                 evaluator(spec)[1](nan)
+
+    def test_batch_rejects_a_non_finite_member(self):
+        # The batch form applies the scalar form's rule to every member, so
+        # a stack with one overflowing norm raises as a whole.
+        for spec, x in ((NormSpec.schatten(3.0), 1.5e308 * np.eye(3, dtype=complex)),
+                        (NormSpec.induced(3.0), 1e200 * np.eye(3, dtype=complex)),
+                        (NormSpec.induced(1.0), 1.5e308 * np.ones((3, 3), dtype=complex)),
+                        (NormSpec.lp(3.0), np.full(3, 1e200 + 0j))):
+            stack = np.stack([np.ones_like(x), x])
+            assert np.isfinite(evaluator(spec)[0](stack[:1])).all()
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="evaluated to inf"):
+                evaluator(spec)[0](stack)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="evaluated to inf"):
+                norm_value_batch(stack, spec)
 
 
 def _ulps(value, ref):

@@ -167,14 +167,6 @@ class TestGammaMin:
             assert len(set(seen)) == len(seen)
             assert (len(seen) < 257) if pruned else (len(seen) == 257)
 
-    def test_non_finite_grid_value_raises(self):
-        for bad in (np.nan, np.inf):
-            def f_batch(gs, bad=bad):
-                return np.where(np.abs(np.asarray(gs)) > 0.5, bad, 1.0)
-
-            with pytest.raises(ValueError, match="non-finite"):
-                gamma_min(f_batch, lambda z: 1.0, radius=1.0)
-
 
 def _counted(f):
     """``f`` wrapped to count its calls in ``calls[0]``."""
@@ -256,18 +248,6 @@ class TestNewtonRefiner:
         a, b = _bj_pairs(NormSpec.schatten(1.5))[0]
         problem = _bj_problem(a, b, NormSpec.schatten(1.5))
         assert gamma_min(*problem, smooth=True) == gamma_min(*problem, smooth=True)
-
-    def test_non_finite_stencil_value_raises(self):
-        # Finite on the grid, non-finite off it: only the stencil sees NaN.
-        grid = _polar_grid(1.0)
-        center = 0.3 + 0.2j
-        for bad in (np.nan, np.inf):
-            def f_batch(gs, bad=bad):
-                gs = np.asarray(gs)
-                return np.where(np.isin(gs, grid), np.abs(gs - center) ** 2, bad)
-
-            with pytest.raises(ValueError, match="non-finite"):
-                gamma_min(f_batch, lambda z: abs(z - center) ** 2, radius=1.0, smooth=True)
 
     def test_other_norms_refine_by_nelder_mead(self):
         smooth = [spec for spec in _BJ_SPECS if spec.smooth]
@@ -570,6 +550,40 @@ class TestEvaluationCounts:
         norms.schatten_norm(a, 2.0)
         evaluator(NormSpec.schatten(2.0))[0](np.stack([a, b]))
         parallel.parallel_definitional(a, b, FROBENIUS)
+
+
+class TestNonFiniteValues:
+    """The searches take values as given; a non-finite norm on the gamma
+    grid, a Newton stencil or the circle grid raises ``ValueError`` from the
+    evaluator's closure, at the batch that produced it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("nth, size, call", [
+        (1, 17, lambda a, b: bj_definitional(a, b, NormSpec.schatten(3.0))),
+        (2, 5, lambda a, b: bj_definitional(a, b, NormSpec.schatten(3.0))),
+        (1, 23, lambda a, b: parallel.parallel_definitional(a, b, NormSpec.schatten(3.0))),
+    ], ids=["grid", "stencil", "circle"])
+    def test_raises_at_its_batch(self, monkeypatch, bad, nth, size, call):
+        # A disjoint pair: ||a + gamma b||_3 rises along every ray, so the
+        # gamma grid is one batch (the origin and ring 1) and the second is
+        # the first Newton stencil; the circle's first level is every 32nd
+        # of 720 angles.
+        a, b = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        schatten, sizes = norms._schatten, []
+
+        def spoiled(x, p):
+            v = schatten(x, p)
+            if x.ndim == 3:
+                sizes.append(len(x))
+                if len(sizes) == nth:
+                    v = v.copy()
+                    v[-1] = bad
+            return v
+
+        monkeypatch.setattr(norms, "_schatten", spoiled)
+        with pytest.raises(ValueError, match=f"evaluated to {bad}"):
+            call(a, b)
+        assert len(sizes) == nth and sizes[-1] == size
 
 
 def _form_problem(n=3, seed=7):
