@@ -29,7 +29,7 @@ from .ortho import (
     isosceles,
     semi_inner_product,
 )
-from .parallel import parallel_definitional, vector_parallel
+from .parallel import parallel_definitional
 
 SEED_ENV_VAR = "SCHATTEN_LAB_SEED"
 
@@ -178,11 +178,8 @@ def cmd_check(args) -> int:
             out.append(f"tolerance: {tol:.6e}")
         elif args.kind == "parallel":
             if spec.is_vector:
-                va = _as_vector(name_a, a)
-                vb = _as_vector(name_b, b)
-                v = vector_parallel(va, vb, spec, tol_rel=tol)
-            else:
-                v = parallel_definitional(a, b, spec, tol_rel=tol)
+                a, b = _as_vector(name_a, a), _as_vector(name_b, b)
+            v = parallel_definitional(a, b, spec, tol_rel=tol)
             out.append(f"verdict: {'HOLDS' if v.holds else 'FAILS'}")
             out.append(f"extremal scalar: {_fmt_scalar(v.lambda_star)}")
             out.append(f"achieved: {v.achieved:.12e}")

@@ -181,12 +181,18 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_hermitian(m: np.ndarray, who: str) -> None:
-    """Raise unless ``m`` (one matrix or each member of a stack) is Hermitian."""
-    dev = np.linalg.norm(m - _adjoint(m), axis=(-2, -1))
-    bad = dev > HERMITIAN_RTOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    """Raise unless ``m`` (one matrix or each member of a stack) is Hermitian,
+    ``||m - m*||_F <= HERMITIAN_RTOL ||m||_F`` on each member scaled exactly
+    by a power of two to parts below 1: relative at any scale, no overflow."""
+    x = np.ascontiguousarray(m).view(np.float64)  # real and imaginary parts
+    e = np.frexp(np.abs(x).max(axis=(-2, -1)))[1][..., None, None]
+    u = np.ldexp(x, -e).view(np.complex128)
+    rel = np.linalg.norm(u - _adjoint(u), axis=(-2, -1))
+    bad = rel > HERMITIAN_RTOL * np.linalg.norm(u, axis=(-2, -1))
     if np.any(bad):
+        rel = rel / np.linalg.norm(u, axis=(-2, -1))
         raise ValueError(f"{who}: input is not Hermitian "
-                         f"(deviation {np.ravel(dev)[np.ravel(bad)][0]:.3e})")
+                         f"(relative deviation {np.ravel(rel)[np.ravel(bad)][0]:.3e})")
 
 
 def loewner_geq(p, q, tol: float = RANK_RTOL) -> bool:
@@ -240,13 +246,3 @@ def moduli_and_kernels(stack: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]
     r = min(stack.shape[-2:])
     moduli = _abs_power(s, _adjoint(vh[..., :r, :]), 1.0)
     return moduli, [_kernel(sk, vk) for sk, vk in zip(s, vh)]
-
-
-def support_projection(a, side: str = "right") -> np.ndarray:
-    """Projection onto the row space (``right``) or column space (``left``)."""
-    a = as_matrix(a)
-    if side == "right":
-        return abs_power(a, 0.0)
-    if side == "left":
-        return abs_power(a.conj().T, 0.0)
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")

@@ -40,7 +40,6 @@ from .norms import (
     numerical_radius_banach,
     numerical_radius_hilbert,
     schatten_norm,
-    vector_norm,
 )
 from .ortho import (
     PREDICATE_RTOL,
@@ -69,7 +68,6 @@ from .parallel import (
     parallel_identity_radius,
     parallel_identity_trace,
     parallel_trace_class,
-    vector_parallel,
 )
 
 SCHEMA_VERSION = 1
@@ -972,18 +970,18 @@ def _suite_isometry_transfer(cfg: EnsembleConfig, offset: int, rng) -> _Trial:
         if min(abs(yb)) < 0.2 * max(abs(yb)):
             continue
         y = np.zeros(n, dtype=complex)
-        y[:2] = yb / vector_norm(yb, spec3)
-        vxy = vector_parallel(x, y, spec3)
+        y[:2] = yb / norm_value(yb, spec3)
+        vxy = parallel_definitional(x, y, spec3)
         if _decisive((vxy,)):
             break
     t.track(dvec, x, y)
-    vimg = vector_parallel(amat @ x, amat @ y, spec3)
+    vimg = parallel_definitional(amat @ x, amat @ y, spec3)
     t.fails("independent block vectors not parallel", vxy)
     t.fails("isometric image preserves failing verdict", vimg)
     phase = np.exp(2j * math.pi * rng.uniform())
     ydep = phase * x
-    vdep = vector_parallel(x, ydep, spec3)
-    vdep_img = vector_parallel(amat @ x, amat @ ydep, spec3)
+    vdep = parallel_definitional(x, ydep, spec3)
+    vdep_img = parallel_definitional(amat @ x, amat @ ydep, spec3)
     t.holds("dependent block vectors parallel", vdep)
     t.holds("isometric image preserves holding verdict", vdep_img)
 
@@ -1334,12 +1332,12 @@ def _fx_max_norm_vectors(t: _Trial) -> None:
     spec = NormSpec.max_norm()
     x = np.array([1.0, -1.0], dtype=complex)
     y = np.array([-1.0, -1.0], dtype=complex)
-    v = vector_parallel(x, y, spec)
+    v = parallel_definitional(x, y, spec)
     t.holds("max-norm vectors parallel", v)
     t.at_most("extremal sum is 2", abs(v.achieved - 2.0), 1e-9)
     ex = np.array([0.0, 1.0], dtype=complex)
     ey = np.array([-1.0, 0.0], dtype=complex)
-    v2 = vector_parallel(ex, ey, spec)
+    v2 = parallel_definitional(ex, ey, spec)
     t.fails("disjointly supported unit vectors not parallel (max norm)", v2)
     t.at_most("their extremal sum stays at 1", abs(v2.achieved - 1.0), 1e-9)
 
@@ -1353,10 +1351,10 @@ def _fx_max_norm_operator(t: _Trial) -> None:
     )
     x = np.array([1.0, -1.0], dtype=complex)
     y = np.array([-1.0, -1.0], dtype=complex)
-    t.holds("source vectors parallel", vector_parallel(x, y, spec))
+    t.holds("source vectors parallel", parallel_definitional(x, y, spec))
     t.fails(
         "images not parallel (attainment transfer needs smoothness)",
-        vector_parallel(half @ x, half @ y, spec),
+        parallel_definitional(half @ x, half @ y, spec),
     )
     ns = norming_set(half, spec)
     ones = np.array([1.0, 1.0], dtype=complex)

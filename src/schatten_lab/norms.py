@@ -202,13 +202,6 @@ def _schatten(x: np.ndarray, p: float) -> np.ndarray:
     return _schatten_sum(np.linalg.svd(x, compute_uv=False), p)
 
 
-def vector_norm(x, spec: NormSpec) -> float:
-    """Norm of a vector operand under a vector_lp or vector_max spec."""
-    if not spec.is_vector:
-        raise ValueError(f"vector_norm needs a vector spec, got kind={spec.kind!r}")
-    return norm_value(x, spec)
-
-
 def _attaining(a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
     """Exact induced lp norm of ``a`` for p in {1, 2, inf}, and the unit
     vectors (rows) attaining it within 1e-8 relative, best first.
@@ -348,13 +341,6 @@ def evaluator(spec: NormSpec):
         return v
 
     return batch, scalar, exact
-
-
-def operator_norm(a, spec: NormSpec) -> float:
-    """Operator norm of a matrix under a schatten or induced spec."""
-    if spec.is_vector:
-        raise ValueError(f"operator_norm needs a matrix spec, got kind={spec.kind!r}")
-    return norm_value(a, spec)
 
 
 def norm_value(operand, spec: NormSpec) -> float:

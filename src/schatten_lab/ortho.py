@@ -144,22 +144,18 @@ def _trace_form(b: np.ndarray, a: np.ndarray, p: float,
     return complex(np.sum((s[keep] / na) ** (p - 1.0) * diag)), na
 
 
-def sip_trace_core(b, a, p: float) -> complex:
-    """The trace form ``tr(|a|^{p-1} u* b)`` with ``a = u |a|`` polar."""
-    a, b = cmatrix.as_pair(a, b)
-    t, na = _trace_form(b, a, p)
-    return na ** (p - 1.0) * t
-
-
 def semi_inner_product(b, a, p: float) -> complex:
     """Semi-inner product ``[b, a] = ||a||_p^{2-p} tr(|a|^{p-1} u* b)``.
 
     Compatible with the Schatten p-norm: ``[a, a] = ||a||_p^2``, linear in
-    ``b``, conjugate-homogeneous in ``a``.  Returns 0 for ``a = 0``.
+    ``b``, conjugate-homogeneous in ``a``.  Returns 0 for ``a = 0``; a value
+    outside the float range raises ``ValueError``, as a norm's does.
     """
     p = _exponent(p, "[1, inf)", "semi-inner product")
     a, b = cmatrix.as_pair(a, b)
     t, na = _trace_form(b, a, p)
+    if not np.isfinite(na * t):
+        raise ValueError(f"semi-inner product evaluated to {na * t} at p={p}")
     return na * t
 
 
@@ -207,13 +203,29 @@ def clarkson_gap(a, b, p: float) -> float:
 
     Non-positive for 0 < p <= 2, non-negative for p >= 2, zero at p = 2;
     for p != 2 the gap vanishes exactly on pairs with ``a* a b* b = 0``.
+    The four p-th powers are formed on the pair scaled to a top norm of 1
+    and the gap is scaled back; a nonzero gap beyond the float range, above
+    or below, raises ``ValueError``.
     """
     p = _exponent(p, "(0, inf)", "clarkson gap")
-    a, b = cmatrix.as_pair(a, b)
-    return float(
-        schatten_norm(a + b, p) ** p + schatten_norm(a - b, p) ** p
-        - 2.0 * (schatten_norm(a, p) ** p + schatten_norm(b, p) ** p)
-    )
+    plus, minus, base, top = _unit_powers(*cmatrix.as_pair(a, b), p)
+    unit = plus + minus - 2.0 * base
+    with np.errstate(over="ignore", under="ignore"):
+        gap = float(unit * np.float64(top) ** p) if unit else 0.0
+    if (gap == 0.0 and unit != 0.0) or not np.isfinite(gap):
+        raise ValueError(f"clarkson gap {unit:.6e} * {top:.6e}^{p} is outside the float range")
+    return gap
+
+
+def _unit_powers(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float, float, float]:
+    """``(||a' + b'||^p, ||a' - b'||^p, ||a'||^p + ||b'||^p, top)`` for a
+    validated pair scaled to a top norm of 1, ``a' = a / top``: no p-th power
+    can overflow, nor all of them underflow."""
+    na, nb = schatten_norm(a, p), schatten_norm(b, p)
+    top = max(na, nb) or 1.0
+    a, b = a / top, b / top
+    return (schatten_norm(a + b, p) ** p, schatten_norm(a - b, p) ** p,
+            (na / top) ** p + (nb / top) ** p, top)
 
 
 def norm_additivity(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
@@ -222,15 +234,8 @@ def norm_additivity(a, b, p: float, tol_rel: float = PREDICATE_RTOL) -> bool:
     ``||a + b||_p^p = ||a - b||_p^p = ||a||_p^p + ||b||_p^p``.
     """
     p = _exponent(p, "(0, inf)", "norm additivity")
-    a, b = cmatrix.as_pair(a, b)
-    na, nb = schatten_norm(a, p), schatten_norm(b, p)
-    top = max(na, nb) or 1.0  # p-th powers of the pair scaled to a top norm of 1
-    a, b = a / top, b / top
-    base = (na / top) ** p + (nb / top) ** p
-    return bool(
-        abs(schatten_norm(a + b, p) ** p - base) <= tol_rel * base
-        and abs(schatten_norm(a - b, p) ** p - base) <= tol_rel * base
-    )
+    plus, minus, base, _ = _unit_powers(*cmatrix.as_pair(a, b), p)
+    return bool(abs(plus - base) <= tol_rel * base and abs(minus - base) <= tol_rel * base)
 
 
 def default_gamma_samples(seed: int = 0) -> np.ndarray:

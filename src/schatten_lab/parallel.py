@@ -143,13 +143,6 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
                            float(target), tol)
 
 
-def vector_parallel(x, y, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> ParallelVerdict:
-    """Parallelism of vectors under a vector norm spec."""
-    if not spec.is_vector:
-        raise ValueError(f"vector_parallel needs a vector spec, got kind={spec.kind!r}")
-    return parallel_definitional(x, y, spec, tol_rel)
-
-
 def _flat(operand) -> np.ndarray:
     arr = np.asarray(operand)
     if arr.ndim <= 1:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schatten_lab import laws
+from schatten_lab import ensembles, laws
 from schatten_lab.cli import SEED_ENV_VAR, CliError, load_matrix, main
 
 
@@ -323,6 +323,17 @@ class TestNearOverflow:
         assert err.startswith("error:") and err.count("\n") == 1
         assert all(not w.filename.endswith("search.py") for w in record)
         assert any(w.filename.endswith("parallel.py") for w in record)
+
+    def test_sip_overflow_is_usage_error(self, files, capsys):
+        # [b, a] ~ 1e320 printed as +inf-infj with exit 1.
+        rng = np.random.default_rng(5)
+        a = files("a", 1e160 * ensembles.ginibre(rng, 4))
+        b = files("b", 1e160 * ensembles.ginibre(rng, 4))
+        assert main(["check", "sip", a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: semi-inner product") \
+            and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("norm, p", [("schatten", "inf"), ("induced", "2")])
     def test_radius_near_overflow_gives_a_verdict(self, files, capsys, norm, p):

@@ -1,8 +1,9 @@
 """Conventions shared across modules: the exponent domain of every entry that
 takes p, the one rank cutoff, the one trace form, that every LAPACK failure
-is numpy's ``LinAlgError``, and the rule that ``numpy.linalg`` routines are
-looked up when called (never bound at import), which the benchmark's tracer
-relies on to count LAPACK calls."""
+is numpy's ``LinAlgError``, that ``__all__`` lists the public surface once,
+and the rule that ``numpy.linalg`` routines are looked up when called (never
+bound at import), which the benchmark's tracer relies on to count LAPACK
+calls."""
 
 import ast
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import schatten_lab
-from schatten_lab import cmatrix
+from schatten_lab import cmatrix, ortho
 from schatten_lab.norms import (
     NormSpec,
     evaluator,
@@ -31,7 +32,6 @@ from schatten_lab.ortho import (
     isosceles,
     norm_additivity,
     semi_inner_product,
-    sip_trace_core,
 )
 from schatten_lab.parallel import (
     _trace_residuals,
@@ -123,7 +123,7 @@ class TestRankCutoff:
 
     def test_sip_trace_core(self, s, rank):
         # With b = U V* every kept singular direction contributes exactly 1.
-        core = sip_trace_core(_U @ _V.conj().T, _with_singular_values(s), 1.0)
+        core, _ = ortho._trace_form(_U @ _V.conj().T, _with_singular_values(s), 1.0)
         assert round(core.real) == rank
 
     def test_invertibility_gates(self, s, rank):
@@ -151,13 +151,20 @@ def test_stack_members_keep_their_own_ranks():
 # -- the trace form -------------------------------------------------------------
 #
 # One SVD of the first operand gives both the trace form tr(|a|^{p-1} u* b)
-# and ||a||_p.  The references below are the routes it replaced: separate
-# Schatten norms times ``sip_trace_core``, and tr(|a| a^{-1} b) by a solve.
+# and ||a||_p.  The references below build it apart from that SVD: separate
+# Schatten norms times ``_trace_core``, from the public modulus power and
+# polar factor, and tr(|a| a^{-1} b) by a solve.
+
+
+def _trace_core(b, a, p):
+    """tr(|a|^{p-1} u* b) with a = u |a| polar."""
+    u = cmatrix.polar(a).isometry
+    return complex(np.trace(cmatrix.abs_power(a, p - 1.0) @ u.conj().T @ b))
 
 
 def _sip_reference(b, a, p):
     na = schatten_norm(a, p)
-    return na ** (2.0 - p) * sip_trace_core(b, a, p) if na > 0 else 0j
+    return na ** (2.0 - p) * _trace_core(b, a, p) if na > 0 else 0j
 
 
 def _bj_trace_reference(a, b, p):
@@ -170,8 +177,8 @@ def _residuals_reference(a, b, p):
     if na == 0.0 or nb == 0.0:
         return 0.0, 0.0
     fwd, rev = na ** (p - 1.0) * nb, nb ** (p - 1.0) * na
-    return (abs(abs(sip_trace_core(b, a, p)) - fwd) / fwd,
-            abs(abs(sip_trace_core(a, b, p)) - rev) / rev)
+    return (abs(abs(_trace_core(b, a, p)) - fwd) / fwd,
+            abs(abs(_trace_core(a, b, p)) - rev) / rev)
 
 
 def _trace_class_reference(a, b):
@@ -229,7 +236,7 @@ class TestOneTraceForm:
                 parallel_trace_class(a, b)
             return
         t = complex(np.trace(cmatrix.modulus(a) @ np.linalg.solve(a, b)))
-        assert abs(sip_trace_core(b, a, 1.0) - t) <= 1e-13 * schatten_norm(b, 1.0)
+        assert abs(ortho._trace_form(b, a, 1.0)[0] - t) <= 1e-13 * schatten_norm(b, 1.0)
         assert parallel_trace_class(a, b) == _trace_class_reference(a, b)
 
 
@@ -409,3 +416,19 @@ def test_traced_warm_up_of_every_workload():
     assert proc.returncode == 0, proc.stderr
     declared = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert {m["name"] for m in declared["per_layer"]} <= set(json.loads(proc.stdout))
+
+
+# -- the public surface --------------------------------------------------------
+
+
+def test_all_lists_the_public_surface_once():
+    # A name left in __all__ after its import is removed breaks star imports.
+    names = schatten_lab.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(schatten_lab, n)] == []
+    public = {n for n, v in vars(schatten_lab).items()
+              if not n.startswith("_") and not isinstance(v, type(schatten_lab))}
+    assert public - set(names) == set()
+    namespace = {}
+    exec("from schatten_lab import *", namespace)
+    assert set(names) <= set(namespace)

@@ -7,15 +7,18 @@ from 1 must keep the scale-1 verdict; the Schatten relations are also
 unitarily invariant, ``(u a v, u b v)``, and invariant under adjoints."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from schatten_lab import ensembles
+from schatten_lab.cmatrix import hermitian_eigensystem
 from schatten_lab.norms import NormSpec
 from schatten_lab.ortho import (
     bj_definitional,
     bj_trace,
+    clarkson_gap,
     disjoint_supports,
     loewner_domination,
     norm_additivity,
@@ -147,3 +150,36 @@ class TestScaleRepros:
         a, b = _seed5_pair()
         for s in (1e-110, 1e110):
             assert not norm_additivity(s * a, s * b, 3.0)
+
+    def test_clarkson_gap(self):
+        # An OverflowError at 1e110 and exactly 0.0, the equality case, at
+        # 1e-110; the gap has degree p.
+        a, b = _seed5_pair()
+        at_one = clarkson_gap(a, b, 3.0)
+        assert at_one > 6.0
+        for s in (1e-50, 1e50):
+            assert abs(clarkson_gap(s * a, s * b, 3.0) / s ** 3 - at_one) <= 1e-12 * at_one
+        for s in (1e-110, 1e110):
+            with pytest.raises(ValueError, match="float range"):
+                clarkson_gap(s * a, s * b, 3.0)
+
+    def test_hermitian_gate_is_relative(self):
+        # The gate overflowed inside np.linalg.norm at 1e160, and its
+        # absolute floor let a tiny non-Hermitian matrix through.
+        a, b = _seed5_pair()
+        at_one = loewner_domination(a, b, bj_ps=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1e-160, 1e160):
+                assert loewner_domination(s * a, s * b, bj_ps=()) == at_one, s
+        for s in (1.0, 1e-20):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eigensystem(s * np.eye(2, k=1))
+        w, _ = hermitian_eigensystem(np.zeros((2, 2)))
+        assert not w.any()
+
+    def test_semi_inner_product_outside_the_float_range(self):
+        # Was inf - inf j at 1e160, where [b, a] ~ 1e320.
+        a, b = _seed5_pair()
+        with pytest.raises(ValueError, match="semi-inner product"):
+            semi_inner_product(1e160 * b, 1e160 * a, 3.0)

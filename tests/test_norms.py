@@ -20,9 +20,7 @@ from schatten_lab.norms import (
     norm_value_batch,
     numerical_radius_banach,
     numerical_radius_hilbert,
-    operator_norm,
     schatten_norm,
-    vector_norm,
 )
 from schatten_lab.ortho import bj_definitional
 from schatten_lab.parallel import parallel_definitional
@@ -141,9 +139,9 @@ def _ascent_induced(a, p):
 class TestVectorAndInducedNorms:
     def test_vector_closed_forms(self):
         x = np.array([3.0, -4.0])
-        assert abs(vector_norm(x, NormSpec.lp(1.0)) - 7.0) <= 1e-12
-        assert abs(vector_norm(x, NormSpec.lp(2.0)) - 5.0) <= 1e-12
-        assert abs(vector_norm(x, NormSpec.max_norm()) - 4.0) <= 1e-12
+        assert abs(norm_value(x, NormSpec.lp(1.0)) - 7.0) <= 1e-12
+        assert abs(norm_value(x, NormSpec.lp(2.0)) - 5.0) <= 1e-12
+        assert abs(norm_value(x, NormSpec.max_norm()) - 4.0) <= 1e-12
 
     def test_induced_one_and_inf_are_column_and_row_sums(self):
         a = np.array([[1.0, -2.0], [3.0, 4.0]])
@@ -154,9 +152,9 @@ class TestVectorAndInducedNorms:
         # Witnesses attain the reported value.
         for res, p in ((r1, 1.0), (rinf, INF)):
             spec = NormSpec.lp(p) if p != INF else NormSpec.max_norm()
-            xn = vector_norm(res.witness_vector, spec)
+            xn = norm_value(res.witness_vector, spec)
             assert abs(xn - 1.0) <= 1e-9
-            assert abs(vector_norm(a @ res.witness_vector, spec) - res.value) <= 1e-9
+            assert abs(norm_value(a @ res.witness_vector, spec) - res.value) <= 1e-9
 
     def test_induced_two_matches_spectral(self):
         rng = _rng(43)
@@ -208,7 +206,7 @@ class TestVectorAndInducedNorms:
         assert abs(norm_value(a, NormSpec.induced(INF)) - 4.0) <= 1e-12
         assert abs(norm_value([3.0, -4.0], NormSpec.lp(2.0)) - 5.0) <= 1e-12
         with pytest.raises(ValueError):
-            operator_norm(a, NormSpec.lp(2.0))
+            norm_value(a, NormSpec.lp(2.0))
 
     def test_norm_value_batch_matrix_and_vector(self):
         rng = _rng(53)
@@ -221,7 +219,7 @@ class TestVectorAndInducedNorms:
         for spec in (NormSpec.lp(1.5), NormSpec.max_norm()):
             batch = norm_value_batch(vecs, spec)
             for i in range(4):
-                assert abs(batch[i] - vector_norm(vecs[i], spec)) <= 1e-12
+                assert abs(batch[i] - norm_value(vecs[i], spec)) <= 1e-12
 
 
 _MATRIX_SPECS = (

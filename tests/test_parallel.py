@@ -14,9 +14,9 @@ from schatten_lab.norms import (
     SPECTRAL,
     TRACE,
     induced_norm,
+    norm_value,
     numerical_radius_banach,
     schatten_norm,
-    vector_norm,
 )
 from schatten_lab.parallel import (
     eigen_parallel_identity,
@@ -29,7 +29,6 @@ from schatten_lab.parallel import (
     parallel_identity_trace,
     parallel_trace_class,
     parallel_trace_p,
-    vector_parallel,
 )
 
 
@@ -124,24 +123,24 @@ class TestVectorParallel:
     def test_max_norm_pairs(self):
         x = np.array([1.0, -1.0])
         y = np.array([-1.0, -1.0])
-        v = vector_parallel(x, y, NormSpec.max_norm())
+        v = parallel_definitional(x, y, NormSpec.max_norm())
         assert v.holds and abs(v.achieved - 2.0) <= 1e-9
         x2 = np.array([0.0, 1.0])
         y2 = np.array([-1.0, 0.0])
-        v2 = vector_parallel(x2, y2, NormSpec.max_norm())
+        v2 = parallel_definitional(x2, y2, NormSpec.max_norm())
         assert not v2.holds
         assert abs(v2.achieved - 1.0) <= 1e-9
 
     def test_lp_vectors(self):
         x = np.array([1.0, 0.0])
-        assert vector_parallel(x, 3j * x, NormSpec.lp(1.5)).holds
+        assert parallel_definitional(x, 3j * x, NormSpec.lp(1.5)).holds
         # l2: parallel iff dependent.
         y = np.array([0.0, 1.0])
-        assert not vector_parallel(x, y, NormSpec.lp(2.0)).holds
+        assert not parallel_definitional(x, y, NormSpec.lp(2.0)).holds
 
     def test_rejects_matrix_spec(self):
         with pytest.raises(ValueError):
-            vector_parallel(np.ones(2), np.ones(2), SPECTRAL)
+            parallel_definitional(np.ones(2), np.ones(2), SPECTRAL)
 
 
 class TestLinearDependence:
@@ -334,7 +333,7 @@ class TestNormingSet:
         ns = norming_set(np.zeros((3, 2)), spec)
         assert ns.exact and ns.norm_value == 0.0 and len(ns.members) == 1
         p = 2.0 if spec == SPECTRAL else spec.p
-        assert abs(vector_norm(ns.members[0], NormSpec.lp(p)) - 1.0) <= 1e-12
+        assert abs(norm_value(ns.members[0], NormSpec.lp(p)) - 1.0) <= 1e-12
 
     def test_sampled_generic_p(self):
         ns = norming_set(np.diag([2.0, 1.0]), NormSpec.induced(1.5), seed=3)
