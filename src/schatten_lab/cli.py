@@ -133,15 +133,10 @@ def _as_vector(name: str, m: np.ndarray) -> np.ndarray:
 
 
 def _describe_spec(spec: NormSpec) -> str:
-    if spec.kind == "schatten":
-        p = "inf" if spec.p == INF else f"{spec.p:g}"
-        return f"schatten p={p}"
-    if spec.kind == "induced_lp":
-        p = "inf" if spec.p == INF else f"{spec.p:g}"
-        return f"induced p={p}"
-    if spec.kind == "vector_lp":
-        return f"lp p={spec.p:g}"
-    return "max"
+    if spec == NormSpec.max_norm():
+        return "max"
+    name = {"schatten": "schatten", "induced_lp": "induced"}.get(spec.kind, "lp")
+    return f"{name} p={spec.p:g}"
 
 
 def cmd_check(args) -> int:

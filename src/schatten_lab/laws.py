@@ -618,10 +618,7 @@ def _draw_guarded_independent(cfg, rng, ps, *, trace_margin=True):
     for _ in _redraws("independent guarded pair"):
         c = _single(kind, rng, n)
         d = _single(kind, rng, n)
-        s = np.linalg.svd(
-            np.column_stack([c.reshape(-1), d.reshape(-1)]), compute_uv=False
-        )
-        if s[0] <= 0 or s[1] / s[0] < 0.1:
+        if linearly_dependent(c, d, 0.1):
             continue
         verdicts = {p: parallel_definitional(c, d, NormSpec.schatten(p)) for p in ps}
         if not _decisive(verdicts.values()):

@@ -11,7 +11,8 @@ A ``NormSpec`` names the norm every predicate works under:
   vector lp norm (exact for p in {1, 2, inf}; otherwise Boyd's power
   iteration, run on a whole stack at once, whose value is attained at a unit
   vector and so is a certified lower bound);
-* ``vector_lp`` / ``vector_max`` -- norms of vector operands.
+* ``vector_lp`` with ``1 <= p <= inf`` -- vector norms, the max norm at
+  p = inf; every lp sum here, vectors' or singular values', is rescaled.
 
 ``evaluator(spec)`` resolves a spec once into one closure per norm, for a
 validated operand or a stack, and its scalar form, both raising on a
@@ -38,7 +39,7 @@ from .search import _lp_normalize, circle_max, multistart_ascent, sphere_starts
 
 INF = math.inf
 
-_KINDS = ("schatten", "induced_lp", "vector_lp", "vector_max")
+_KINDS = ("schatten", "induced_lp", "vector_lp")
 
 
 def _exponent(p, domain: str, who: str) -> float:
@@ -56,7 +57,7 @@ def _exponent(p, domain: str, who: str) -> float:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm a predicate runs under; ``p`` is unused for vector_max."""
+    """Which norm a predicate runs under, and its exponent ``p``."""
 
     kind: str
     p: float | None = None
@@ -64,10 +65,6 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "vector_max":
-            if self.p is not None:
-                raise ValueError("vector_max takes no exponent")
-            return
         if self.p is None:
             raise ValueError(f"{self.kind} requires an exponent p")
         domain = "(0, inf]" if self.kind == "schatten" else "[1, inf]"
@@ -87,11 +84,11 @@ class NormSpec:
 
     @classmethod
     def max_norm(cls) -> "NormSpec":
-        return cls("vector_max")
+        return cls.lp(INF)
 
     @property
     def is_vector(self) -> bool:
-        return self.kind in ("vector_lp", "vector_max")
+        return self.kind == "vector_lp"
 
     @property
     def smooth(self) -> bool:
@@ -118,10 +115,8 @@ class RadiusResult:
 
 
 def schatten_norm(a, p) -> float:
-    """Schatten p-(quasi-)norm: lp norm of the singular values (at p = 2 the
-    Frobenius norm, read from the entries); a failed SVD raises ``LinAlgError``."""
-    p = _exponent(p, "(0, inf]", "schatten norm")
-    return float(_schatten(cmatrix.as_matrix(a), p))
+    """Schatten p-(quasi-)norm, ``norm_value`` under ``NormSpec.schatten(p)``."""
+    return norm_value(a, NormSpec.schatten(p))
 
 
 # A sum of squares or p-th powers at or above _SUM_LO lost nothing that
@@ -145,7 +140,8 @@ def _top_scaled(norm, v: np.ndarray, top: np.ndarray) -> np.ndarray:
     the scaling is exact, and the scaled terms can neither overflow nor
     underflow as a whole (Blue 1978, ACM TOMS 4).  A zero row gives 0."""
     e = np.frexp(top)[1]
-    return np.ldexp(norm(np.ldexp(v, -e[..., None])), e)
+    with np.errstate(over="ignore"):  # a norm above the float range is inf
+        return np.ldexp(norm(np.ldexp(v, -e[..., None])), e)
 
 
 def _l2(v: np.ndarray) -> np.ndarray:
@@ -169,37 +165,44 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.where(ok, r, _top_scaled(_l2, v, np.abs(v).max(axis=-1)))
 
 
-def _schatten_sum(s: np.ndarray, p: float) -> np.ndarray:
-    """lp norm along the last axis of singular values sorted descending.
+def _lp_sum(v: np.ndarray, p: float, top: np.ndarray) -> np.ndarray:
+    """lp norm along the last axis of moduli ``v`` whose row maxima are
+    ``top``: ``top`` itself at p = inf.
 
-    For p > 1 a row whose top value ``s0`` would let the p-th powers
-    overflow, or sum below ``_SUM_LO``, is recomputed by ``_top_scaled`` as
-    ``s0 ||s / s0||_p``; every other row, and every row at p <= 1 or
-    p = inf, keeps the plain sum.
+    For 1 < p < inf a row whose ``top`` would let the p-th powers overflow,
+    or sum below ``_SUM_LO``, is recomputed by ``_top_scaled`` as
+    ``top ||v / top||_p``; every other row, and every row at p <= 1, keeps
+    the plain sum.
     """
     if p == INF:
-        return s[..., 0]
+        return top
 
     def plain(w):
         return (w**p).sum(axis=-1) ** (1.0 / p)
 
     if p <= 1.0:
-        return plain(s)
-    s0 = s[..., 0]
-    lo, hi = _SUM_LO ** (1.0 / p), (_HUGE / s.shape[-1]) ** (1.0 / p)
-    if _within(s0, lo, hi):
-        return plain(s)
-    ok = (s0 >= lo) & (s0 <= hi)
+        return plain(v)
+    lo, hi = _SUM_LO ** (1.0 / p), (_HUGE / v.shape[-1]) ** (1.0 / p)
+    if _within(top, lo, hi):
+        return plain(v)
+    ok = (top >= lo) & (top <= hi)
     # Ones stand in for the rescaled rows, whose plain powers would overflow.
-    return np.where(ok, plain(np.where(ok[..., None], s, 1.0)), _top_scaled(plain, s, s0))
+    return np.where(ok, plain(np.where(ok[..., None], v, 1.0)), _top_scaled(plain, v, top))
+
+
+def _lp(x: np.ndarray, p: float) -> np.ndarray:
+    """lp norms along the last axis of ``x``, through ``_lp_sum``."""
+    v = np.abs(x)
+    return _lp_sum(v, p, v.max(axis=-1))
 
 
 def _schatten(x: np.ndarray, p: float) -> np.ndarray:
     """Schatten p-norms over the last two axes of a matrix or stack:
-    ``_frobenius`` at p = 2, else ``_schatten_sum`` of the singular values."""
+    ``_frobenius`` at p = 2, else ``_lp_sum`` of the singular values."""
     if p == 2.0:
         return _frobenius(x)
-    return _schatten_sum(np.linalg.svd(x, compute_uv=False), p)
+    s = np.linalg.svd(x, compute_uv=False)
+    return _lp_sum(s, p, s[..., 0])
 
 
 def _attaining(a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
@@ -247,7 +250,7 @@ def _induced_power(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]
     # compacted into ``ids``, ``ya`` (= Ax), ``va`` and their matrices ``aa``.
     x, aa = np.tile(starts, (k, 1)), np.repeat(stack, s, axis=0)
     ya = (aa @ x[..., None])[..., 0]
-    v = np.linalg.norm(ya, p, axis=-1)
+    v = _lp(ya, p)
     ids = np.flatnonzero(np.isfinite(v))  # rows off to inf or NaN take no step
     ya, va, aa = ya[ids], v[ids], aa[ids]
     for _ in range(1000):
@@ -257,7 +260,7 @@ def _induced_power(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]
         g = (np.conj(z)[:, None, :] @ aa)[:, 0].conj()  # A* z = conj(z* A)
         xn = _lp_normalize(_signed_power(g, 1.0 / (p - 1.0)), p)
         yn = (aa @ xn[..., None])[..., 0]
-        vn = np.linalg.norm(yn, p, axis=-1)
+        vn = _lp(yn, p)
         up, keep = vn > va, vn > va * (1.0 + 1e-15)
         x[ids[up]], v[ids[up]] = xn[up], vn[up]
         ids, ya, va, aa = ids[keep], yn[keep], vn[keep], aa[keep]
@@ -307,12 +310,9 @@ def evaluator(spec: NormSpec):
     if spec.kind == "schatten":
         def norm(x):
             return _schatten(x, p)
-    elif spec.kind == "vector_max" or (spec.is_vector and p == INF):
-        def norm(x):
-            return np.abs(x).max(axis=-1)
     elif spec.is_vector:
         def norm(x):
-            return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
+            return _lp(x, p)
     elif p == 1:
         def norm(x):
             return np.abs(x).sum(axis=-2).max(axis=-1)
@@ -399,9 +399,13 @@ def numerical_radius_banach(a, p) -> RadiusResult:
     ``x*(y) = sum_i conj(x_i) |x_i|^{p-2} y_i``; the radius is the sup of
     ``|x*(Ax)|`` over the complex lp sphere, located by seeded multistart
     projected ascent with backtracking (value is a certified lower bound).
+    The ascent runs on ``a / 2^e``, ``2^e`` the power of two above the largest
+    part of an entry: exact, so its products neither overflow nor underflow.
     """
-    a = cmatrix.as_square(a)
+    a = np.ascontiguousarray(cmatrix.as_square(a)).view(np.float64)
     p = _exponent(p, "(1, inf)", "lp numerical radius")
+    e = np.frexp(np.abs(a).max())[1]
+    a = np.ldexp(a, -e).view(np.complex128)
     n = a.shape[0]
     ac = a.conj()
 
@@ -422,4 +426,5 @@ def numerical_radius_banach(a, p) -> RadiusResult:
 
     val, x = multistart_ascent(value, grad, p, n,
                                extra_starts=list(np.eye(n, dtype=complex)))
-    return RadiusResult(float(val), x, 1e-8 * val)
+    val = float(np.ldexp(val, e))
+    return RadiusResult(val, x, 1e-8 * val)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .norms import INF, NormSpec, _exponent, _schatten_sum, evaluator, schatten_norm
+from .norms import INF, NormSpec, _exponent, _lp_sum, evaluator, schatten_norm
 from .search import gamma_min
 
 # Default decision tolerance, relative (for Birkhoff-James, to ||a||).
@@ -118,7 +118,8 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     def f_scalar(g):
         return scalar(a + g * b)
 
-    gamma, vmin = gamma_min(f_batch, f_scalar, radius=4.0 * (na / nb), smooth=spec.smooth)
+    with np.errstate(over="ignore", invalid="ignore"):  # the evaluator rejects inf, NaN
+        gamma, vmin = gamma_min(f_batch, f_scalar, radius=4.0 * (na / nb), smooth=spec.smooth)
     gap = vmin - na
     return Verdict(bool(gap >= -tol), gamma, float(gap), tol)
 
@@ -136,7 +137,7 @@ def _trace_form(b: np.ndarray, a: np.ndarray, p: float,
     if f is None:
         f = cmatrix.svd(a)
     s = f.singular_values
-    na = float(_schatten_sum(s, p))
+    na = float(_lp_sum(s, p, s[0]))
     keep = cmatrix._kept(s)
     if not np.any(keep):
         return 0j, na

@@ -136,8 +136,9 @@ def parallel_definitional(a, b, spec: NormSpec = SPECTRAL,
 
     # The arc bound needs exact values of a convex norm (not Schatten p < 1).
     convex = exact and not (spec.kind == "schatten" and spec.p < 1)
-    theta, achieved = circle_max(f_batch, f_scalar, grid=720 if exact else 96,
-                                 origin=na if convex else None)
+    with np.errstate(over="ignore", invalid="ignore"):  # the evaluator rejects inf, NaN
+        theta, achieved = circle_max(f_batch, f_scalar, grid=720 if exact else 96,
+                                     origin=na if convex else None)
     return ParallelVerdict(bool(target - achieved <= tol),
                            complex(np.exp(1j * theta)), float(achieved),
                            float(target), tol)
@@ -291,9 +292,7 @@ def norming_set(a, spec: NormSpec = SPECTRAL, *, seed: int = 0) -> NormingSet:
     a = cmatrix.as_matrix(a)
     # Vector specs describe the domain norm; the operator then carries the
     # norm induced by it (max-norm domain -> induced l-inf operator norm).
-    if spec.kind == "vector_max":
-        spec = NormSpec.induced(INF)
-    elif spec.kind == "vector_lp":
+    if spec.is_vector:
         spec = NormSpec.induced(spec.p)
     hilbert = spec.kind == "schatten" and spec.p == INF
     if not hilbert and spec.kind != "induced_lp":

@@ -109,6 +109,10 @@ class TestCheckCommand:
         assert code == 1
         assert "achieved: 1.000000000000e+00" in out
 
+        # lp at p = inf is the max norm, and prints as it.
+        assert main(["check", "parallel", x, y, "--norm", "lp", "--p", "inf"]) == 0
+        assert "norm: max" in capsys.readouterr().out
+
     def test_parallel_generic_induced_p(self, files, capsys):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
@@ -300,29 +304,32 @@ class TestNearOverflow:
 
     @pytest.mark.parametrize("norm, p", [("schatten", "inf"), ("induced", "2")])
     def test_pencil_overflow_is_usage_error(self, files, capsys, norm, p):
-        # a + gamma b overflows on the search grid.  numpy's overflow
-        # warning still reaches the caller; it is expected here, so it stays
-        # visible until the operands are scaled at predicate entry.
+        # a + gamma b overflows on the search grid: one error line, and no
+        # numpy warning (the suite turns any warning into a failure).
         a = files("a", np.diag([1.5e308, 1.5e308]))
         b = files("b", np.diag([1.5e308, -1.5e308]))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["check", "bj", a, b, "--norm", norm, "--p", p])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert main(["check", "bj", a, b, "--norm", norm, "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_circle_overflow_is_usage_error(self, files, capsys):
         # a + lambda b overflows on the circle grid.  The evaluator's batch
-        # form raises there, so no inf or NaN reaches the search's bounds;
-        # only the pencil's own overflow warning is seen.
+        # form raises there, so no inf or NaN reaches the search's bounds,
+        # and no numpy warning precedes the error line.
         a = files("a", np.diag([1.5e308, 1.5e308]))
         b = files("b", np.diag([1.5e308, -1.5e308]))
-        with pytest.warns(RuntimeWarning) as record:
-            code = main(["check", "parallel", a, b, "--norm", "induced", "--p", "1"])
-        assert code == 2
+        assert main(["check", "parallel", a, b, "--norm", "induced", "--p", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert all(not w.filename.endswith("search.py") for w in record)
-        assert any(w.filename.endswith("parallel.py") for w in record)
+
+    def test_supports_overflow_is_usage_error(self, files, capsys):
+        # schatten_norm read inf here, where norm_value raises, and the pair
+        # came out disjoint although a b* != 0.
+        a = files("a", np.diag([1.5e308, 1.5e308]))
+        b = files("b", np.diag([1.5e308, -1.5e308]))
+        assert main(["check", "supports", a, b]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: norm evaluated to inf") and err.count("\n") == 1
 
     def test_sip_overflow_is_usage_error(self, files, capsys):
         # [b, a] ~ 1e320 printed as +inf-infj with exit 1.

@@ -1,6 +1,7 @@
 """Scale, unitary and adjoint invariance of the verdicts, as seeded property
 tests on three pairs: the seed-5 Ginibre pair, a dependent pair and a
-disjoint pair.
+disjoint pair; and scale invariance of the lp family (vector lp, the max
+norm, generic induced p and the lp numerical radius).
 
 Every relation here is homogeneous, so a joint scale of both operands far
 from 1 must keep the scale-1 verdict; the Schatten relations are also
@@ -14,7 +15,7 @@ import pytest
 
 from schatten_lab import ensembles
 from schatten_lab.cmatrix import hermitian_eigensystem
-from schatten_lab.norms import NormSpec
+from schatten_lab.norms import NormSpec, norm_value, numerical_radius_banach
 from schatten_lab.ortho import (
     bj_definitional,
     bj_trace,
@@ -24,7 +25,11 @@ from schatten_lab.ortho import (
     norm_additivity,
     semi_inner_product,
 )
-from schatten_lab.parallel import parallel_definitional, parallel_trace_p
+from schatten_lab.parallel import (
+    parallel_definitional,
+    parallel_identity_radius,
+    parallel_trace_p,
+)
 
 INF = math.inf
 
@@ -183,3 +188,58 @@ class TestScaleRepros:
         a, b = _seed5_pair()
         with pytest.raises(ValueError, match="semi-inner product"):
             semi_inner_product(1e160 * b, 1e160 * a, 3.0)
+
+
+# The lp family: vector lp, with the max norm at p = inf, and generic
+# induced p; the scales add those at which p-th powers leave the float range.
+_LP_SPECS = {"vector": (NormSpec.lp(1.5), NormSpec.lp(3.0), NormSpec.max_norm()),
+             "induced": (NormSpec.induced(1.5), NormSpec.induced(3.0))}
+_LP_SCALES = _SCALES + (1e-120, 1e120, 1e-200, 1e200)
+
+
+def _lp_pairs(vector):
+    """A pair that is not parallel and a dependent pair: 3-vectors, or
+    the 2x2 seed-5 Ginibre pair (generic induced p searches are slow)."""
+    if vector:
+        x, y = np.array([1.0, 0.3 + 0.2j, -0.5]), np.array([0.2, 1.0, 0.4j])
+    else:
+        rng = np.random.default_rng(5)
+        x, y = ensembles.ginibre(rng, 2), ensembles.ginibre(rng, 2)
+    return (x, y), (x, (0.7 - 0.4j) * x)
+
+
+class TestLpFamilyScale:
+    """Once, the plain sums of p-th powers underflowed at 1e-120, so the
+    norms read 0 and every verdict was a degenerate "holds", and overflowed
+    at 1e120; the lp radius's ascent stopped early at 1e-200 and 1e200."""
+
+    @pytest.mark.parametrize("family", list(_LP_SPECS))
+    def test_norms_and_verdicts(self, family):
+        for spec in _LP_SPECS[family]:
+            for a, b in _lp_pairs(spec.is_vector):
+                nrm = norm_value(a, spec)
+                bj = spec.is_vector and bj_definitional(a, b, spec).holds
+                par = parallel_definitional(a, b, spec).holds
+                for s in _LP_SCALES:
+                    assert norm_value(s * a, spec) / s == pytest.approx(nrm, rel=1e-12), \
+                        (spec, s)
+                    if spec.is_vector:  # BJ runs only exactly computable norms
+                        assert bj_definitional(s * a, s * b, spec).holds == bj, (spec, s)
+                    assert parallel_definitional(s * a, s * b, spec).holds == par, (spec, s)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_numerical_radius(self, p):
+        # At p = 3 the radius read 4.5840 at 1e+-200, against 4.7515.
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        at_one = numerical_radius_banach(g, p).value
+        for s in _LP_SCALES:
+            value = numerical_radius_banach(s * g, p).value
+            assert value / s == pytest.approx(at_one, rel=1e-12), s
+
+    def test_parallel_identity_radius(self):
+        d = np.diag([1.5, 0.7j, -0.4])
+        spec = NormSpec.induced(3.0)
+        assert parallel_identity_radius(d, spec)
+        for s in _LP_SCALES:
+            assert parallel_identity_radius(s * d, spec), s

@@ -42,6 +42,7 @@ class TestNormSpec:
         assert NormSpec.schatten(INF) == SPECTRAL
         assert NormSpec.lp(2.0).is_vector
         assert NormSpec.max_norm().is_vector
+        assert NormSpec.max_norm() == NormSpec.lp(INF)
         assert not NormSpec.induced(3.0).is_vector
 
     def test_validation(self):
@@ -53,8 +54,6 @@ class TestNormSpec:
             NormSpec.induced(0.5)
         with pytest.raises(ValueError):
             NormSpec.lp(0.9)
-        with pytest.raises(ValueError):
-            NormSpec("vector_max", 2.0)
         with pytest.raises(ValueError):
             NormSpec("schatten")  # needs an exponent
         with pytest.raises(ValueError):
@@ -227,11 +226,11 @@ _MATRIX_SPECS = (
     SPECTRAL, NormSpec.schatten(0.5), NormSpec.induced(1.0), NormSpec.induced(2.0),
     NormSpec.induced(INF), NormSpec.induced(3.0),
 )
-_VECTOR_SPECS = (NormSpec.lp(1.0), NormSpec.lp(1.5), NormSpec.lp(INF), NormSpec.max_norm())
+_VECTOR_SPECS = (NormSpec.lp(1.0), NormSpec.lp(1.5), NormSpec.lp(3.0), NormSpec.max_norm())
 
 
 def _spec_id(spec):
-    return spec.kind if spec.p is None else f"{spec.kind}-{spec.p:g}"
+    return f"{spec.kind}-{spec.p:g}"
 
 
 class TestEvaluator:
@@ -259,7 +258,7 @@ class TestEvaluator:
             value = scalar(x)
             assert value == norm_value(x, spec)
             assert np.ndim(batch(x)) == 0 and float(batch(x)) == value
-            if spec.kind == "vector_max" or spec == NormSpec.lp(INF):
+            if spec == NormSpec.max_norm():
                 ref = float(np.abs(x).max())
             elif spec.is_vector:
                 ref = float(np.sum(np.abs(x) ** spec.p) ** (1.0 / spec.p))
@@ -284,11 +283,12 @@ class TestEvaluator:
                 call()
 
     def test_scalar_rejects_non_finite_values(self):
-        # Finite entries whose cubed values overflow; the Schatten sum is
-        # rescaled, so there the norm itself, 3^(1/3) 1.5e308, overflows.
+        # Finite entries whose norms leave the float range: every lp sum is
+        # rescaled, so it is the norm itself that overflows (3^(1/3) 1.5e308,
+        # 2 1.5e308, 2^(1/3) 1.5e308), not the cubes on the way.
         for spec, x in ((NormSpec.schatten(3.0), 1.5e308 * np.eye(3, dtype=complex)),
-                        (NormSpec.induced(3.0), 1e200 * np.eye(2, dtype=complex)),
-                        (NormSpec.lp(3.0), np.full(2, 1e200 + 0j))):
+                        (NormSpec.induced(3.0), 1.5e308 * np.ones((2, 2), dtype=complex)),
+                        (NormSpec.lp(3.0), np.full(2, 1.5e308 + 0j))):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(ValueError, match="evaluated to inf"):
                 evaluator(spec)[1](x)
@@ -301,9 +301,9 @@ class TestEvaluator:
         # The batch form applies the scalar form's rule to every member, so
         # a stack with one overflowing norm raises as a whole.
         for spec, x in ((NormSpec.schatten(3.0), 1.5e308 * np.eye(3, dtype=complex)),
-                        (NormSpec.induced(3.0), 1e200 * np.eye(3, dtype=complex)),
+                        (NormSpec.induced(3.0), 1.5e308 * np.ones((3, 3), dtype=complex)),
                         (NormSpec.induced(1.0), 1.5e308 * np.ones((3, 3), dtype=complex)),
-                        (NormSpec.lp(3.0), np.full(3, 1e200 + 0j))):
+                        (NormSpec.lp(3.0), np.full(3, 1.5e308 + 0j))):
             stack = np.stack([np.ones_like(x), x])
             assert np.isfinite(evaluator(spec)[0](stack[:1])).all()
             with np.errstate(over="ignore", invalid="ignore"), \
