@@ -180,13 +180,19 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1], v[:, ::-1]
 
 
+def _unit_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, e)`` with ``m = 2^e u`` exactly for a complex128 matrix or stack,
+    ``2^e`` the power of two above each member's largest part (e = 0 at 0)."""
+    x = np.ascontiguousarray(m).view(np.float64)  # real and imaginary parts
+    e = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
+    return np.ldexp(x, -e[..., None, None]).view(np.complex128), e
+
+
 def _require_hermitian(m: np.ndarray, who: str) -> None:
     """Raise unless ``m`` (one matrix or each member of a stack) is Hermitian,
     ``||m - m*||_F <= HERMITIAN_RTOL ||m||_F`` on each member scaled exactly
     by a power of two to parts below 1: relative at any scale, no overflow."""
-    x = np.ascontiguousarray(m).view(np.float64)  # real and imaginary parts
-    e = np.frexp(np.abs(x).max(axis=(-2, -1)))[1][..., None, None]
-    u = np.ldexp(x, -e).view(np.complex128)
+    u = _unit_parts(m)[0]
     rel = np.linalg.norm(u - _adjoint(u), axis=(-2, -1))
     bad = rel > HERMITIAN_RTOL * np.linalg.norm(u, axis=(-2, -1))
     if np.any(bad):

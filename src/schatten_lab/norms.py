@@ -165,35 +165,27 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.where(ok, r, _top_scaled(_l2, v, np.abs(v).max(axis=-1)))
 
 
-def _lp_sum(v: np.ndarray, p: float, top: np.ndarray) -> np.ndarray:
-    """lp norm along the last axis of moduli ``v`` whose row maxima are
-    ``top``: ``top`` itself at p = inf.
-
-    For 1 < p < inf a row whose ``top`` would let the p-th powers overflow,
-    or sum below ``_SUM_LO``, is recomputed by ``_top_scaled`` as
-    ``top ||v / top||_p``; every other row, and every row at p <= 1, keeps
-    the plain sum.
-    """
-    if p == INF:
-        return top
-
+def _lp_sum(v: np.ndarray, p: float, top: np.ndarray | None = None) -> np.ndarray:
+    """lp norm along the last axis of moduli ``v``; at p = inf the row maxima
+    ``top``, which a caller holding sorted singular values ``s`` passes as
+    ``s[..., 0]`` (a small row's ``v.max`` costs as much as its sum).  For
+    1 < p < inf a row whose ``top`` would let the p-th powers overflow, or
+    sum below ``_SUM_LO``, is recomputed by ``_top_scaled`` as
+    ``top ||v / top||_p``; other rows, and all at p <= 1, keep the plain sum."""
     def plain(w):
         return (w**p).sum(axis=-1) ** (1.0 / p)
 
     if p <= 1.0:
         return plain(v)
+    top = v.max(axis=-1) if top is None else top
+    if p == INF:
+        return top
     lo, hi = _SUM_LO ** (1.0 / p), (_HUGE / v.shape[-1]) ** (1.0 / p)
     if _within(top, lo, hi):
         return plain(v)
     ok = (top >= lo) & (top <= hi)
     # Ones stand in for the rescaled rows, whose plain powers would overflow.
     return np.where(ok, plain(np.where(ok[..., None], v, 1.0)), _top_scaled(plain, v, top))
-
-
-def _lp(x: np.ndarray, p: float) -> np.ndarray:
-    """lp norms along the last axis of ``x``, through ``_lp_sum``."""
-    v = np.abs(x)
-    return _lp_sum(v, p, v.max(axis=-1))
 
 
 def _schatten(x: np.ndarray, p: float) -> np.ndarray:
@@ -250,7 +242,7 @@ def _induced_power(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]
     # compacted into ``ids``, ``ya`` (= Ax), ``va`` and their matrices ``aa``.
     x, aa = np.tile(starts, (k, 1)), np.repeat(stack, s, axis=0)
     ya = (aa @ x[..., None])[..., 0]
-    v = _lp(ya, p)
+    v = _lp_sum(np.abs(ya), p)
     ids = np.flatnonzero(np.isfinite(v))  # rows off to inf or NaN take no step
     ya, va, aa = ya[ids], v[ids], aa[ids]
     for _ in range(1000):
@@ -260,7 +252,7 @@ def _induced_power(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]
         g = (np.conj(z)[:, None, :] @ aa)[:, 0].conj()  # A* z = conj(z* A)
         xn = _lp_normalize(_signed_power(g, 1.0 / (p - 1.0)), p)
         yn = (aa @ xn[..., None])[..., 0]
-        vn = _lp(yn, p)
+        vn = _lp_sum(np.abs(yn), p)
         up, keep = vn > va, vn > va * (1.0 + 1e-15)
         x[ids[up]], v[ids[up]] = xn[up], vn[up]
         ids, ya, va, aa = ids[keep], yn[keep], vn[keep], aa[keep]
@@ -284,6 +276,8 @@ def induced_norm(a, p) -> RadiusResult:
         val, xs = _attaining(a, p)
         return RadiusResult(val, xs[0], 1e-12 * val)
     (val,), (x,) = _induced_power(a[None], p)
+    if not math.isfinite(val):  # _lp_sum reads a norm above the float range as inf
+        raise ValueError(f"induced norm evaluated to {val} at p={p}")
     return RadiusResult(float(val), x, 1e-8 * val)
 
 
@@ -312,7 +306,7 @@ def evaluator(spec: NormSpec):
             return _schatten(x, p)
     elif spec.is_vector:
         def norm(x):
-            return _lp(x, p)
+            return _lp_sum(np.abs(x), p)
     elif p == 1:
         def norm(x):
             return np.abs(x).sum(axis=-2).max(axis=-1)
@@ -402,10 +396,8 @@ def numerical_radius_banach(a, p) -> RadiusResult:
     The ascent runs on ``a / 2^e``, ``2^e`` the power of two above the largest
     part of an entry: exact, so its products neither overflow nor underflow.
     """
-    a = np.ascontiguousarray(cmatrix.as_square(a)).view(np.float64)
+    a, e = cmatrix._unit_parts(cmatrix.as_square(a))
     p = _exponent(p, "(1, inf)", "lp numerical radius")
-    e = np.frexp(np.abs(a).max())[1]
-    a = np.ldexp(a, -e).view(np.complex128)
     n = a.shape[0]
     ac = a.conj()
 
@@ -426,5 +418,8 @@ def numerical_radius_banach(a, p) -> RadiusResult:
 
     val, x = multistart_ascent(value, grad, p, n,
                                extra_starts=list(np.eye(n, dtype=complex)))
-    val = float(np.ldexp(val, e))
+    with np.errstate(over="ignore"):
+        val = float(np.ldexp(val, e))
+    if not math.isfinite(val):
+        raise ValueError(f"lp numerical radius evaluated to {val} at p={p}")
     return RadiusResult(val, x, 1e-8 * val)

@@ -138,6 +138,8 @@ def _trace_form(b: np.ndarray, a: np.ndarray, p: float,
         f = cmatrix.svd(a)
     s = f.singular_values
     na = float(_lp_sum(s, p, s[0]))
+    if not np.isfinite(na):
+        raise ValueError(f"norm evaluated to {na} under {NormSpec.schatten(p)}")
     keep = cmatrix._kept(s)
     if not np.any(keep):
         return 0j, na

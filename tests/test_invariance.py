@@ -15,7 +15,7 @@ import pytest
 
 from schatten_lab import ensembles
 from schatten_lab.cmatrix import hermitian_eigensystem
-from schatten_lab.norms import NormSpec, norm_value, numerical_radius_banach
+from schatten_lab.norms import NormSpec, induced_norm, norm_value, numerical_radius_banach
 from schatten_lab.ortho import (
     bj_definitional,
     bj_trace,
@@ -188,6 +188,24 @@ class TestScaleRepros:
         a, b = _seed5_pair()
         with pytest.raises(ValueError, match="semi-inner product"):
             semi_inner_product(1e160 * b, 1e160 * a, 3.0)
+
+    def test_trace_forms_outside_the_float_range(self):
+        # ||a||_3 read inf, so the unit trace form was 0: bj_trace called a
+        # orthogonal to a multiple of itself, and parallel_trace_p read a
+        # NaN residual as "not parallel"; only numpy's overflow warning told.
+        a = np.diag([1.5e308, 1.5e308])
+        with pytest.raises(ValueError, match="evaluated to inf"):
+            bj_trace(a, 1e-10 * a, 3.0)
+        with pytest.raises(ValueError, match="evaluated to inf"):
+            parallel_trace_p(a, a, 3.0)
+
+    def test_radius_and_induced_norm_outside_the_float_range(self):
+        # Both read inf, with numpy's overflow warning, where a norm raises;
+        # the induced norm's Ax ~ 1.2e308 is finite, its l3 norm is not.
+        with pytest.raises(ValueError, match="radius evaluated to inf"):
+            numerical_radius_banach(1.5e308 * np.ones((3, 3)), 3.0)
+        with pytest.raises(ValueError, match="induced norm evaluated to inf"):
+            induced_norm(1.2e308 * np.ones((4, 1)), 3.0)
 
 
 # The lp family: vector lp, with the max norm at p = inf, and generic
