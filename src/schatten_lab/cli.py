@@ -79,6 +79,9 @@ def load_matrix(path: str) -> tuple[str, np.ndarray]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:  # a binary file, such as a .npy array
+        raise CliError(f"{path}: not a UTF-8 text file (byte {exc.start}: {exc.reason}); "
+                       "expected a JSON matrix file") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -38,7 +38,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # both parts of every entry
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -60,7 +60,7 @@ def as_vector(x) -> np.ndarray:
         raise ValueError(f"expected a vector, got ndim={v.ndim}")
     if v.size == 0:
         raise ValueError("empty vector")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 

@@ -17,7 +17,10 @@ A ``NormSpec`` names the norm every predicate works under:
 ``evaluator(spec)`` resolves a spec once into one closure per norm, for a
 validated operand or a stack, and its scalar form, both raising on a
 non-finite value; the predicates' optimizers call those closures, and
-``norm_value`` / ``norm_value_batch`` dispatch through them.
+``norm_value`` / ``norm_value_batch`` dispatch through them.  Beside it,
+``_cut_oracle(spec, d)`` gives the norms of a stack together with
+``phi_X(d)`` for a norming functional ``phi_X`` of each member: the cuts of
+the Birkhoff-James cutting plane.
 
 Radius computations return a ``RadiusResult`` carrying the value and a
 witness vector.  The l2 radius sweeps the phase with ``search.circle_max``;
@@ -171,12 +174,15 @@ def _lp_sum(v: np.ndarray, p: float, top: np.ndarray | None = None) -> np.ndarra
     ``s[..., 0]`` (a small row's ``v.max`` costs as much as its sum).  For
     1 < p < inf a row whose ``top`` would let the p-th powers overflow, or
     sum below ``_SUM_LO``, is recomputed by ``_top_scaled`` as
-    ``top ||v / top||_p``; other rows, and all at p <= 1, keep the plain sum."""
+    ``top ||v / top||_p``; other rows keep the plain sum.  At p <= 1 every
+    row keeps it: no term underflows, and a sum above the float range reads
+    inf, without numpy's overflow warning."""
     def plain(w):
         return (w**p).sum(axis=-1) ** (1.0 / p)
 
     if p <= 1.0:
-        return plain(v)
+        with np.errstate(over="ignore"):
+            return v.sum(axis=-1) if p == 1.0 else plain(v)
     top = v.max(axis=-1) if top is None else top
     if p == INF:
         return top
@@ -268,17 +274,20 @@ def induced_norm(a, p) -> RadiusResult:
     of the top row).  Otherwise the power iteration ``_induced_power``; the
     value is attained at the witness, so it is a certified lower bound, and
     it is the exact norm whenever one start reaches the basin of a global
-    maximizer.
+    maximizer.  A norm above the float range raises ``ValueError``.
     """
     a = cmatrix.as_matrix(a)
     p = _exponent(p, "[1, inf]", "induced norm")
     if p in (1, 2, INF):
-        val, xs = _attaining(a, p)
-        return RadiusResult(val, xs[0], 1e-12 * val)
-    (val,), (x,) = _induced_power(a[None], p)
-    if not math.isfinite(val):  # _lp_sum reads a norm above the float range as inf
+        with np.errstate(over="ignore"):  # a column or row sum above the float range is inf
+            val, xs = _attaining(a, p)
+        x, rel = xs[0], 1e-12
+    else:
+        (val,), (x,) = _induced_power(a[None], p)  # _lp_sum reads an overflow as inf
+        rel = 1e-8
+    if not math.isfinite(val):
         raise ValueError(f"induced norm evaluated to {val} at p={p}")
-    return RadiusResult(float(val), x, 1e-8 * val)
+    return RadiusResult(float(val), x, rel * val)
 
 
 def evaluator(spec: NormSpec):
@@ -324,17 +333,116 @@ def evaluator(spec: NormSpec):
 
     def batch(x):
         v = norm(x)
-        if not np.isfinite(v).all():  # norms are >= 0: the max is NaN or inf
-            raise ValueError(f"norm evaluated to {np.max(v)} under {spec}")
+        if not np.isfinite(v).all():
+            raise _not_finite(v, x, spec)
         return v
 
     def scalar(m):  # the same test, cheaper on one value
         v = float(norm(m))
         if not math.isfinite(v):
-            raise ValueError(f"norm evaluated to {v} under {spec}")
+            raise _not_finite(v, m, spec)
         return v
 
     return batch, scalar, exact
+
+
+def _not_finite(v, x: np.ndarray, spec: NormSpec) -> ValueError:
+    """The error for norms ``v`` of ``x`` that are not all finite.
+
+    A member with an inf or NaN entry (a pencil ``a + gamma b`` that
+    overflowed) has a norm above the float range, whatever the SVD made of
+    it (NaN singular values), since every norm here is at least the modulus
+    of each entry.  Otherwise the largest value is reported (norms are >= 0:
+    it is NaN or inf).
+    """
+    top = INF if not np.isfinite(x).all() else np.max(v)
+    tail = " (above the float range)" if top == INF else ""
+    return ValueError(f"norm evaluated to {top} under {spec}{tail}")
+
+
+def _cut_oracle(spec: NormSpec, d: np.ndarray):
+    """Resolve ``spec`` and a validated direction ``d`` once into ``cut``.
+
+    ``cut(x)`` takes a validated (k,) + ``d.shape`` stack of members X and
+    returns their norms and the slopes ``phi_X(d)``, with ``phi_X`` a norming
+    functional of X: ``phi_X(X) = ||X||`` and dual norm at most 1.  So
+    ``||X + delta d|| >= ||X|| + Re(delta phi_X(d))`` for every complex
+    ``delta``: each member of a pencil ``X = a + gamma d`` gives a cut
+    (a supporting plane) of ``gamma -> ||a + gamma d||``.  The functionals:
+
+    * Schatten p = 1: ``tr(V U* .)`` from the full SVD ``X = U S V*``; weight
+      1 on every singular direction, since ``U V*`` norms X at any rank;
+    * Schatten 1 < p < inf: ``sum_k (s_k / ||s||_p)^{p-1} (U* . V)_kk``, at
+      p = 2 ``tr(X* .) / ||X||_F`` with no SVD;
+    * Schatten inf and induced 2: ``u_1* . v_1``, the top singular pair;
+    * induced 1 (inf): the conjugate phases of the top column (row) of X,
+      applied to that column (row);
+    * vector lp: the duality map, at p = inf the phase of the top entry.
+
+    A zero member gets the zero functional.  ``d`` is read as ``2^e du``,
+    with the parts of ``du`` below 2 (``cmatrix._unit_parts``): exact, and
+    no product with it overflows; a slope is at most ``||d||`` in modulus.
+    A non-finite norm raises ``ValueError``, as the evaluator does; a
+    Schatten quasi-norm (p < 1) has no norming functional, and generic
+    induced p no exact one: both raise at once.
+    """
+    p = spec.p
+    if spec.kind == "induced_lp" and p not in (1, 2, INF) or p < 1.0:
+        raise ValueError(f"no exact norming functional under {spec}")
+    du, e = cmatrix._unit_parts(d.reshape(1, -1))
+    du, factor = 2.0 * du.reshape(d.shape), math.ldexp(1.0, int(e) - 1)
+    dc = du.conj()
+    spectral = spec.kind == "induced_lp" and p == 2
+    singular = spectral or spec.kind == "schatten" and p != 2.0
+    q = INF if spectral else p  # the exponent of the singular values' sum
+    tiny = float(np.finfo(float).tiny)
+
+    def phases(z, az):  # conj(sign z) from az = |z|: 0 at 0, at most 1 in modulus
+        return z.conj() / np.maximum(az, tiny)
+
+    def unit(v, nrm):  # v / nrm along the leading axis, 0 where nrm = 0
+        nrm = nrm.reshape(nrm.shape + (1,) * (v.ndim - 1))
+        return np.divide(v, nrm, out=np.zeros_like(v), where=nrm > 0)
+
+    def norms_and_slopes(x):
+        if singular:
+            u, s, vh = np.linalg.svd(x, full_matrices=False)
+            diag = np.einsum("kir,ij,krj->kr", u, dc, vh).conj()  # (U* d V)_rr
+            if q == INF:
+                return s[:, 0], diag[:, 0]
+            nrm = _lp_sum(s, q, s[:, 0])
+            if q != 1.0:
+                diag *= unit(s, nrm) ** (q - 1.0)
+            return nrm, diag.sum(axis=-1)
+        if spec.kind == "schatten":  # p = 2
+            nrm = _frobenius(x)
+            return nrm, np.einsum("kij,ij->k", unit(x, nrm).conj(), du)
+        ax = np.abs(x)
+        terms = phases(x, ax) * du
+        if spec.kind == "induced_lp":  # p in {1, inf}: the top column or row
+            axis = -2 if p == 1 else -1
+            sums, lines = ax.sum(axis=axis), terms.sum(axis=axis)
+            top = sums.argmax(axis=-1)
+            pick = np.arange(len(x))
+            return sums[pick, top], lines[pick, top]
+        nrm = _lp_sum(ax, p)  # vector lp
+        if p == INF:
+            pick = np.arange(len(x))
+            top = ax.argmax(axis=-1)
+            return nrm, terms[pick, top]
+        if p > 1.0:
+            terms *= unit(ax, nrm) ** (p - 1.0)
+        return nrm, terms.sum(axis=-1)
+
+    def cut(x):
+        nrm, slopes = norms_and_slopes(x)
+        if not _within(nrm, math.ulp(0.0), _HUGE):  # a zero or non-finite member
+            if not np.isfinite(nrm).all():
+                raise _not_finite(nrm, x, spec)
+            slopes = np.where(nrm > 0, slopes, 0.0)
+        return nrm, slopes * factor
+
+    return cut
 
 
 def norm_value(operand, spec: NormSpec) -> float:

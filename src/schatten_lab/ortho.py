@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .norms import INF, NormSpec, _exponent, _lp_sum, evaluator, schatten_norm
+from .norms import INF, NormSpec, _cut_oracle, _exponent, _lp_sum, evaluator, schatten_norm
 from .search import gamma_min
 
 # Default decision tolerance, relative (for Birkhoff-James, to ||a||).
@@ -32,7 +32,10 @@ class Verdict:
 
     ``gap = min_gamma ||a + gamma b|| - ||a||`` (never meaningfully positive);
     the relation holds iff ``gap >= -tolerance``, taken relative to ``||a||``
-    as the gap is.  ``extremal_scalar`` is the minimizing gamma.
+    as the gap is.  ``extremal_scalar`` is the minimizing gamma.  ``lower``
+    is a certified lower bound on the gap, ``lower <= gap``: the cutting
+    plane's bound less ``||a||``, 0.0 for a degenerate verdict, and None
+    where the Newton model converged.
     """
 
     holds: bool
@@ -40,6 +43,7 @@ class Verdict:
     gap: float
     tolerance: float
     degenerate: bool = False
+    lower: float | None = None
 
 
 @dataclass(frozen=True)
@@ -84,16 +88,21 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     evaluated ring by ring on the rays still descending, then a refinement
     from the best grid point.  Under a norm smooth away from 0
     (``NormSpec.smooth``: Schatten and vector lp with 1 < p < inf) it takes
-    Newton steps on batched quadratic models and hands over to Nelder-Mead
-    at a kink (the cone of a dependent pair); under the others (p = 1 or
-    inf, induced 2, max) it is Nelder-Mead.  Every refinement tolerance is
+    Newton steps on batched quadratic models and hands over to Kelley's
+    cutting planes at a kink (the cone of a dependent pair); under the
+    others (p = 1 or inf, induced 2, max) it is the cutting plane.  Its cuts
+    come from norming functionals of ``a + gamma b``
+    (``norms._cut_oracle``), and the minimum of the cut model over the box
+    ``|Re gamma|, |Im gamma| <= 4 ||a|| / ||b||``, which holds every
+    minimizer (each lies within ``2 ||a|| / ||b||`` of 0), bounds the
+    minimum from below: ``Verdict.lower``.  Every refinement tolerance is
     relative to the radius or to the grid minimum, so the verdict does not
     depend on the operands' separate scales.  The map is convex, so the
     refined minimum is global.  Both operands are validated once, up front;
-    every norm, on the grid and in the refinement, comes from the closures
-    of ``norms.evaluator(spec)``, resolved once per call, and a non-finite
-    evaluation raises ``ValueError`` rather than giving a verdict.  Not
-    symmetric in general.
+    every norm comes from the closures of ``norms.evaluator(spec)`` or the
+    cut oracle, resolved once per call, and the reported gap is the
+    evaluator's value; a non-finite evaluation raises ``ValueError`` rather
+    than giving a verdict.  Not symmetric in general.
     """
     if spec.kind == "schatten" and not spec.p >= 1:
         raise ValueError(f"Birkhoff-James needs a norm: schatten p >= 1, got p={spec.p}")
@@ -107,21 +116,30 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     na, nb = scalar(a), scalar(b)
     tol = tol_rel * na
     if nb == 0.0 or na == 0.0:
-        return Verdict(True, 0j, 0.0, tol, degenerate=True)
+        return Verdict(True, 0j, 0.0, tol, degenerate=True, lower=0.0)
 
     shape_pad = (1,) * a.ndim
+    a1, b1 = a[None, ...], b[None, ...]
+    cut = _cut_oracle(spec, b)
+
+    def pencil(gammas):
+        return a1 + np.asarray(gammas).reshape((-1,) + shape_pad) * b1
 
     def f_batch(gammas):
-        g = np.asarray(gammas).reshape((-1,) + shape_pad)
-        return batch(a[None, ...] + g * b[None, ...])
+        return batch(pencil(gammas))
 
     def f_scalar(g):
         return scalar(a + g * b)
 
+    def cuts(gammas):
+        return cut(pencil(gammas))
+
     with np.errstate(over="ignore", invalid="ignore"):  # the evaluator rejects inf, NaN
-        gamma, vmin = gamma_min(f_batch, f_scalar, radius=4.0 * (na / nb), smooth=spec.smooth)
+        gamma, vmin, lower = gamma_min(f_batch, f_scalar, radius=4.0 * (na / nb),
+                                       smooth=spec.smooth, cuts=cuts)
     gap = vmin - na
-    return Verdict(bool(gap >= -tol), gamma, float(gap), tol)
+    return Verdict(bool(gap >= -tol), gamma, float(gap), tol,
+                   lower=None if lower is None else float(lower - na))
 
 
 def _trace_form(b: np.ndarray, a: np.ndarray, p: float,

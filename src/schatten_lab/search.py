@@ -13,9 +13,11 @@ Three optimization shapes recur across the package:
   ring (a ray stops once its values rise: convexity keeps it rising), then,
   for a function its caller declares smooth, Newton steps on quadratic
   models fitted to batched six-point stencils, and otherwise, or where a
-  model fails (a kink), an in-repo two-dimensional Nelder-Mead (no SciPy
-  dependency); every refinement tolerance is relative to the search radius
-  or the grid minimum;
+  model fails (a kink), Kelley's cutting planes from the caller's
+  subgradients, whose model minimum over a box is a certified lower bound
+  (the master LP a dual simplex in plain floats; no SciPy dependency);
+  every refinement tolerance is relative to the search radius or the grid
+  minimum;
 * maximize a functional over the unit lp sphere of C^n, with complex
   starts for real operands too (Banach radius, norm attainment sets) --
   seeded multistart gradient ascent, all starts advancing together as one
@@ -32,6 +34,7 @@ closures (``norms.evaluator``) raise ``ValueError`` on a non-finite one.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -199,8 +202,11 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
     return best_t % TWO_PI, best_v
 
 
-def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False) -> tuple[complex, float]:
-    """Minimize a convex ``gamma -> f(gamma)`` over the complex plane.
+def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False, *,
+              cuts) -> tuple[complex, float, float | None]:
+    """Minimize a convex, nonnegative ``gamma -> f(gamma)`` over the complex
+    plane; returns the minimizer found, its value and a certified lower
+    bound on the minimum (None where the Newton model converged).
 
     Coarse polar grid out to ``radius`` (origin plus 16 rings of 16 angles,
     257 points), evaluated ring by ring on the live rays; a ray (the origin
@@ -210,9 +216,11 @@ def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False) -> tuple[c
     Then ``_refine`` from the best grid point: the quadratic-model Newton
     iteration when the caller declares ``f`` ``smooth`` (differentiable away
     from isolated points, as a Schatten or lp norm with 1 < p < inf is),
-    Nelder-Mead otherwise and wherever the model fails.  Convexity makes the
-    refined local minimum global, so the grid only needs to land in the
-    right basin.
+    Kelley's cutting planes (``_cutting_plane``) otherwise and wherever the
+    model fails.  ``cuts`` maps an array of gammas to their values and
+    slopes ``s``, each a cut ``f(gamma + delta) >= f(gamma) + Re(delta s)``
+    (``norms._cut_oracle``).  The cutting plane's lower bound holds where
+    every minimizer lies in the box ``|Re gamma|, |Im gamma| <= radius``.
     """
     radii = radius * np.arange(1, 17) / 16
     angles = np.linspace(0.0, TWO_PI, 16, endpoint=False)
@@ -227,34 +235,33 @@ def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False) -> tuple[c
         last = ring[vals[ring] <= vals[last] + _MARGIN * np.abs(vals[last])]
         idx = last[last < gammas.size - 16] + 16
     k = int(np.argmin(vals))
-    return _refine(f_batch, f_scalar, complex(gammas[k]), float(vals[k]), radius, smooth)
+    return _refine(f_batch, f_scalar, complex(gammas[k]), float(vals[k]), radius, smooth,
+                   cuts)
 
 
-def _refine(f_batch, f_scalar, g0: complex, v0: float, radius: float,
-            smooth: bool) -> tuple[complex, float]:
+def _refine(f_batch, f_scalar, g0: complex, v0: float, radius: float, smooth: bool,
+            cuts) -> tuple[complex, float, float | None]:
     """Refine ``gamma_min``'s grid minimum ``(g0, v0)``; never returns worse.
 
     Every tolerance is relative: positions to ``radius``, values to
     ``|v0|``, so scaling the problem scales the result.  A ``smooth`` ``f``
     runs ``_newton_min`` first, with the grid's ring spacing as its stencil
     spacing and values resolved to 1e-14 ``|v0|``; if its model converges,
-    that is the result.  It sees the values scaled by the power of two that
-    takes ``|v0|`` into [0.5, 1): exact, so no step changes, and no
-    curvature overflows or underflows.  Otherwise Nelder-Mead (``xatol`` 1e-10 ``radius``,
-    ``fatol`` 1e-13 ``|v0|``, 800 evaluations of ``f_scalar`` at most)
-    continues from the best point so far, on a simplex of the last spacing.
+    that is the result, with no lower bound.  It sees the values scaled by
+    the power of two that takes ``|v0|`` into [0.5, 1): exact, so no step
+    changes, and no curvature overflows or underflows.  Otherwise
+    ``_cutting_plane`` continues from the best point so far.
     """
-    g, v, h = g0, v0, radius / 16
+    g, v = g0, v0
     if smooth:
         s0, e = np.frexp(v0)  # v0 = s0 2^e exactly
-        g, v, h, converged = _newton_min(lambda pts: np.ldexp(f_batch(pts), -e),
-                                         g, float(s0), h, radius, 1e-14 * abs(float(s0)))
+        g, v, converged = _newton_min(lambda pts: np.ldexp(f_batch(pts), -e),
+                                         g, float(s0), radius / 16, radius,
+                                         1e-14 * abs(float(s0)))
         v = float(np.ldexp(v, e))
         if converged:
-            return g, v
-    gn, vn = nelder_mead_complex(f_scalar, g, h, xatol=1e-10 * radius,
-                                 fatol=1e-13 * abs(v0), maxfev=800)
-    return (gn, vn) if vn < v else (g, v)
+            return g, v, None
+    return _cutting_plane(cuts, f_scalar, g, v, abs(v0), radius)
 
 
 # Offsets of the quadratic model's stencil around its centre c, in units of
@@ -264,10 +271,10 @@ _TRIAL = np.concatenate([[0.0], _STENCIL])
 
 
 def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
-                ftol: float) -> tuple[complex, float, float, bool]:
+                ftol: float) -> tuple[complex, float, bool]:
     """Derivative-free Newton iteration for a smooth convex ``f`` from
-    ``(g, v = f(g))``; returns the best point evaluated, its value, the last
-    stencil spacing and whether the model converged.
+    ``(g, v = f(g))``; returns the best point evaluated, its value and
+    whether the model converged.
 
     Each model is the quadratic through ``v`` and the values on the stencil
     ``g + h _STENCIL``: central differences give the gradient and the
@@ -286,7 +293,7 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
     (the values cannot resolve it), on a stencil no wider than 1e-3 ``radius``: a wider
     stencil is narrowed to that and refitted first, because far from the
     minimum its differences can balance.  Not converged, so the caller hands
-    over to Nelder-Mead, when three successive models are not positive
+    over to the cutting plane, when three successive models are not positive
     definite though the spacing is quartered each time, when a step within
     1e-10 ``radius`` still promises a gain above ``ftol`` (a kink, such as
     the cone of a dependent pair), when the trust radius falls within
@@ -337,78 +344,145 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
         elif gain > ftol:
             break
         if h <= hfine:
-            return g, v, h, True
+            return g, v, True
         h = hfine
         vals = f_batch(g + h * _STENCIL)
-    return g, v, h, False
+    return g, v, False
 
 
-class _BudgetSpent(Exception):
-    """Raised inside ``nelder_mead_complex`` when ``maxfev`` is reached."""
+# The cutting plane's first cuts: its start and the eight points around it
+# at one grid ring spacing (radius / 16), along the axes and the diagonals.
+_NINE = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / 16
+# Its stopping gap, and the master's feasibility slack: both in units of
+# the grid minimum, so relative.
+_CUT_GAP = 1e-10
+_FEAS = 1e-13
 
 
-def nelder_mead_complex(f, g0: complex, h: float, *, xatol: float, fatol: float,
-                        maxfev: int) -> tuple[complex, float]:
-    """Nelder-Mead minimization of ``f`` over the complex plane as R^2.
+def _cutting_plane(cuts, f_scalar, g: complex, v: float, scale: float,
+                   radius: float) -> tuple[complex, float, float]:
+    """Kelley's cutting-plane method (Kelley 1960, J. SIAM 8) for a convex,
+    nonnegative ``f`` from ``(g, v = f(g))``; returns the best point, its
+    value and a lower bound on the minimum of ``f`` over the box
+    ``|Re gamma|, |Im gamma| <= radius``.
 
-    Standard non-adaptive coefficients (reflection 1, expansion 2,
-    contraction 1/2, shrink 1/2) on the initial simplex ``g0, g0 + h,
-    g0 + ih``.  Stops once every vertex lies within ``xatol`` of the best in
-    each coordinate and every value within ``fatol`` of the best, or when
-    ``maxfev`` evaluations of ``f`` are spent; a step cut short by the
-    budget is discarded.  Returns the best vertex and its value.
+    It works in ``z = (gamma - g) / radius``, with values in units of
+    ``scale`` (the grid minimum), so every tolerance is relative.  The
+    model is the maximum of the cuts ``f_k + Re((gamma - gamma_k) s_k)``
+    that ``cuts`` gives; its minimum over the box, from ``_CutModel``, is
+    the lower bound, and its argmin is the next point.  The first nine cuts,
+    at ``g + _NINE radius``, come from one call.  Each later call evaluates
+    one point, until the best value is within ``_CUT_GAP`` of the bound
+    (floored at 0, as ``f`` is), or after 200 points.  The best point is
+    re-evaluated by ``f_scalar``, so its value is the evaluator's; if that
+    is not below ``v``, ``(g, v)`` is returned.  A bound rounded above the
+    value is lowered to it.
     """
-    nfev = 0
+    if scale == 0.0 or not math.isfinite(radius / scale):  # f >= 0 bounds a zero minimum
+        return g, v, 0.0
+    unit = radius / scale
+    lo_x, hi_x = -1.0 - g.real / radius, 1.0 - g.real / radius
+    lo_y, hi_y = -1.0 - g.imag / radius, 1.0 - g.imag / radius
+    model = _CutModel(lo_x, hi_x, lo_y, hi_y)
+    best, ub, lb = None, v / scale, -math.inf
+    zs = _NINE.tolist()
+    for _ in range(200):
+        gammas = [g + radius * z for z in zs]
+        vals, slopes = cuts(np.array(gammas))
+        for z, gamma, f, s in zip(zs, gammas, vals.tolist(), slopes.tolist()):
+            f, s = f / scale, s * unit
+            model.add(z.real, z.imag, f, s.real, -s.imag)
+            if f < ub:
+                best, ub = gamma, f
+        lb = max(lb, model.solve())
+        if ub - max(lb, 0.0) <= _CUT_GAP:
+            break
+        # The argmin, kept in the box should the master stop with a row unmet.
+        zs = [complex(min(max(model.x, lo_x), hi_x), min(max(model.y, lo_y), hi_y))]
+    lower = max(lb, 0.0) * scale
+    if best is not None:
+        vb = f_scalar(best)
+        if vb < v:
+            return best, vb, min(lower, vb)
+    return g, v, min(lower, v)
 
-    def vertex(x, y):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return float(f(complex(x, y))), x, y
 
-    def ranked(*verts):
-        # Best first; the sort is stable, so ties keep the order given.
-        return sorted(verts, key=lambda v: v[0])
+class _CutModel:
+    """The master problem of ``_cutting_plane``: the linear program
 
-    x0, y0 = g0.real, g0.imag
-    b, m, w = ranked(vertex(x0, y0), vertex(x0 + h, y0), vertex(x0, y0 + h))
-    try:
-        while True:
-            (fb, bx, by), (fm, mx, my), (fw, wx, wy) = b, m, w
-            if (max(abs(mx - bx), abs(my - by), abs(wx - bx), abs(wy - by)) <= xatol
-                    and max(abs(fb - fm), abs(fb - fw)) <= fatol):
+        minimize t  subject to  lo_x <= x <= hi_x,  lo_y <= y <= hi_y,
+                                t >= f_k + gx_k (x - x_k) + gy_k (y - y_k),
+
+    solved by a warm-started dual simplex in plain floats (three variables
+    do not repay numpy's call overhead).  Each row is ``a . (x, y, t) >= c``;
+    the basis is three tight rows whose multipliers, the t components of the
+    columns of the inverse basis, stay nonnegative, so every basic solution's
+    t is a lower bound on the program's minimum.  The first cut opens at the
+    box corner where it is lowest.  A pivot enters the most violated row
+    (the first on ties) and leaves, by the ratio test over the inverse's
+    three columns, the first basic row of least ratio; the inverse is
+    rebuilt from the basic rows each time.  Violations within ``_FEAS``
+    count as met.
+    """
+
+    def __init__(self, lo_x: float, hi_x: float, lo_y: float, hi_y: float):
+        self.rows = [(1.0, 0.0, 0.0, lo_x), (-1.0, 0.0, 0.0, -hi_x),
+                     (0.0, 1.0, 0.0, lo_y), (0.0, -1.0, 0.0, -hi_y)]
+        self.basis: list[int] = []
+        self.x = self.y = self.t = 0.0
+        self.met = 0  # rows before this one are met at (x, y, t)
+
+    def add(self, xk: float, yk: float, fk: float, gx: float, gy: float) -> None:
+        """Add the cut through ``(xk, yk, fk)`` with slopes ``(gx, gy)``."""
+        self.rows.append((-gx, -gy, 1.0, fk - gx * xk - gy * yk))
+        if not self.basis:
+            self.basis = [len(self.rows) - 1, 0 if gx >= 0.0 else 1, 2 if gy >= 0.0 else 3]
+            self._factor()
+
+    def _factor(self) -> None:
+        """The inverse basis, as the columns ``(a2 x a3, a3 x a1, a1 x a2) /
+        det`` of the basic rows a1, a2, a3, and the basic solution it gives."""
+        b1, b2, b3 = self.basis
+        (x1, y1, t1, c1), (x2, y2, t2, c2), (x3, y3, t3, c3) = (
+            self.rows[b1], self.rows[b2], self.rows[b3])
+        u1, w1, z1 = y2 * t3 - t2 * y3, t2 * x3 - x2 * t3, x2 * y3 - y2 * x3
+        u2, w2, z2 = y3 * t1 - t3 * y1, t3 * x1 - x3 * t1, x3 * y1 - y3 * x1
+        u3, w3, z3 = y1 * t2 - t1 * y2, t1 * x2 - x1 * t2, x1 * y2 - y1 * x2
+        r = 1.0 / (x1 * u1 + y1 * w1 + t1 * z1)
+        self.cols = [(u1 * r, w1 * r, z1 * r), (u2 * r, w2 * r, z2 * r),
+                     (u3 * r, w3 * r, z3 * r)]
+        self.x = (c1 * u1 + c2 * u2 + c3 * u3) * r
+        self.y = (c1 * w1 + c2 * w2 + c3 * w3) * r
+        self.t = (c1 * z1 + c2 * z2 + c3 * z3) * r
+
+    def solve(self) -> float:
+        """Pivot until no row is violated (at most 100 pivots); returns t.
+        Only the rows added since the last solve are checked until a pivot
+        moves the point."""
+        start = self.met
+        for _ in range(100):
+            x, y, t = self.x, self.y, self.t
+            enter, worst = -1, _FEAS
+            for i, (ax, ay, at, c) in enumerate(self.rows[start:], start):
+                gap = c - (ax * x + ay * y + at * t)
+                if gap > worst and i not in self.basis:  # basic rows are met, to rounding
+                    enter, worst = i, gap
+            if enter < 0:
                 break
-            cx, cy = (bx + mx) / 2, (by + my) / 2
-            # Points t c + (1 - t) w on the line from the worst vertex (t = 0)
-            # through the centroid of the other two (t = 1): reflection t = 2,
-            # expansion 3, outside contraction 3/2, inside contraction 1/2.
-            new = r = vertex(2.0 * cx - wx, 2.0 * cy - wy)
-            if r[0] < fb:
-                e = vertex(3.0 * cx - 2.0 * wx, 3.0 * cy - 2.0 * wy)
-                new = e if e[0] < r[0] else r
-            elif r[0] >= fm:
-                if r[0] < fw:
-                    new = vertex(1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy)
-                    accept = new[0] <= r[0]
-                else:
-                    new = vertex(0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy)
-                    accept = new[0] < fw
-                if not accept:
-                    # Shrink the other two vertices halfway toward the best.
-                    b, m, w = ranked(b, vertex(bx + 0.5 * (mx - bx), by + 0.5 * (my - by)),
-                                     vertex(bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)))
-                    continue
-            # Into the worst vertex's place, in rank: ties stay behind.
-            if new[0] < fb:
-                b, m, w = new, b, m
-            elif new[0] < fm:
-                m, w = new, m
-            else:
-                w = new
-    except _BudgetSpent:
-        pass
-    return complex(b[1], b[2]), b[0]
+            start = 0
+            ax, ay, at, _ = self.rows[enter]
+            alpha = [ax * u + ay * w + at * z for u, w, z in self.cols]
+            floor = 1e-12 * max(abs(alpha[0]), abs(alpha[1]), abs(alpha[2]))
+            leave, ratio = -1, math.inf
+            for j, (a, col) in enumerate(zip(alpha, self.cols)):
+                if a > floor and col[2] / a < ratio:
+                    leave, ratio = j, col[2] / a
+            if leave < 0:  # no basic row can give way: leave the row unmet
+                break
+            self.basis[leave] = enter
+            self._factor()
+        self.met = len(self.rows)
+        return self.t
 
 
 def sphere_starts(n: int, count: int, seed: int) -> np.ndarray:

@@ -246,6 +246,14 @@ class TestMatrixFileErrors:
             capsys, ["check", "bj", a, str(bad)], "invalid JSON at line 2"
         )
 
+    def test_binary_file(self, tmp_path, files, capsys):
+        # A numpy .npy file raised UnicodeDecodeError, a traceback with exit
+        # code 1, which reads as "relation fails".
+        a = files("a", np.eye(2))
+        npy = tmp_path / "a.npy"
+        np.save(npy, np.eye(2))
+        self._expect(capsys, ["check", "bj", str(npy), a], "not a UTF-8 text file")
+
     def test_not_an_object(self, tmp_path, files, capsys):
         a = files("a", np.eye(2))
         bad = tmp_path / "list.json"
@@ -302,15 +310,20 @@ class TestMatrixFileErrors:
 class TestNearOverflow:
     """Operands near the largest float: never an uncaught error with exit 1."""
 
-    @pytest.mark.parametrize("norm, p", [("schatten", "inf"), ("induced", "2")])
+    @pytest.mark.parametrize("norm, p", [("schatten", "inf"), ("induced", "2"),
+                                         ("schatten", "1"), ("induced", "1"),
+                                         ("induced", "inf")])
     def test_pencil_overflow_is_usage_error(self, files, capsys, norm, p):
-        # a + gamma b overflows on the search grid: one error line, and no
-        # numpy warning (the suite turns any warning into a failure).
+        # a + gamma b overflows on the search grid (||a||_1 itself under
+        # Schatten 1): one error line naming the float range, and no numpy
+        # warning (the suite turns any warning into a failure).  Under
+        # Schatten inf and induced 2 the SVD of the overflowed member read NaN.
         a = files("a", np.diag([1.5e308, 1.5e308]))
         b = files("b", np.diag([1.5e308, -1.5e308]))
         assert main(["check", "bj", a, b, "--norm", norm, "--p", p]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error: norm evaluated to inf") and err.count("\n") == 1
+        assert "(above the float range)" in err
 
     def test_circle_overflow_is_usage_error(self, files, capsys):
         # a + lambda b overflows on the circle grid.  The evaluator's batch

@@ -41,6 +41,15 @@ class TestConversions:
         with pytest.raises(ValueError):
             as_matrix([1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(0.0, -np.inf),
+                                     complex(np.nan, 0.0), complex(1.0, np.nan)])
+    def test_non_finite_part_rejected(self, bad):
+        # One isfinite pass over the complex entries tests both parts.
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            as_matrix([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            as_vector([1.0, bad])
+
     def test_as_vector_rejects_matrices(self):
         with pytest.raises(ValueError):
             as_vector([[1.0, 2.0], [3.0, 4.0]])

@@ -206,6 +206,11 @@ class TestScaleRepros:
             numerical_radius_banach(1.5e308 * np.ones((3, 3)), 3.0)
         with pytest.raises(ValueError, match="induced norm evaluated to inf"):
             induced_norm(1.2e308 * np.ones((4, 1)), 3.0)
+        # The exact routes read inf, silently at p = 2 and with numpy's
+        # overflow warning at p = 1 and inf.
+        for p in (1.0, 2.0, math.inf):
+            with pytest.raises(ValueError, match="induced norm evaluated to inf"):
+                induced_norm(1.5e308 * np.ones((2, 2)), p)
 
 
 # The lp family: vector lp, with the max norm at p = inf, and generic

@@ -13,6 +13,7 @@ from schatten_lab.norms import (
     NormSpec,
     SPECTRAL,
     TRACE,
+    _cut_oracle,
     _frobenius,
     evaluator,
     induced_norm,
@@ -312,6 +313,97 @@ class TestEvaluator:
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(ValueError, match="evaluated to inf"):
                 norm_value_batch(stack, spec)
+
+
+_EXACT_SPECS = tuple(s for s in _MATRIX_SPECS + (NormSpec.lp(2.0),) + _VECTOR_SPECS
+                     if evaluator(s)[2] and s.p >= 1.0)
+
+
+def _oracle_cases(spec, rng):
+    """Generic draws, then a zero member and members with the degeneracies
+    a norming functional must survive: rank deficient, and tied top singular
+    values, columns, rows or entries."""
+    if spec.is_vector:
+        tied = np.array([2.0, -2.0j, 1.0, 0.5, 0.0], dtype=complex)
+        return [_draw(rng, (5,)) for _ in range(6)] + [np.zeros(5, dtype=complex), tied]
+    g = _draw(rng, (4, 4))
+    low_rank = _draw(rng, (4, 2)) @ _draw(rng, (2, 4))
+    tied = np.diag([2.0, -2.0j, 1.0, 0.0]).astype(complex)
+    lines = np.ones((4, 4), dtype=complex)  # every column and row sum ties
+    return [_draw(rng, (4, 4)) for _ in range(6)] + [
+        np.zeros((4, 4), dtype=complex), low_rank, tied, lines, g @ np.diag([1, 1, 0, 0])]
+
+
+class TestCutOracle:
+    """``norms._cut_oracle``: each slope ``phi_X(d)`` comes from a norming
+    functional of X, so every cut it gives is a supporting plane."""
+
+    @pytest.mark.parametrize("spec", _EXACT_SPECS, ids=_spec_id)
+    def test_functional_norms_its_member(self, spec):
+        # phi_X(X) = ||X||, |phi_X(Y)| <= ||Y|| for every Y, and 0 at X = 0.
+        rng = _rng(67)
+        norm = evaluator(spec)[0]
+        for x in _oracle_cases(spec, rng):
+            nrm, own = _cut_oracle(spec, x)(x[None])
+            assert nrm[0] == pytest.approx(float(norm(x)), rel=1e-14, abs=0.0)
+            assert abs(own[0] - nrm[0]) <= 1e-13 * nrm[0]
+            for _ in range(5):
+                y = _draw(rng, x.shape)
+                _, slope = _cut_oracle(spec, y)(x[None])
+                assert abs(slope[0]) <= float(norm(y)) * (1.0 + 1e-13)
+                if nrm[0] == 0.0:
+                    assert slope[0] == 0.0
+
+    @pytest.mark.parametrize("spec", _EXACT_SPECS, ids=_spec_id)
+    def test_cuts_support_the_pencil(self, spec):
+        # ||a + gamma b|| >= ||a|| + Re(gamma phi_a(b)) at every gamma, on a
+        # whole stack of members at once.
+        rng = _rng(71)
+        norm = evaluator(spec)[0]
+        cases = _oracle_cases(spec, rng)
+        b = _draw(rng, cases[0].shape)
+        nrm, slopes = _cut_oracle(spec, b)(np.stack(cases))
+        for x, n0, s in zip(cases, nrm, slopes):
+            gammas = 3.0 * _draw(rng, (40,))
+            vals = norm(x[None] + gammas.reshape((-1,) + (1,) * x.ndim) * b[None])
+            assert (vals >= n0 + (gammas * s).real - 1e-12 * (n0 + np.abs(gammas))).all()
+
+    @pytest.mark.parametrize("spec", _EXACT_SPECS, ids=_spec_id)
+    def test_slopes_match_central_differences(self, spec):
+        # At generic members every one of these norms is differentiable, and
+        # f(gamma + delta) = f(gamma) + Re(delta s) + o(delta).
+        rng = _rng(73)
+        norm = evaluator(spec)[1]
+        shape = (5,) if spec.is_vector else (4, 4)
+        for _ in range(6):
+            a, b = _draw(rng, shape), _draw(rng, shape)
+            nrm, (s,) = _cut_oracle(spec, b)(a[None])
+            h = 1e-6
+            dx = (norm(a + h * b) - norm(a - h * b)) / (2 * h)
+            dy = (norm(a + 1j * h * b) - norm(a - 1j * h * b)) / (2 * h)
+            assert abs(dx - s.real) <= 1e-6 * nrm[0]
+            assert abs(dy + s.imag) <= 1e-6 * nrm[0]
+
+    def test_direction_at_any_scale(self):
+        # d is read through its power-of-two scaling: slopes scale with it,
+        # exactly, up to the largest floats.
+        rng = _rng(79)
+        x, d = _draw(rng, (4, 4)), _draw(rng, (4, 4))
+        for spec in (TRACE, SPECTRAL, NormSpec.induced(1.0), FROBENIUS):
+            _, (s,) = _cut_oracle(spec, d)(x[None])
+            for scale in (2.0 ** -1000, 2.0 ** 1000):
+                _, (ss,) = _cut_oracle(spec, scale * d)(x[None])
+                assert ss == scale * s
+
+    def test_overflowed_member_and_unsupported_norms_raise(self):
+        x = np.stack([np.eye(2, dtype=complex), np.full((2, 2), np.inf + 0j)])
+        for spec in (TRACE, SPECTRAL, NormSpec.induced(1.0), NormSpec.induced(2.0)):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="above the float range"):
+                _cut_oracle(spec, np.eye(2, dtype=complex))(x)
+        for spec in (NormSpec.schatten(0.5), NormSpec.induced(3.0)):
+            with pytest.raises(ValueError, match="no exact norming functional"):
+                _cut_oracle(spec, np.eye(2, dtype=complex))
 
 
 def _ulps(value, ref):

@@ -1,13 +1,17 @@
 """Tests for orthogonality predicates: definitional, trace, isosceles, supports."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from schatten_lab import cmatrix
 from schatten_lab.ensembles import ginibre
-from schatten_lab.norms import INF, FROBENIUS, NormSpec, SPECTRAL, TRACE, schatten_norm
+from schatten_lab.norms import (INF, FROBENIUS, NormSpec, SPECTRAL, TRACE, norm_value,
+                                schatten_norm)
 from schatten_lab.ortho import (
     bj_definitional,
     bj_trace,
@@ -25,6 +29,24 @@ from schatten_lab.ortho import (
 # Every norm Birkhoff-James evaluates exactly.
 _EXACT_SPECS = [NormSpec.schatten(p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
     NormSpec.induced(p) for p in (1.0, 2.0, INF)]
+
+
+_PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def _benchmark_inputs():
+    """The benchmark's input generator, ``perfbench/inputs.py``, loaded
+    under a private name without touching ``sys.path`` (its dataclasses
+    need the module registered while it runs)."""
+    name = "_perfbench_inputs"
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def _rng(seed):
@@ -81,6 +103,16 @@ class TestBjDefinitional:
             assert abs(v.extremal_scalar + 1.0 / 0.7) <= 1e-3
             assert v.gap <= -0.9 * schatten_norm(a, spec.p)
 
+    @pytest.mark.parametrize("spec", _EXACT_SPECS, ids=str)
+    def test_grid_point_at_the_zero_minimum(self, spec):
+        # b = -a puts the minimizer gamma = 1 exactly on the grid, where the
+        # pencil is 0: the minimum needs no refinement, and f >= 0 bounds it.
+        a = _draw(_rng(109), (3, 3))
+        v = bj_definitional(a, -a, spec)
+        na = norm_value(a, spec)
+        assert not v.holds and v.extremal_scalar == 1.0
+        assert v.gap == v.lower == -na
+
     def test_not_symmetric_in_general(self):
         # Spectral norm: diag(1,1) is orthogonal to diag(1,0) (the free
         # coordinate keeps the norm at 1), but not conversely (gamma = -1/2
@@ -116,7 +148,42 @@ class TestBjDefinitional:
     def test_degenerate_zero_operand(self):
         a = np.zeros((2, 2))
         v = bj_definitional(a, np.eye(2), FROBENIUS)
-        assert v.degenerate and v.holds
+        assert v.degenerate and v.holds and v.lower == 0.0
+
+    @pytest.mark.parametrize("spec", _EXACT_SPECS + [NormSpec.lp(p) for p in (1.0, 2.0, INF)],
+                             ids=str)
+    def test_lower_bound_brackets_the_gap(self, spec):
+        # The cutting plane stops once its best value is within 1e-10 of the
+        # grid minimum (at most ||a||) above its bound.  Newton's converged
+        # models carry no bound; a dependent pair hands over to the cutting
+        # plane, whose bound then meets the apex.
+        rng = _rng(107)
+        shape = (5,) if spec.is_vector else (4, 4)
+        pairs = [(_draw(rng, shape), _draw(rng, shape)) for _ in range(3)]
+        b = _draw(rng, shape)
+        pairs.append(((0.6 + 0.3j) * b, b))
+        for k, (a, b) in enumerate(pairs):
+            v = bj_definitional(a, b, spec)
+            na = norm_value(a, spec)
+            if spec.smooth and k < 3:
+                assert v.lower is None
+                continue
+            assert v.lower <= v.gap <= v.lower + 1e-10 * na
+
+    @pytest.mark.skipif(not _PERFBENCH_INPUTS.is_file(),
+                        reason="needs the benchmark's input generator")
+    @pytest.mark.parametrize("op, spec, gap", [
+        (17, NormSpec.induced(INF), -0.5874113221),
+        (36, NormSpec.induced(1.0), -0.1177046355),
+    ])
+    def test_kinks_reach_the_minimum(self, op, spec, gap):
+        # ortho-pairs round 2, direction 0: a Nelder-Mead refiner stalled
+        # here, 1.01e4 and 0.74 tolerances above these minima (-0.5828369,
+        # -0.1177044776).  The cutting plane reaches them, with the bound.
+        pair = _benchmark_inputs().ortho_round(2)[op]
+        v = bj_definitional(pair.a, pair.b, spec)
+        assert abs(v.gap - gap) <= 1e-9
+        assert v.lower <= v.gap <= v.lower + 1e-10 * norm_value(pair.a, spec)
 
     def test_quasi_norm_rejected(self):
         with pytest.raises(ValueError):

@@ -9,51 +9,109 @@ import pytest
 from schatten_lab.ensembles import dependent_pair, ginibre, nilpotent, normal_matrix
 from schatten_lab.norms import FROBENIUS, INF, NormSpec, evaluator
 from schatten_lab.ortho import bj_definitional
-from schatten_lab import norms, parallel, search
-from schatten_lab.search import (_arc_bound, _lp_normalize, circle_max, gamma_min,
-                                 golden_section_max, multistart_ascent, nelder_mead_complex,
+from schatten_lab import cmatrix, norms, parallel, search
+from schatten_lab.search import (_arc_bound, _CutModel, _lp_normalize, circle_max,
+                                 gamma_min, golden_section_max, multistart_ascent,
                                  sphere_starts)
 
 
-def _bowl(center, scale=1.0):
+def _bowl(center):
     def f(g):
-        return scale * abs(g - center) ** 2
+        return abs(g - center) ** 2
     return f
 
 
-class TestNelderMeadComplex:
-    def test_converges_to_smooth_minimum(self):
-        center = 0.3 - 1.7j
-        g, v = nelder_mead_complex(_bowl(center), 2.0 + 1.0j, 0.5,
-                                   xatol=1e-12, fatol=1e-20, maxfev=800)
-        assert abs(g - center) <= 1e-9
-        assert v <= 1e-18
+def _bowl_cuts(center):
+    """Values and slopes of ``|g - center|^2``: its differential at g is
+    ``Re(delta * 2 conj(g - center))``."""
+    def cuts(gs):
+        gs = np.asarray(gs)
+        return np.abs(gs - center) ** 2, 2.0 * np.conj(gs - center)
+    return cuts
 
-    def test_converges_on_nonsmooth_minimum(self):
-        center = -1.0 + 0.25j
-        g, v = nelder_mead_complex(lambda z: abs(z - center), 0j, 0.1,
-                                   xatol=1e-11, fatol=1e-14, maxfev=800)
-        assert abs(g - center) <= 1e-9
-        assert v == abs(g - center)
 
-    def test_respects_evaluation_budget(self):
-        calls = []
+def _flat_cuts(gs):
+    return np.ones(len(gs)), np.zeros(len(gs), dtype=complex)
 
-        def f(g):
-            calls.append(g)
-            return abs(g - 5.0) ** 2
 
-        g, v = nelder_mead_complex(f, 0j, 1e-3, xatol=0.0, fatol=0.0, maxfev=25)
-        assert len(calls) == 25
-        # The returned pair is an evaluated vertex and its own value.
-        assert g in calls and v == abs(g - 5.0) ** 2
-        assert v < 25.0
+def _vertex_min(rows):
+    """The master LP's minimum by brute force: t at the best feasible vertex,
+    each the solution of three rows ``a . (x, y, t) = c`` taken tight."""
+    best = np.inf
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            for k in range(j + 1, len(rows)):
+                a = np.array([rows[n][:3] for n in (i, j, k)])
+                if abs(np.linalg.det(a)) < 1e-12:
+                    continue
+                w = np.linalg.solve(a, [rows[n][3] for n in (i, j, k)])
+                slack = np.array([r[3] - np.dot(r[:3], w) for r in rows])
+                if (slack <= 1e-9 * (1.0 + np.abs([r[3] for r in rows]))).all():
+                    best = min(best, w[2])
+    return best
+
+
+def _random_cuts(rng, n, kind):
+    """(x, y, f, gx, gy) for n cuts: generic, or with the degeneracies the
+    refiner meets -- repeated cuts, parallel ones, cuts through one point
+    (a cone's apex), flat ones and zero slopes in one coordinate."""
+    pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    f = rng.uniform(0.5, 2.0, size=n)
+    g = rng.standard_normal((n, 2)) * 3.0
+    if kind == "repeated":
+        pts[1::2], f[1::2], g[1::2] = pts[::2][:n // 2], f[::2][:n // 2], g[::2][:n // 2]
+    elif kind == "parallel":
+        g[:] = g[0]
+    elif kind == "apex":  # every cut passes through (0.2, -0.1, 1)
+        f = 1.0 + g[:, 0] * (pts[:, 0] - 0.2) + g[:, 1] * (pts[:, 1] + 0.1)
+    elif kind == "flat":
+        g[::3] = 0.0
+    elif kind == "axis":
+        g[::2, 0] = 0.0
+        g[1::2, 1] = 0.0
+    return [(x, y, fk, gx, gy) for (x, y), fk, (gx, gy) in zip(pts, f, g)]
+
+
+class TestCutModel:
+    """``search._CutModel``, the cutting plane's master LP, against the
+    brute-force minimum over every vertex of the same program."""
+
+    @pytest.mark.parametrize("kind", ["generic", "repeated", "parallel", "apex", "flat", "axis"])
+    def test_matches_vertex_enumeration(self, kind):
+        rng = np.random.default_rng(53)
+        for _ in range(6):
+            box = (-1.0 - rng.uniform(), 1.0 + rng.uniform(), -1.5, 0.5)
+            model = _CutModel(*box)
+            cuts = _random_cuts(rng, 9, kind)
+            for n, cut in enumerate(cuts, 1):
+                model.add(*cut)
+                t = model.solve()
+                ref = _vertex_min(model.rows)
+                assert abs(t - ref) <= 1e-9 * (1.0 + abs(ref))
+                # The basic solution meets every row and lies in the box.
+                assert box[0] - 1e-12 <= model.x <= box[1] + 1e-12
+                assert box[2] - 1e-12 <= model.y <= box[3] + 1e-12
+                for x, y, f, gx, gy in cuts[:n]:
+                    assert t >= f + gx * (model.x - x) + gy * (model.y - y) - 1e-9
+
+    def test_first_cut_opens_at_its_lowest_corner(self):
+        for gx, gy, corner in ((2.0, 1.0, (-1.0, -2.0)), (-2.0, 1.0, (1.0, -2.0)),
+                               (2.0, -1.0, (-1.0, 2.0)), (0.0, 0.0, (-1.0, -2.0))):
+            model = _CutModel(-1.0, 1.0, -2.0, 2.0)
+            model.add(0.0, 0.0, 1.0, gx, gy)
+            assert (model.x, model.y) == corner
+            assert model.solve() == 1.0 + gx * corner[0] + gy * corner[1]
 
     def test_deterministic(self):
-        f = _bowl(1.0 + 1.0j, 3.0)
-        first = nelder_mead_complex(f, -2j, 0.25, xatol=1e-10, fatol=1e-13, maxfev=800)
-        again = nelder_mead_complex(f, -2j, 0.25, xatol=1e-10, fatol=1e-13, maxfev=800)
-        assert first == again
+        def run():
+            model = _CutModel(-1.0, 1.0, -1.0, 1.0)
+            out = []
+            for cut in _random_cuts(np.random.default_rng(59), 12, "apex"):
+                model.add(*cut)
+                out.append((model.solve(), model.x, model.y, tuple(model.basis)))
+            return out
+
+        assert run() == run()
 
 
 def _polar_grid(radius):
@@ -63,14 +121,14 @@ def _polar_grid(radius):
     return np.concatenate([[0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()])
 
 
-def _full_gamma_min(f_batch, f_scalar, radius, smooth=False):
+def _full_gamma_min(f_batch, f_scalar, radius, smooth=False, *, cuts):
     """``gamma_min`` without pruning: the whole grid as one batch, then the
     same refinement."""
     gammas = _polar_grid(radius)
     vals = np.asarray(f_batch(gammas), dtype=float)
     k = int(np.argmin(vals))
     return search._refine(f_batch, f_scalar, complex(gammas[k]), float(vals[k]), radius,
-                          smooth)
+                          smooth, cuts)
 
 
 # Every exact norm that is convex: the circle search may prune under these.
@@ -82,19 +140,30 @@ _BJ_SPECS = _CONVEX_SPECS + [NormSpec.lp(p) for p in (1.0, 1.5, 2.0, 3.0)] + [
 
 
 def _bj_problem(a, b, spec):
-    """``gamma -> ||a + gamma b||`` as gamma_min callbacks, and the radius
-    ``bj_definitional`` searches."""
+    """``gamma -> ||a + gamma b||`` as gamma_min's callbacks, the radius
+    ``bj_definitional`` searches and the cut oracle, as ``(f_batch,
+    f_scalar, radius, cuts)``."""
     batch, scalar, exact = evaluator(spec)
     assert exact
+    a, b = cmatrix.as_pair(a, b, vector=spec.is_vector)
     pad = (1,) * a.ndim
+    cut = norms._cut_oracle(spec, b)
 
-    def f_batch(gammas):
-        return batch(a[None] + np.asarray(gammas).reshape((-1,) + pad) * b[None])
+    def pencil(gammas):
+        return a[None] + np.asarray(gammas).reshape((-1,) + pad) * b[None]
 
     def f_scalar(g):
         return scalar(a + g * b)
 
-    return f_batch, f_scalar, 4.0 * scalar(a) / scalar(b)
+    return (lambda gs: batch(pencil(gs))), f_scalar, 4.0 * scalar(a) / scalar(b), (
+        lambda gs: cut(pencil(gs)))
+
+
+def _bj_min(a, b, spec, smooth=None):
+    """``gamma_min`` on ``_bj_problem``, smooth as ``spec`` unless given."""
+    f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+    return gamma_min(f_batch, f_scalar, radius, spec.smooth if smooth is None else smooth,
+                     cuts=cuts)
 
 
 def _bj_pairs(spec):
@@ -111,41 +180,60 @@ def _bj_pairs(spec):
         x, y = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
         x[:2, :2], y[2:, 2:] = ginibre(rng, 2), ginibre(rng, 2)
     a, b = pairs[0]
-    g, _ = gamma_min(*_bj_problem(a, b, spec))
+    g, _, _ = _bj_min(a, b, spec, smooth=False)
     return pairs + [(x, y), (a + g * b, b)]
 
 
 class TestGammaMin:
     def test_finds_minimum_inside_radius(self):
+        # A cone, kinked at its minimum, is resolved to rounding.
         center = 0.8 * np.exp(0.3j)
-        f = _bowl(center)
-        g, v = gamma_min(lambda gs: np.abs(np.asarray(gs) - center) ** 2, f, radius=2.0)
+
+        def cone_cuts(gs):
+            d = np.asarray(gs) - center
+            return np.abs(d), np.conj(d) / np.maximum(np.abs(d), 1e-300)
+
+        g, v, lower = gamma_min(lambda gs: np.abs(np.asarray(gs) - center),
+                                lambda z: abs(z - center), radius=2.0, cuts=cone_cuts)
         assert abs(g - center) <= 1e-8
-        assert v <= 1e-15
+        assert 0.0 <= lower <= v <= 1e-15
+
+    def test_bowl_minimum_is_certified(self):
+        # The cutting plane stops on its certified gap, 1e-10 of the grid
+        # minimum, not on a position: a smooth bowl ends about 2e-7 from its
+        # centre, its value within the gap of the bound.
+        center = 0.8 * np.exp(0.3j)
+        v0 = (np.abs(_polar_grid(2.0) - center) ** 2).min()
+        g, v, lower = gamma_min(lambda gs: np.abs(np.asarray(gs) - center) ** 2,
+                                _bowl(center), radius=2.0, cuts=_bowl_cuts(center))
+        assert 0.0 <= lower <= v <= lower + 1e-10 * v0
+        assert v == abs(g - center) ** 2
 
     def test_never_worse_than_grid(self):
-        # A flat function: the grid's first point (the origin) is kept.
-        g, v = gamma_min(lambda gs: np.ones(len(gs)), lambda z: 1.0, radius=1.0)
-        assert g == 0j and v == 1.0
+        # A flat function: the grid's first point (the origin) is kept, and
+        # its cuts bound the minimum at once.
+        g, v, lower = gamma_min(lambda gs: np.ones(len(gs)), lambda z: 1.0, radius=1.0,
+                                cuts=_flat_cuts)
+        assert g == 0j and v == 1.0 and lower == 1.0
 
     @pytest.mark.parametrize("spec", _BJ_SPECS, ids=str)
     def test_pruned_matches_full_grid(self, spec):
         for a, b in _bj_pairs(spec):
-            f_batch, f_scalar, radius = _bj_problem(a, b, spec)
-            assert gamma_min(f_batch, f_scalar, radius, spec.smooth) == _full_gamma_min(
-                f_batch, f_scalar, radius, spec.smooth)
+            f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+            assert gamma_min(f_batch, f_scalar, radius, spec.smooth, cuts=cuts) == \
+                _full_gamma_min(f_batch, f_scalar, radius, spec.smooth, cuts=cuts)
 
     @pytest.mark.parametrize("spec", _BJ_SPECS, ids=str)
     def test_skipped_points_never_below_grid_minimum(self, spec):
         for a, b in _bj_pairs(spec):
-            f_batch, f_scalar, radius = _bj_problem(a, b, spec)
+            f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
             seen = []
 
             def counted(gs):
                 seen.extend(gs)
                 return f_batch(gs)
 
-            gamma_min(counted, f_scalar, radius)
+            gamma_min(counted, f_scalar, radius, cuts=cuts)
             grid = _polar_grid(radius)
             full = f_batch(grid)
             skipped = ~np.isin(grid, seen)
@@ -154,16 +242,17 @@ class TestGammaMin:
 
     def test_bowl_evaluates_part_of_the_grid(self):
         center = 0.8 * np.exp(0.3j)
-        for f_batch, f_scalar, pruned in (
-                (lambda gs: np.abs(np.asarray(gs) - center) ** 2, _bowl(center), True),
-                (lambda gs: np.ones(len(gs)), lambda z: 1.0, False)):
+        for f_batch, f_scalar, cuts, pruned in (
+                (lambda gs: np.abs(np.asarray(gs) - center) ** 2, _bowl(center),
+                 _bowl_cuts(center), True),
+                (lambda gs: np.ones(len(gs)), lambda z: 1.0, _flat_cuts, False)):
             seen = []
 
             def counted(gs, f_batch=f_batch):
                 seen.extend(gs)
                 return f_batch(gs)
 
-            gamma_min(counted, f_scalar, radius=2.0)
+            gamma_min(counted, f_scalar, radius=2.0, cuts=cuts)
             assert len(set(seen)) == len(seen)
             assert (len(seen) < 257) if pruned else (len(seen) == 257)
 
@@ -180,15 +269,19 @@ def _counted(f):
 
 
 def _reference_min(f_scalar, g, v, radius):
-    """Tight Nelder-Mead restarted from (g, v) on ever smaller simplices;
-    keeps any point lower than the one it started from."""
+    """Compass search from (g, v): move to the first of the eight points
+    ``g + h d``, d in {+-1, +-i, +-1 +-i}, that lowers the value, and halve
+    h once none does, from radius / 16 down to 1e-13 radius."""
     h = radius / 16
-    for _ in range(8):
-        gn, vn = nelder_mead_complex(f_scalar, g, h, xatol=1e-13 * radius,
-                                     fatol=1e-16 * abs(v), maxfev=1000)
-        if vn < v:
-            g, v = gn, vn
-        h /= 8
+    steps = (1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
+    while h > 1e-13 * radius:
+        for d in steps:
+            vn = f_scalar(g + h * d)
+            if vn < v:
+                g, v = g + h * d, vn
+                break
+        else:
+            h /= 2
     return g, v
 
 
@@ -221,35 +314,33 @@ class TestNewtonRefiner:
         spec = NormSpec.schatten(2.0)
         *pairs, (a, b) = _bj_pairs(spec)
         for x, y in pairs:
-            f_batch, f_scalar, radius = _bj_problem(x, y, spec)
+            f_batch, f_scalar, radius, cuts = _bj_problem(x, y, spec)
             f_scalar, calls = _counted(f_scalar)
-            g, _ = gamma_min(f_batch, f_scalar, radius, smooth=True)
-            assert calls == [0]
+            g, _, lower = gamma_min(f_batch, f_scalar, radius, smooth=True, cuts=cuts)
+            assert calls == [0] and lower is None
             assert abs(g - (-np.vdot(y, x) / np.vdot(y, y))) <= 1e-9
         # The last pair is orthogonal to within about 6e-9 in gamma, where the
         # values are flat to rounding, so only the minimum is pinned there.
-        f_batch, f_scalar, radius = _bj_problem(a, b, spec)
-        _, v = gamma_min(f_batch, f_scalar, radius, smooth=True)
+        _, v, _ = _bj_min(a, b, spec)
         gs = -np.vdot(b, a) / np.vdot(b, b)
         assert abs(v - np.linalg.norm(a + gs * b)) <= 1e-15 * np.linalg.norm(a)
 
     @pytest.mark.parametrize("spec", [NormSpec.schatten(1.5), NormSpec.schatten(3.0),
                                       NormSpec.lp(1.5), NormSpec.lp(3.0)], ids=str)
-    def test_matches_restarted_reference(self, spec):
+    def test_matches_compass_search_reference(self, spec):
         assert spec.smooth
         for a, b in _smooth_pairs(spec):
-            f_batch, f_scalar, radius = _bj_problem(a, b, spec)
-            g, v = gamma_min(f_batch, f_scalar, radius, smooth=True)
+            f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+            g, v, _ = gamma_min(f_batch, f_scalar, radius, smooth=True, cuts=cuts)
             _, ref = _reference_min(f_scalar, g, v, radius)
             # Within 1e-6 of bj_definitional's tolerance, 1e-7 ||a||.
             assert v - ref <= 1e-13 * f_scalar(0j)
 
     def test_deterministic(self):
         a, b = _bj_pairs(NormSpec.schatten(1.5))[0]
-        problem = _bj_problem(a, b, NormSpec.schatten(1.5))
-        assert gamma_min(*problem, smooth=True) == gamma_min(*problem, smooth=True)
+        assert _bj_min(a, b, NormSpec.schatten(1.5)) == _bj_min(a, b, NormSpec.schatten(1.5))
 
-    def test_other_norms_refine_by_nelder_mead(self):
+    def test_other_norms_refine_by_cutting_plane(self):
         smooth = [spec for spec in _BJ_SPECS if spec.smooth]
         assert smooth == [NormSpec.schatten(p) for p in (1.5, 2.0, 3.0)] + [
             NormSpec.lp(p) for p in (1.5, 2.0, 3.0)]
@@ -257,16 +348,34 @@ class TestNewtonRefiner:
             if spec.smooth:
                 continue
             for a, b in _bj_pairs(spec):
-                f_batch, f_scalar, radius = _bj_problem(a, b, spec)
-                g, v = _full_gamma_min(f_batch, f_scalar, radius, smooth=False)
+                f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+                g, v, lower = _full_gamma_min(f_batch, f_scalar, radius, cuts=cuts)
                 verdict = bj_definitional(a, b, spec)
                 assert verdict.extremal_scalar == g
                 assert verdict.gap == v - f_scalar(0j)
+                assert verdict.lower == lower - f_scalar(0j) <= verdict.gap
+                # The stop: within 1e-10 of the grid minimum of the bound.
+                assert v <= lower + 1e-10 * f_batch(_polar_grid(radius)).min()
+
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(p) for p in (1.5, 2.0, 3.0)] + [
+        NormSpec.lp(p) for p in (1.5, 2.0, 3.0)], ids=str)
+    def test_dependent_pair_hands_over_to_cutting_plane(self, spec):
+        # a = c b: the minimum is a cone's apex, where no quadratic model
+        # converges.  Its first nine cuts and one more point certify the
+        # apex; the scalar form only re-evaluates the best point.
+        *_, (a, b) = _smooth_pairs(spec)
+        f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+        f_scalar, scalar_calls = _counted(f_scalar)
+        cuts, cut_calls = _counted(cuts)
+        g, v, lower = gamma_min(f_batch, f_scalar, radius, smooth=True, cuts=cuts)
+        na = f_scalar(0j)
+        assert scalar_calls == [2] and cut_calls[0] <= 3
+        assert abs(g + (0.7 - 0.4j)) <= 1e-12
+        assert 0.0 <= lower <= v <= 1e-15 * na
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_few_evaluations_on_smooth_norms(self, p, monkeypatch):
-        # Measured: 6, 4 and 6 batched refinement calls and no scalar calls;
-        # Nelder-Mead made about 130 scalar calls on this pair.
+        # Measured: 6, 4 and 6 batched refinement calls and no scalar calls.
         counts = {}
         refine = search._refine
 
@@ -278,7 +387,7 @@ class TestNewtonRefiner:
         monkeypatch.setattr(search, "_refine", counting)
         rng = np.random.default_rng(41)
         a, b = ginibre(rng, 4), ginibre(rng, 4)
-        gamma_min(*_bj_problem(a, b, NormSpec.schatten(p)), smooth=True)
+        _bj_min(a, b, NormSpec.schatten(p))
         assert counts["batch"][0] <= 12
         assert counts["scalar"][0] <= 20
 
@@ -286,8 +395,8 @@ class TestNewtonRefiner:
                                       NormSpec.schatten(3.0)], ids=str)
     def test_extreme_scales_refine_as_at_scale_one(self, spec, monkeypatch):
         # Values near 1e200 overflowed the model's determinant, and near
-        # 1e-200 underflowed it, so the model read as indefinite and
-        # Nelder-Mead took over with about 130 scalar calls.
+        # 1e-200 underflowed it, so the model read as indefinite and the
+        # scalar refiner took over.
         scalar_calls = []
         refine = search._refine
 
