@@ -176,13 +176,17 @@ def _lp_sum(v: np.ndarray, p: float, top: np.ndarray | None = None) -> np.ndarra
     sum below ``_SUM_LO``, is recomputed by ``_top_scaled`` as
     ``top ||v / top||_p``; other rows keep the plain sum.  At p <= 1 every
     row keeps it: no term underflows, and a sum above the float range reads
-    inf, without numpy's overflow warning."""
+    inf, without numpy's overflow warning (whose error state is entered only
+    when a ``top`` above ``_HUGE / n^{1/p}`` lets the norm, at most
+    ``n^{1/p} top``, overflow, or when no ``top`` is given)."""
     def plain(w):
-        return (w**p).sum(axis=-1) ** (1.0 / p)
+        return w.sum(axis=-1) if p == 1.0 else (w**p).sum(axis=-1) ** (1.0 / p)
 
     if p <= 1.0:
+        if top is not None and _within(top, 0.0, _HUGE / v.shape[-1] ** (1.0 / p)):
+            return plain(v)
         with np.errstate(over="ignore"):
-            return v.sum(axis=-1) if p == 1.0 else plain(v)
+            return plain(v)
     top = v.max(axis=-1) if top is None else top
     if p == INF:
         return top

@@ -32,7 +32,11 @@ class Verdict:
 
     ``gap = min_gamma ||a + gamma b|| - ||a||`` (never meaningfully positive);
     the relation holds iff ``gap >= -tolerance``, taken relative to ``||a||``
-    as the gap is.  ``extremal_scalar`` is the minimizing gamma.  ``lower``
+    as the gap is.  ``extremal_scalar`` is the minimizing gamma found; where
+    the norm is smooth at a unique minimizer, a refinement that stops on
+    values resolves it to about the square root of their rounding, some
+    1e-7 of the search radius, and where the minimizers form a set it is
+    any point of it.  ``lower``
     is a certified lower bound on the gap, ``lower <= gap``: the cutting
     plane's bound less ``||a||``, 0.0 for a degenerate verdict, and None
     where the Newton model converged.

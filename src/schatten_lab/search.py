@@ -354,9 +354,13 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
 # at one grid ring spacing (radius / 16), along the axes and the diagonals.
 _NINE = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / 16
 # Its stopping gap, and the master's feasibility slack: both in units of
-# the grid minimum, so relative.
-_CUT_GAP = 1e-10
-_FEAS = 1e-13
+# the grid minimum, so relative.  Where f is smooth at its minimum a value
+# gap e leaves the position uncertain by about sqrt(e) (times the curvature's
+# scale), so the gap is taken down to some 50 rounding units of the values,
+# not just below the predicates' tolerance; the slack is below the gap, so
+# the master never holds the bound back.
+_CUT_GAP = 1e-14
+_FEAS = 1e-15
 
 
 def _cutting_plane(cuts, f_scalar, g: complex, v: float, scale: float,
@@ -441,7 +445,12 @@ class _CutModel:
 
     def _factor(self) -> None:
         """The inverse basis, as the columns ``(a2 x a3, a3 x a1, a1 x a2) /
-        det`` of the basic rows a1, a2, a3, and the basic solution it gives."""
+        det`` of the basic rows a1, a2, a3, and the basic solution it gives,
+        refined once on the basic rows' residuals: cuts at nearby points on
+        one smooth piece are nearly parallel, and unrefined, the basic rows
+        missed their own right-hand sides by about 1e-11, so that a new cut
+        at the model's argmin, a copy of a basic row, looked violated and
+        the dual simplex cycled without moving."""
         b1, b2, b3 = self.basis
         (x1, y1, t1, c1), (x2, y2, t2, c2), (x3, y3, t3, c3) = (
             self.rows[b1], self.rows[b2], self.rows[b3])
@@ -451,9 +460,16 @@ class _CutModel:
         r = 1.0 / (x1 * u1 + y1 * w1 + t1 * z1)
         self.cols = [(u1 * r, w1 * r, z1 * r), (u2 * r, w2 * r, z2 * r),
                      (u3 * r, w3 * r, z3 * r)]
-        self.x = (c1 * u1 + c2 * u2 + c3 * u3) * r
-        self.y = (c1 * w1 + c2 * w2 + c3 * w3) * r
-        self.t = (c1 * z1 + c2 * z2 + c3 * z3) * r
+        x = (c1 * u1 + c2 * u2 + c3 * u3) * r
+        y = (c1 * w1 + c2 * w2 + c3 * w3) * r
+        t = (c1 * z1 + c2 * z2 + c3 * z3) * r
+        # One step of iterative refinement on the basic rows' residuals.
+        e1 = c1 - (x1 * x + y1 * y + t1 * t)
+        e2 = c2 - (x2 * x + y2 * y + t2 * t)
+        e3 = c3 - (x3 * x + y3 * y + t3 * t)
+        self.x = x + (e1 * u1 + e2 * u2 + e3 * u3) * r
+        self.y = y + (e1 * w1 + e2 * w2 + e3 * w3) * r
+        self.t = t + (e1 * z1 + e2 * z2 + e3 * z3) * r
 
     def solve(self) -> float:
         """Pivot until no row is violated (at most 100 pivots); returns t.

@@ -23,7 +23,7 @@ from schatten_lab.norms import (
     numerical_radius_hilbert,
     schatten_norm,
 )
-from schatten_lab.ortho import bj_definitional
+from schatten_lab.ortho import _trace_form, bj_definitional
 from schatten_lab.parallel import parallel_definitional
 from schatten_lab.search import _lp_normalize, multistart_ascent
 
@@ -394,6 +394,20 @@ class TestCutOracle:
             for scale in (2.0 ** -1000, 2.0 ** 1000):
                 _, (ss,) = _cut_oracle(spec, scale * d)(x[None])
                 assert ss == scale * s
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_schatten_slope_is_the_trace_form(self, p):
+        # For 1 < p < inf the oracle's functional is the one ortho._trace_form
+        # reads (the semi-inner product at unit a): the two spellings agree
+        # wherever a has no singular values below the rank cutoff, which
+        # only the trace form applies.
+        rng = _rng(83)
+        for _ in range(6):
+            a, b = _draw(rng, (4, 4)), _draw(rng, (4, 4))
+            nrm, (s,) = _cut_oracle(NormSpec.schatten(p), b)(a[None])
+            t, na = _trace_form(b, a, p)
+            assert nrm[0] == pytest.approx(na, rel=1e-14, abs=0.0)
+            assert abs(s - t) <= 1e-13 * float(np.linalg.norm(b))
 
     def test_overflowed_member_and_unsupported_norms_raise(self):
         x = np.stack([np.eye(2, dtype=complex), np.full((2, 2), np.inf + 0j)])

@@ -102,6 +102,28 @@ class TestCutModel:
             assert (model.x, model.y) == corner
             assert model.solve() == 1.0 + gx * corner[0] + gy * corner[1]
 
+    def test_near_parallel_cuts_keep_basic_rows_tight(self):
+        # Cuts of a smooth bowl at points 1e-3 to 1e-8 apart are nearly
+        # parallel.  The basic solution meets its own rows to rounding, so
+        # a copy of a basic row (the cutting plane re-evaluating the model's
+        # argmin) is met and moves nothing, rather than cycling.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            c = complex(*rng.uniform(-0.3, 0.3, 2))
+            model = _CutModel(-1.0, 1.0, -1.0, 1.0)
+            for _ in range(12):
+                z = c + 10.0 ** -rng.uniform(3, 8) * complex(*rng.standard_normal(2))
+                g = 6.0 * (z - c)
+                model.add(z.real, z.imag, 3.0 * abs(z - c) ** 2 + 0.97, g.real, g.imag)
+                model.solve()
+            for b in model.basis:
+                ax, ay, at, rhs = model.rows[b]
+                assert abs(rhs - (ax * model.x + ay * model.y + at * model.t)) <= 1e-15
+            state = (model.x, model.y, model.t, tuple(model.basis))
+            model.rows.extend([model.rows[b] for b in model.basis])
+            model.solve()
+            assert (model.x, model.y, model.t, tuple(model.basis)) == state
+
     def test_deterministic(self):
         def run():
             model = _CutModel(-1.0, 1.0, -1.0, 1.0)
@@ -186,6 +208,15 @@ def _bj_pairs(spec):
 
 class TestGammaMin:
     def test_finds_minimum_inside_radius(self):
+        center = 0.8 * np.exp(0.3j)
+        f = _bowl(center)
+        g, v, lower = gamma_min(lambda gs: np.abs(np.asarray(gs) - center) ** 2, f,
+                                radius=2.0, cuts=_bowl_cuts(center))
+        assert abs(g - center) <= 1e-8
+        assert v <= 1e-15
+        assert 0.0 <= lower <= v
+
+    def test_finds_kinked_minimum_inside_radius(self):
         # A cone, kinked at its minimum, is resolved to rounding.
         center = 0.8 * np.exp(0.3j)
 
@@ -198,16 +229,21 @@ class TestGammaMin:
         assert abs(g - center) <= 1e-8
         assert 0.0 <= lower <= v <= 1e-15
 
-    def test_bowl_minimum_is_certified(self):
-        # The cutting plane stops on its certified gap, 1e-10 of the grid
-        # minimum, not on a position: a smooth bowl ends about 2e-7 from its
-        # centre, its value within the gap of the bound.
+    def test_smooth_minimum_is_resolved_off_zero(self):
+        # A bowl above 1: its values round at about 1e-16, so the position
+        # is resolved to about sqrt of the stopping gap, not to rounding.
         center = 0.8 * np.exp(0.3j)
-        v0 = (np.abs(_polar_grid(2.0) - center) ** 2).min()
-        g, v, lower = gamma_min(lambda gs: np.abs(np.asarray(gs) - center) ** 2,
-                                _bowl(center), radius=2.0, cuts=_bowl_cuts(center))
-        assert 0.0 <= lower <= v <= lower + 1e-10 * v0
-        assert v == abs(g - center) ** 2
+        v0 = (np.abs(_polar_grid(2.0) - center) ** 2).min() + 1.0
+
+        def cuts(gs):
+            vals, slopes = _bowl_cuts(center)(gs)
+            return vals + 1.0, slopes
+
+        g, v, lower = gamma_min(lambda gs: np.abs(np.asarray(gs) - center) ** 2 + 1.0,
+                                lambda z: abs(z - center) ** 2 + 1.0, radius=2.0,
+                                cuts=cuts)
+        assert abs(g - center) <= 1e-6
+        assert lower <= 1.0 <= v <= lower + search._CUT_GAP * v0
 
     def test_never_worse_than_grid(self):
         # A flat function: the grid's first point (the origin) is kept, and
@@ -354,8 +390,11 @@ class TestNewtonRefiner:
                 assert verdict.extremal_scalar == g
                 assert verdict.gap == v - f_scalar(0j)
                 assert verdict.lower == lower - f_scalar(0j) <= verdict.gap
-                # The stop: within 1e-10 of the grid minimum of the bound.
-                assert v <= lower + 1e-10 * f_batch(_polar_grid(radius)).min()
+                # The stop: within _CUT_GAP of the grid minimum of the bound
+                # (the gap is the oracle's values; the scalar form may round
+                # apart from them by a few units).
+                v0 = f_batch(_polar_grid(radius)).min()
+                assert v <= lower + search._CUT_GAP * v0 + 8 * np.finfo(float).eps * v
 
     @pytest.mark.parametrize("spec", [NormSpec.schatten(p) for p in (1.5, 2.0, 3.0)] + [
         NormSpec.lp(p) for p in (1.5, 2.0, 3.0)], ids=str)
