@@ -213,19 +213,23 @@ def _attaining(a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
 
     Those are the top right-singular cluster (p = 2), the basis vectors of
     the columns with top absolute sum (p = 1), and the conjugate phases of
-    the rows with top absolute sum (p = inf; 1 where an entry is 0).
+    the rows with top absolute sum (p = inf; 1 where an entry is 0).  A
+    norm above the float range raises ``ValueError``.
     """
-    if p == 2:
-        f = cmatrix.svd(a)
-        sums, vecs = f.singular_values, f.v.T
-    elif p == 1:
-        sums, vecs = np.abs(a).sum(axis=0), np.eye(a.shape[1], dtype=complex)
-    else:
-        mod = np.abs(a)
-        sums = mod.sum(axis=1)
-        vecs = np.where(mod > 0, np.conj(a) / np.maximum(mod, 1e-300), 1.0)
+    with np.errstate(over="ignore"):  # a column or row sum above the float range is inf
+        if p == 2:
+            f = cmatrix.svd(a)
+            sums, vecs = f.singular_values, f.v.T
+        elif p == 1:
+            sums, vecs = np.abs(a).sum(axis=0), np.eye(a.shape[1], dtype=complex)
+        else:
+            mod = np.abs(a)
+            sums = mod.sum(axis=1)
+            vecs = np.where(mod > 0, np.conj(a) / np.maximum(mod, 1e-300), 1.0)
     order = np.argsort(-sums, kind="stable")
     top = float(sums[order[0]])
+    if not math.isfinite(top):
+        raise ValueError(f"induced norm evaluated to {top} at p={p}")
     return top, vecs[order[sums[order] >= top * (1.0 - 1e-8)]]
 
 
@@ -283,15 +287,12 @@ def induced_norm(a, p) -> RadiusResult:
     a = cmatrix.as_matrix(a)
     p = _exponent(p, "[1, inf]", "induced norm")
     if p in (1, 2, INF):
-        with np.errstate(over="ignore"):  # a column or row sum above the float range is inf
-            val, xs = _attaining(a, p)
-        x, rel = xs[0], 1e-12
-    else:
-        (val,), (x,) = _induced_power(a[None], p)  # _lp_sum reads an overflow as inf
-        rel = 1e-8
+        val, xs = _attaining(a, p)
+        return RadiusResult(val, xs[0], 1e-12 * val)
+    (val,), (x,) = _induced_power(a[None], p)  # _lp_sum reads an overflow as inf
     if not math.isfinite(val):
         raise ValueError(f"induced norm evaluated to {val} at p={p}")
-    return RadiusResult(float(val), x, rel * val)
+    return RadiusResult(float(val), x, 1e-8 * val)
 
 
 def evaluator(spec: NormSpec):

@@ -88,9 +88,7 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     """Birkhoff-James orthogonality of ``a`` to ``b`` under ``spec``.
 
     Minimizes ``gamma -> ||a + gamma b||`` over the complex plane with
-    ``search.gamma_min``: a 16x16 polar grid of radius ``4 ||a|| / ||b||``,
-    evaluated ring by ring on the rays still descending, then a refinement
-    from the best grid point.  Under a norm smooth away from 0
+    ``search.gamma_min``, from gamma = 0.  Under a norm smooth away from 0
     (``NormSpec.smooth``: Schatten and vector lp with 1 < p < inf) it takes
     Newton steps on batched quadratic models and hands over to Kelley's
     cutting planes at a kink (the cone of a dependent pair); under the
@@ -99,8 +97,8 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     (``norms._cut_oracle``), and the minimum of the cut model over the box
     ``|Re gamma|, |Im gamma| <= 4 ||a|| / ||b||``, which holds every
     minimizer (each lies within ``2 ||a|| / ||b||`` of 0), bounds the
-    minimum from below: ``Verdict.lower``.  Every refinement tolerance is
-    relative to the radius or to the grid minimum, so the verdict does not
+    minimum from below: ``Verdict.lower``.  Every search tolerance is
+    relative to that radius or to ``||a||``, so the verdict does not
     depend on the operands' separate scales.  The map is convex, so the
     refined minimum is global.  Both operands are validated once, up front;
     every norm comes from the closures of ``norms.evaluator(spec)`` or the

@@ -9,15 +9,13 @@ Three optimization shapes recur across the package:
   skipped; the whole grid without F(0)), plus golden section with Brent's
   parabolic steps on the best windows;
 * minimize a convex function over a complex scalar (Birkhoff-James
-  orthogonality) -- ``gamma_min``, a 16x16 polar grid evaluated ring by
-  ring (a ray stops once its values rise: convexity keeps it rising), then,
-  for a function its caller declares smooth, Newton steps on quadratic
-  models fitted to batched six-point stencils, and otherwise, or where a
-  model fails (a kink), Kelley's cutting planes from the caller's
-  subgradients, whose model minimum over a box is a certified lower bound
-  (the master LP a dual simplex in plain floats; no SciPy dependency);
-  every refinement tolerance is relative to the search radius or the grid
-  minimum;
+  orthogonality) -- ``gamma_min``, from gamma = 0: for a function its
+  caller declares smooth, Newton steps on quadratic models fitted to
+  batched six-point stencils, and otherwise, or where a model fails (a
+  kink), Kelley's cutting planes from the caller's subgradients, whose
+  model minimum over a box is a certified lower bound (the master LP a
+  dual simplex in plain floats; no SciPy dependency); every refinement
+  tolerance is relative to the search radius or to the value at 0;
 * maximize a functional over the unit lp sphere of C^n, with complex
   starts for real operands too (Banach radius, norm attainment sets) --
   seeded multistart gradient ascent, all starts advancing together as one
@@ -46,8 +44,7 @@ _SQRT_EPS = float(np.sqrt(_EPS))
 
 TWO_PI = 2.0 * np.pi
 
-# Relative slack on the circle search's arc bounds and on the rise that ends
-# a ray of the gamma grid, far above their rounding.
+# Relative slack on the circle search's arc bounds, far above their rounding.
 _MARGIN = 1e-12
 
 
@@ -205,63 +202,36 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
 def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False, *,
               cuts) -> tuple[complex, float, float | None]:
     """Minimize a convex, nonnegative ``gamma -> f(gamma)`` over the complex
-    plane; returns the minimizer found, its value and a certified lower
-    bound on the minimum (None where the Newton model converged).
+    plane from gamma = 0; returns the minimizer found, its value, never
+    above ``f(0)``, and a certified lower bound on the minimum (None where
+    the Newton model converged).
 
-    Coarse polar grid out to ``radius`` (origin plus 16 rings of 16 angles,
-    257 points), evaluated ring by ring on the live rays; a ray (the origin
-    its ring 0) dies once a ring's value exceeds the previous ring's by more
-    than a relative ``_MARGIN``.  ``f`` is convex along the ray, so its later
-    points lie above one evaluated and the grid minimum is the full grid's.
-    Then ``_refine`` from the best grid point: the quadratic-model Newton
-    iteration when the caller declares ``f`` ``smooth`` (differentiable away
-    from isolated points, as a Schatten or lp norm with 1 < p < inf is),
-    Kelley's cutting planes (``_cutting_plane``) otherwise and wherever the
-    model fails.  ``cuts`` maps an array of gammas to their values and
-    slopes ``s``, each a cut ``f(gamma + delta) >= f(gamma) + Re(delta s)``
-    (``norms._cut_oracle``).  The cutting plane's lower bound holds where
-    every minimizer lies in the box ``|Re gamma|, |Im gamma| <= radius``.
+    ``f(0)``, from one ``f_batch`` call, is the unit of every value
+    tolerance, and ``radius`` of every position tolerance, so scaling the
+    problem scales the result.  When the caller declares ``f`` ``smooth``
+    (differentiable away from isolated points, as a Schatten or lp norm
+    with 1 < p < inf is), ``_newton_min`` runs first, with stencil spacing
+    ``radius / 16`` and values resolved to 1e-14 ``f(0)``; if its model
+    converges, that is the result.  It sees the values scaled by the power
+    of two that takes ``f(0)`` into [0.5, 1): exact, so no step changes,
+    and no curvature overflows or underflows.  Otherwise, and wherever the
+    model fails, Kelley's cutting planes (``_cutting_plane``) continue from
+    the best point so far.  ``cuts`` maps an array of gammas to their
+    values and slopes ``s``, each a cut ``f(gamma + delta) >= f(gamma) +
+    Re(delta s)`` (``norms._cut_oracle``).  The cutting plane's lower bound
+    holds where every minimizer lies in the box ``|Re gamma|, |Im gamma| <=
+    radius``.
     """
-    radii = radius * np.arange(1, 17) / 16
-    angles = np.linspace(0.0, TWO_PI, 16, endpoint=False)
-    gammas = np.concatenate(
-        [[0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()]
-    )
-    vals = np.full(gammas.size, np.inf)
-    idx, last = np.arange(17), np.zeros(16, dtype=int)  # each live ray's newest point
-    while idx.size:
-        vals[idx] = f_batch(gammas[idx])
-        ring = idx[-last.size:]
-        last = ring[vals[ring] <= vals[last] + _MARGIN * np.abs(vals[last])]
-        idx = last[last < gammas.size - 16] + 16
-    k = int(np.argmin(vals))
-    return _refine(f_batch, f_scalar, complex(gammas[k]), float(vals[k]), radius, smooth,
-                   cuts)
-
-
-def _refine(f_batch, f_scalar, g0: complex, v0: float, radius: float, smooth: bool,
-            cuts) -> tuple[complex, float, float | None]:
-    """Refine ``gamma_min``'s grid minimum ``(g0, v0)``; never returns worse.
-
-    Every tolerance is relative: positions to ``radius``, values to
-    ``|v0|``, so scaling the problem scales the result.  A ``smooth`` ``f``
-    runs ``_newton_min`` first, with the grid's ring spacing as its stencil
-    spacing and values resolved to 1e-14 ``|v0|``; if its model converges,
-    that is the result, with no lower bound.  It sees the values scaled by
-    the power of two that takes ``|v0|`` into [0.5, 1): exact, so no step
-    changes, and no curvature overflows or underflows.  Otherwise
-    ``_cutting_plane`` continues from the best point so far.
-    """
-    g, v = g0, v0
+    v0 = float(f_batch(np.zeros(1, dtype=complex))[0])
+    g, v = 0j, v0
     if smooth:
         s0, e = np.frexp(v0)  # v0 = s0 2^e exactly
         g, v, converged = _newton_min(lambda pts: np.ldexp(f_batch(pts), -e),
-                                         g, float(s0), radius / 16, radius,
-                                         1e-14 * abs(float(s0)))
+                                         g, float(s0), radius / 16, radius, 1e-14 * float(s0))
         v = float(np.ldexp(v, e))
         if converged:
             return g, v, None
-    return _cutting_plane(cuts, f_scalar, g, v, abs(v0), radius)
+    return _cutting_plane(cuts, f_scalar, g, v, v0, radius)
 
 
 # Offsets of the quadratic model's stencil around its centre c, in units of
@@ -351,14 +321,14 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
 
 
 # The cutting plane's first cuts: its start and the eight points around it
-# at one grid ring spacing (radius / 16), along the axes and the diagonals.
+# at radius / 16, along the axes and the diagonals.
 _NINE = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / 16
 # Its stopping gap, and the master's feasibility slack: both in units of
-# the grid minimum, so relative.  Where f is smooth at its minimum a value
-# gap e leaves the position uncertain by about sqrt(e) (times the curvature's
-# scale), so the gap is taken down to some 50 rounding units of the values,
-# not just below the predicates' tolerance; the slack is below the gap, so
-# the master never holds the bound back.
+# f(0), so relative.  Where f is smooth at its minimum a value gap e leaves
+# the position uncertain by about sqrt(e) (times the curvature's scale), so
+# the gap is taken down to some 50 rounding units of the values, not just
+# below the predicates' tolerance; the slack is below the gap, so the master
+# never holds the bound back.
 _CUT_GAP = 1e-14
 _FEAS = 1e-15
 
@@ -371,16 +341,16 @@ def _cutting_plane(cuts, f_scalar, g: complex, v: float, scale: float,
     ``|Re gamma|, |Im gamma| <= radius``.
 
     It works in ``z = (gamma - g) / radius``, with values in units of
-    ``scale`` (the grid minimum), so every tolerance is relative.  The
-    model is the maximum of the cuts ``f_k + Re((gamma - gamma_k) s_k)``
-    that ``cuts`` gives; its minimum over the box, from ``_CutModel``, is
-    the lower bound, and its argmin is the next point.  The first nine cuts,
-    at ``g + _NINE radius``, come from one call.  Each later call evaluates
-    one point, until the best value is within ``_CUT_GAP`` of the bound
-    (floored at 0, as ``f`` is), or after 200 points.  The best point is
-    re-evaluated by ``f_scalar``, so its value is the evaluator's; if that
-    is not below ``v``, ``(g, v)`` is returned.  A bound rounded above the
-    value is lowered to it.
+    ``scale`` (``gamma_min`` passes ``f(0)``), so every tolerance is
+    relative.  The model is the maximum of the cuts ``f_k + Re((gamma -
+    gamma_k) s_k)`` that ``cuts`` gives; its minimum over the box, from
+    ``_CutModel``, is the lower bound, and its argmin is the next point.
+    The first nine cuts, at ``g + _NINE radius``, come from one call.  Each
+    later call evaluates one point, until the best value is within
+    ``_CUT_GAP`` of the bound (floored at 0, as ``f`` is), or after 200
+    points.  The best point is re-evaluated by ``f_scalar``, so its value is
+    the evaluator's; if that is not below ``v``, ``(g, v)`` is returned.  A
+    bound rounded above the value is lowered to it.
     """
     if scale == 0.0 or not math.isfinite(radius / scale):  # f >= 0 bounds a zero minimum
         return g, v, 0.0

@@ -314,7 +314,7 @@ class TestNearOverflow:
                                          ("schatten", "1"), ("induced", "1"),
                                          ("induced", "inf")])
     def test_pencil_overflow_is_usage_error(self, files, capsys, norm, p):
-        # a + gamma b overflows on the search grid (||a||_1 itself under
+        # a + gamma b overflows in the search (||a||_1 itself under
         # Schatten 1): one error line naming the float range, and no numpy
         # warning (the suite turns any warning into a failure).  Under
         # Schatten inf and induced 2 the SVD of the overflowed member read NaN.
@@ -357,7 +357,7 @@ class TestNearOverflow:
 
     @pytest.mark.parametrize("norm, p", [("schatten", "inf"), ("induced", "2")])
     def test_radius_near_overflow_gives_a_verdict(self, files, capsys, norm, p):
-        # 4 ||a|| / ||b|| overflowed to inf here, so the grid was NaN.
+        # 4 ||a|| / ||b|| overflowed to inf here, so the search read NaN.
         a = files("a", np.diag([1e308, 1e308]))
         b = files("b", np.diag([1e308, -1e308]))
         assert main(["check", "bj", a, b, "--norm", norm, "--p", p]) == 0

@@ -104,14 +104,15 @@ class TestBjDefinitional:
             assert v.gap <= -0.9 * schatten_norm(a, spec.p)
 
     @pytest.mark.parametrize("spec", _EXACT_SPECS, ids=str)
-    def test_grid_point_at_the_zero_minimum(self, spec):
-        # b = -a puts the minimizer gamma = 1 exactly on the grid, where the
-        # pencil is 0: the minimum needs no refinement, and f >= 0 bounds it.
+    def test_zero_minimum_of_the_pencil(self, spec):
+        # b = -a: the pencil vanishes at gamma = 1, a cone's apex, which the
+        # cutting plane reaches from gamma = 0 and bounds to rounding.
         a = _draw(_rng(109), (3, 3))
         v = bj_definitional(a, -a, spec)
         na = norm_value(a, spec)
-        assert not v.holds and v.extremal_scalar == 1.0
-        assert v.gap == v.lower == -na
+        assert not v.holds and abs(v.extremal_scalar - 1.0) <= 1e-14
+        assert v.lower <= v.gap
+        assert abs(v.gap + na) <= 1e-14 * na and abs(v.lower + na) <= 1e-14 * na
 
     def test_not_symmetric_in_general(self):
         # Spectral norm: diag(1,1) is orthogonal to diag(1,0) (the free
@@ -153,10 +154,10 @@ class TestBjDefinitional:
     @pytest.mark.parametrize("spec", _EXACT_SPECS + [NormSpec.lp(p) for p in (1.0, 2.0, INF)],
                              ids=str)
     def test_lower_bound_brackets_the_gap(self, spec):
-        # The cutting plane stops once its best value is within 1e-10 of the
-        # grid minimum (at most ||a||) above its bound.  Newton's converged
-        # models carry no bound; a dependent pair hands over to the cutting
-        # plane, whose bound then meets the apex.
+        # The cutting plane stops once its best value is within 1e-14 ||a||
+        # above its bound.  Newton's converged models carry no bound; a
+        # dependent pair hands over to the cutting plane, whose bound then
+        # meets the apex.
         rng = _rng(107)
         shape = (5,) if spec.is_vector else (4, 4)
         pairs = [(_draw(rng, shape), _draw(rng, shape)) for _ in range(3)]

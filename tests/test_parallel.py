@@ -335,6 +335,14 @@ class TestNormingSet:
         p = 2.0 if spec == SPECTRAL else spec.p
         assert abs(norm_value(ns.members[0], NormSpec.lp(p)) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_norm_above_the_float_range_raises(self, p):
+        # As induced_norm does, through the same _attaining: the set read
+        # norm_value = inf silently at p = 2, and after numpy's overflow
+        # warning (an error in this suite) at p = 1 and inf.
+        with pytest.raises(ValueError, match="induced norm evaluated to inf"):
+            norming_set(1.5e308 * np.ones((2, 2)), NormSpec.induced(p))
+
     def test_sampled_generic_p(self):
         ns = norming_set(np.diag([2.0, 1.0]), NormSpec.induced(1.5), seed=3)
         assert not ns.exact
