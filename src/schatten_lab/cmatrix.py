@@ -238,17 +238,11 @@ def null_space(a) -> np.ndarray:
     """
     a = as_matrix(a)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    return _kernel(s, vh)
-
-
-def _kernel(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return vh.conj().T[:, int(np.sum(_kept(s))):]
 
 
-def moduli_and_kernels(stack: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``modulus(m)`` and ``null_space(m)`` for every member of a (k, n, m)
+def moduli_and_ranks(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``modulus(m)`` and the rank of ``m`` for every member of a (k, n, m)
     complex128 stack, from one batched SVD, with the same cutoffs."""
-    _, s, vh = np.linalg.svd(stack, full_matrices=True)
-    r = min(stack.shape[-2:])
-    moduli = _abs_power(s, _adjoint(vh[..., :r, :]), 1.0)
-    return moduli, [_kernel(sk, vk) for sk, vk in zip(s, vh)]
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return _abs_power(s, _adjoint(vh), 1.0), np.sum(_kept(s), axis=-1)

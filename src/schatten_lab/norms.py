@@ -247,7 +247,8 @@ def _induced_power(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]
     ``sphere_starts(m, 64, 0)``: ``x <- |g|^{1/(p-1)} sign g`` on the lp
     sphere, with ``g = A*(|Ax|^{p-1} sign Ax)``, never lowers ``||Ax||_p``.  A
     row drops out once it gains less than 1e-15 relative, or after 1000
-    steps; the earliest start wins ties.
+    steps; the earliest start wins ties.  Overflow is left silent: callers
+    reject a norm of inf or NaN.
     """
     k, _, m = stack.shape
     starts = _lp_normalize(np.concatenate([np.eye(m), sphere_starts(m, 64, 0)]), p)
@@ -255,21 +256,22 @@ def _induced_power(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]
     # Row r runs start r % s on matrix r // s; the rows still gaining are
     # compacted into ``ids``, ``ya`` (= Ax), ``va`` and their matrices ``aa``.
     x, aa = np.tile(starts, (k, 1)), np.repeat(stack, s, axis=0)
-    ya = (aa @ x[..., None])[..., 0]
-    v = _lp_sum(np.abs(ya), p)
-    ids = np.flatnonzero(np.isfinite(v))  # rows off to inf or NaN take no step
-    ya, va, aa = ya[ids], v[ids], aa[ids]
-    for _ in range(1000):
-        if ids.size == 0:
-            break
-        z = _signed_power(ya, p - 1.0)
-        g = (np.conj(z)[:, None, :] @ aa)[:, 0].conj()  # A* z = conj(z* A)
-        xn = _lp_normalize(_signed_power(g, 1.0 / (p - 1.0)), p)
-        yn = (aa @ xn[..., None])[..., 0]
-        vn = _lp_sum(np.abs(yn), p)
-        up, keep = vn > va, vn > va * (1.0 + 1e-15)
-        x[ids[up]], v[ids[up]] = xn[up], vn[up]
-        ids, ya, va, aa = ids[keep], yn[keep], vn[keep], aa[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ya = (aa @ x[..., None])[..., 0]
+        v = _lp_sum(np.abs(ya), p)
+        ids = np.flatnonzero(np.isfinite(v))  # rows off to inf or NaN take no step
+        ya, va, aa = ya[ids], v[ids], aa[ids]
+        for _ in range(1000):
+            if ids.size == 0:
+                break
+            z = _signed_power(ya, p - 1.0)
+            g = (np.conj(z)[:, None, :] @ aa)[:, 0].conj()  # A* z = conj(z* A)
+            xn = _lp_normalize(_signed_power(g, 1.0 / (p - 1.0)), p)
+            yn = (aa @ xn[..., None])[..., 0]
+            vn = _lp_sum(np.abs(yn), p)
+            up, keep = vn > va, vn > va * (1.0 + 1e-15)
+            x[ids[up]], v[ids[up]] = xn[up], vn[up]
+            ids, ya, va, aa = ids[keep], yn[keep], vn[keep], aa[keep]
     best = np.arange(k) * s + np.argmax(v.reshape(k, s), axis=1)
     return v[best], x[best]
 
@@ -354,13 +356,14 @@ def evaluator(spec: NormSpec):
 def _not_finite(v, x: np.ndarray, spec: NormSpec) -> ValueError:
     """The error for norms ``v`` of ``x`` that are not all finite.
 
-    A member with an inf or NaN entry (a pencil ``a + gamma b`` that
-    overflowed) has a norm above the float range, whatever the SVD made of
-    it (NaN singular values), since every norm here is at least the modulus
-    of each entry.  Otherwise the largest value is reported (norms are >= 0:
-    it is NaN or inf).
+    A member with an entry of modulus inf or NaN (such as an overflowed
+    pencil ``a + gamma b``) has a norm above the float range, whatever the
+    SVD made of it (NaN singular values), since every norm here is at least
+    each entry's modulus.  Otherwise the largest value is reported (norms
+    are >= 0: it is NaN or inf).
     """
-    top = INF if not np.isfinite(x).all() else np.max(v)
+    with np.errstate(over="ignore"):  # an entry's modulus may overflow
+        top = INF if not np.isfinite(np.abs(x)).all() else np.max(v)
     tail = " (above the float range)" if top == INF else ""
     return ValueError(f"norm evaluated to {top} under {spec}{tail}")
 

@@ -72,9 +72,9 @@ class LoewnerDominationReport:
 
     ``dominates`` reports the sampled hypothesis; the other fields report the
     conclusions it implies: trace orthogonality of the pair, the kernel
-    identity ``ker(b + gamma a) = ker(b) /\\ ker(a)`` at each sampled gamma,
-    and Birkhoff-James orthogonality of ``b`` to ``a`` at every requested p.
-    ``bj_all_p`` is None when the p-sweep was not requested.
+    identity ``ker(b + gamma a) = ker(b) /\\ ker(a)`` at each sampled gamma
+    other than 0, and Birkhoff-James orthogonality of ``b`` to ``a`` at every
+    requested p.  ``bj_all_p`` is None when the p-sweep was not requested.
     """
 
     dominates: bool
@@ -276,28 +276,14 @@ def default_gamma_samples(seed: int = 0) -> np.ndarray:
 
 
 def loewner_identity_test(a, gamma_samples=None) -> bool:
-    """Sampled test of ``|I + gamma a| >= I`` for all scalars gamma.
+    """Sampled test of ``|I + gamma a| >= I`` for all scalars gamma: the
+    ``dominates`` verdict of ``loewner_domination(I, a, gamma_samples)``.
 
     Characterizes ``a = 0``: any nonzero ``a`` is betrayed by a small real or
     imaginary gamma in the default sample set.
     """
     a = cmatrix.as_square(a)
-    if gamma_samples is None:
-        gamma_samples = default_gamma_samples()
-    eye = np.eye(a.shape[0], dtype=complex)
-    gammas = np.asarray(gamma_samples, dtype=complex).reshape(-1)
-    moduli, _ = cmatrix.moduli_and_kernels(eye + gammas[:, None, None] * a)
-    return bool(cmatrix.loewner_geq_batch(moduli, eye).all())
-
-
-def _subspaces_equal(n1: np.ndarray, n2: np.ndarray, tol: float) -> bool:
-    if n1.shape[1] != n2.shape[1]:
-        return False
-    if n1.shape[1] == 0:
-        return True
-    resid = n2 - n1 @ (n1.conj().T @ n2)
-    # Largest singular value of the residual = sin of the largest principal angle.
-    return bool(np.linalg.norm(resid, 2) <= tol)
+    return loewner_domination(np.eye(a.shape[0]), a, gamma_samples, bj_ps=()).dominates
 
 
 def loewner_domination(b, a, gamma_samples=None, *, tol_rel: float = PREDICATE_RTOL,
@@ -309,24 +295,24 @@ def loewner_domination(b, a, gamma_samples=None, *, tol_rel: float = PREDICATE_R
     and Birkhoff-James orthogonality of ``b`` to ``a`` at every p in
     ``bj_ps`` (pass an empty sweep to skip, leaving ``bj_all_p`` as None).
     The samples run as one stack ``b + gamma a``: one batched SVD gives the
-    moduli and kernels, one ``eigvalsh`` the Loewner verdicts.  Trace
-    orthogonality is judged relative to ``||a||_F ||b||_F`` and kernels
-    agree when their largest principal angle has sine at most 1e-6.
+    moduli and ranks, one ``eigvalsh`` the Loewner verdicts.  Trace
+    orthogonality is judged relative to ``||a||_F ||b||_F``; the kernel
+    identity as ``rank(b + gamma a) = rank([b; a])``, since ``ker(b) /\\
+    ker(a)`` always lies in ``ker(b + gamma a)``.
     """
     b, a = cmatrix.as_pair(cmatrix.as_square(b), a)
     if gamma_samples is None:
         gamma_samples = default_gamma_samples()
     gammas = np.asarray(gamma_samples, dtype=complex).reshape(-1)
 
-    moduli, kernels = cmatrix.moduli_and_kernels(b + gammas[:, None, None] * a)
+    moduli, ranks = cmatrix.moduli_and_ranks(b + gammas[:, None, None] * a)
     dominates = bool(cmatrix.loewner_geq_batch(moduli, cmatrix.modulus(b)).all())
 
     na, nb = schatten_norm(a, 2.0), schatten_norm(b, 2.0)
     trace_orthogonal = bool(na == 0.0 or nb == 0.0 or abs(np.vdot(b / nb, a / na)) <= tol_rel)
 
-    joint = cmatrix.null_space(np.vstack([b, a]))
-    kernel_identity = all(_subspaces_equal(kernel, joint, 1e-6)
-                          for g, kernel in zip(gammas, kernels) if g != 0)
+    joint_rank = np.sum(cmatrix._kept(cmatrix.singular_values(np.vstack([b, a]))))
+    kernel_identity = bool(np.all(ranks[gammas != 0] == joint_rank))
 
     bj_all_p: bool | None = None
     if len(tuple(bj_ps)) > 0:

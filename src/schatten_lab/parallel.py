@@ -227,24 +227,21 @@ def parallel_identity_radius(a, spec: NormSpec = SPECTRAL) -> bool:
     """Parallelism to the identity via the numerical radius.
 
     Under the operator norm ``a`` is parallel to ``I`` iff the numerical
-    radius equals the norm; on lp^n (1 < p < inf) the same holds for the
-    lp numerical radius against the induced norm.
+    radius equals the norm: ``hilbert_parallel_witness(a, I)``.  On lp^n
+    (1 < p < inf) the same holds for the lp numerical radius against the
+    induced norm.
     """
     a = cmatrix.as_square(a)
     if spec.kind == "schatten" and spec.p == INF:
-        radius = numerical_radius_hilbert(a)
-        nrm = schatten_norm(a, INF)
-        tol = RADIUS_RTOL * nrm
-    elif spec.kind == "induced_lp" and 1 < spec.p < INF:
+        return hilbert_parallel_witness(a, np.eye(a.shape[0]), tol_rel=RADIUS_RTOL).holds
+    if spec.kind == "induced_lp" and 1 < spec.p < INF:
         radius = numerical_radius_banach(a, spec.p)
         nrm = induced_norm(a, spec.p).value
-        tol = LP_RADIUS_RTOL * nrm
-    else:
-        raise ValueError(
-            "radius characterization needs the operator norm or an induced "
-            f"lp norm with 1 < p < inf, got {spec}"
-        )
-    return bool(abs(nrm - radius.value) <= tol)
+        return bool(abs(nrm - radius.value) <= LP_RADIUS_RTOL * nrm)
+    raise ValueError(
+        "radius characterization needs the operator norm or an induced "
+        f"lp norm with 1 < p < inf, got {spec}"
+    )
 
 
 def eigen_parallel_identity(a, spec: NormSpec = SPECTRAL,

@@ -149,8 +149,9 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
     then, level by level, the midpoint of every arc whose bound reaches the
     best value so far, less a relative ``_MARGIN`` so rounding never prunes
     a tie.  Skipped points cannot beat the grid maximum, so it is the full
-    grid's.  The top ``windows`` circular local maxima (among points
-    evaluated with both neighbours) are each refined by
+    grid's, and its arcs' bounds keep both its neighbours evaluated.  The
+    top ``windows`` circular local maxima (among points evaluated with both
+    neighbours) are each refined by
     ``golden_section_max`` (golden section with Brent's parabolic steps)
     over one spacing on either side, skipping, with an ``origin``, those
     whose one-spacing bound is below the grid maximum.
@@ -183,8 +184,6 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
     inner = seen[left] & seen[right]
     ks, left, right = ks[inner], left[inner], right[inner]
     local = ks[(vals[ks] >= vals[left]) & (vals[ks] >= vals[right])]
-    if local.size == 0:
-        local = np.array([int(np.argmax(vals))])
     order = local[np.argsort(vals[local])[::-1]]
     delta = TWO_PI / grid
     k0 = int(np.argmax(vals))
@@ -215,8 +214,9 @@ def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False, *,
     converges, that is the result.  It sees the values scaled by the power
     of two that takes ``f(0)`` into [0.5, 1): exact, so no step changes,
     and no curvature overflows or underflows.  Otherwise, and wherever the
-    model fails, Kelley's cutting planes (``_cutting_plane``) continue from
-    the best point so far.  ``cuts`` maps an array of gammas to their
+    model fails (one that is not positive definite hands over at once),
+    Kelley's cutting planes (``_cutting_plane``) continue from the best
+    point so far.  ``cuts`` maps an array of gammas to their
     values and slopes ``s``, each a cut ``f(gamma + delta) >= f(gamma) +
     Re(delta s)`` (``norms._cut_oracle``).  The cutting plane's lower bound
     holds where every minimizer lies in the box ``|Re gamma|, |Im gamma| <=
@@ -263,8 +263,8 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
     (the values cannot resolve it), on a stencil no wider than 1e-3 ``radius``: a wider
     stencil is narrowed to that and refitted first, because far from the
     minimum its differences can balance.  Not converged, so the caller hands
-    over to the cutting plane, when three successive models are not positive
-    definite though the spacing is quartered each time, when a step within
+    over to the cutting plane, when a model is not positive definite (it
+    offers no Newton step), when a step within
     1e-10 ``radius`` still promises a gain above ``ftol`` (a kink, such as
     the cone of a dependent pair), when the trust radius falls within
     1e-10 ``radius``, or after 50 models.
@@ -272,7 +272,6 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
     xtol, hfine, hmin = 1e-10 * radius, 1e-3 * radius, 1e-6 * radius
     trust = 4.0 * h
     vals = f_batch(g + h * _STENCIL)
-    indefinite = 0
     for _ in range(50):
         fx, fmx, fy, fmy, fxy = vals
         gx, gy = (fx - fmx) / (2.0 * h), (fy - fmy) / (2.0 * h)
@@ -280,13 +279,7 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
         hxy = (fxy - fx - fy + v) / h ** 2
         det = hxx * hyy - hxy * hxy
         if not (hxx > 0.0 and det > 0.0):
-            indefinite += 1
-            if indefinite == 3:
-                break
-            h /= 4.0
-            vals = f_batch(g + h * _STENCIL)
-            continue
-        indefinite = 0
+            break
         d = complex(hxy * gy - hyy * gx, hxy * gx - hxx * gy) / det
         gain = -0.5 * (gx * d.real + gy * d.imag)  # the model's, at g + d
         step = abs(d)

@@ -325,6 +325,18 @@ class TestNearOverflow:
         assert err.startswith("error: norm evaluated to inf") and err.count("\n") == 1
         assert "(above the float range)" in err
 
+    @pytest.mark.parametrize("norm, p", [("schatten", "1"), ("schatten", "inf"),
+                                         ("induced", "3")])
+    def test_entry_moduli_overflow_is_usage_error(self, files, capsys, norm, p):
+        # Finite parts whose moduli overflow: one error line naming the float
+        # range (the SVD had read NaN), and no numpy warning from the power
+        # iteration under induced 3.
+        a = files("a", np.full((2, 2), 1.5e308 + 1.5e308j))
+        assert main(["check", "parallel", a, a, "--norm", norm, "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: norm evaluated to inf") and err.count("\n") == 1
+        assert "(above the float range)" in err
+
     def test_circle_overflow_is_usage_error(self, files, capsys):
         # a + lambda b overflows on the circle grid.  The evaluator's batch
         # form raises there, so no inf or NaN reaches the search's bounds,

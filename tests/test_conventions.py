@@ -1,9 +1,9 @@
 """Conventions shared across modules: the exponent domain of every entry that
 takes p, the one rank cutoff, the one trace form, that every LAPACK failure
 is numpy's ``LinAlgError``, that ``__all__`` lists the public surface once,
-and the rule that ``numpy.linalg`` routines are looked up when called (never
-bound at import), which the benchmark's tracer relies on to count LAPACK
-calls."""
+that every private helper has a caller, and the rule that ``numpy.linalg``
+routines are looked up when called (never bound at import), which the
+benchmark's tracer relies on to count LAPACK calls."""
 
 import ast
 import json
@@ -139,9 +139,9 @@ class TestRankCutoff:
 
 def test_stack_members_keep_their_own_ranks():
     stack = np.stack([_with_singular_values(s) for _, s, _ in _RANK_CASES])
-    moduli, kernels = cmatrix.moduli_and_kernels(stack)
-    for (_, s, rank), m, kernel in zip(_RANK_CASES, moduli, kernels):
-        assert kernel.shape[1] == 4 - rank
+    moduli, ranks = cmatrix.moduli_and_ranks(stack)
+    assert ranks.tolist() == [rank for _, _, rank in _RANK_CASES]
+    for (_, s, rank), m in zip(_RANK_CASES, moduli):
         np.testing.assert_allclose(m, cmatrix.modulus(_with_singular_values(s)), atol=1e-12)
         # The modulus keeps exactly the kept singular values.
         w = np.linalg.eigvalsh(m)
@@ -272,7 +272,7 @@ _M = np.eye(3, dtype=complex)
 @pytest.mark.parametrize("fname, call", [
     ("svd", lambda: cmatrix.svd(_M)),
     ("svd", lambda: cmatrix.singular_values(_M)),
-    ("svd", lambda: cmatrix.moduli_and_kernels(_M[None])),
+    ("svd", lambda: cmatrix.moduli_and_ranks(_M[None])),
     ("eigvals", lambda: cmatrix.eigenvalues(_M)),
     ("svd", lambda: cmatrix.null_space(_M)),
     ("eigh", lambda: cmatrix.hermitian_eigensystem(_M)),
@@ -281,7 +281,7 @@ _M = np.eye(3, dtype=complex)
     ("svd", lambda: evaluator(NormSpec.schatten(3.0))[1](_M)),
     ("svd", lambda: evaluator(NormSpec.induced(2.0))[0](_M[None])),
     ("svd", lambda: evaluator(NormSpec.induced(2.0))[1](_M)),
-], ids=["svd", "singular_values", "moduli_and_kernels", "eigenvalues", "null_space",
+], ids=["svd", "singular_values", "moduli_and_ranks", "eigenvalues", "null_space",
         "hermitian_eigensystem", "schatten_norm", "evaluator-S3-batch",
         "evaluator-S3-scalar", "evaluator-I2-batch", "evaluator-I2-scalar"])
 def test_lapack_failure_is_lin_alg_error(monkeypatch, fname, call):
@@ -432,3 +432,26 @@ def test_all_lists_the_public_surface_once():
     namespace = {}
     exec("from schatten_lab import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_every_private_helper_has_a_caller():
+    # A deletion that leaves a private helper behind leaves dead code: every
+    # private top-level function or class is read somewhere in the package
+    # outside its own definition.
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((_ROOT / "src" / "schatten_lab").glob("*.py"))]
+    private, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            defines = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defines = node.name
+                if defines.startswith("_") and not defines.startswith("__"):
+                    private.add(defines)
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name is not None and name != defines:
+                    read.add(name)
+    assert len(private) > 50
+    assert sorted(private - read) == []

@@ -1,6 +1,7 @@
 """Tests for the law-suite harness: registry, determinism, replay, fixtures."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from schatten_lab import ensembles
+from schatten_lab.cli import main
 from schatten_lab.cmatrix import RANK_RTOL, _kept, svd
 from schatten_lab.laws import (
     REDRAW_LIMIT,
@@ -228,6 +230,22 @@ def test_principal_cos_matches_range_bases(draw, n):
         assert abs(_principal_cos(p, q) - _principal_cos_reference(p, q)) <= 1e-12
 
 
+def _failing_runner(cfg, offset, rng):
+    """A suite runner whose trial at offset 1 fails one check by 0.25."""
+    trial = _Trial()
+    trial.track(np.arange(4.0) + offset)
+    trial.at_least("margin", 1.0, 0.5)
+    trial.at_most("ceiling", 1.25 if offset == 1 else 0.75, 1.0)
+    return trial
+
+
+def _digest_at(offset):
+    """The digest of ``_failing_runner``'s input at ``offset``."""
+    a = np.arange(4.0) + offset
+    return hashlib.sha256(repr(a.shape).encode() + a.dtype.str.encode()
+                          + a.tobytes()).hexdigest()[:16]
+
+
 class TestFailureRecord:
     def test_json_dict(self):
         rec = FailureRecord(3, "ab12" * 4, -0.25, "FAIL check (gap=-2.5e-01)")
@@ -240,6 +258,25 @@ class TestFailureRecord:
 
     def test_miscalibration_is_runtime_error(self):
         assert issubclass(EnsembleMiscalibration, RuntimeError)
+
+    def test_failing_trial_is_recorded(self, monkeypatch):
+        monkeypatch.setitem(SUITES, "S1", dataclasses.replace(SUITES["S1"],
+                                                              runner=_failing_runner))
+        rep = run_suite("S1", EnsembleConfig(trials=3, seed=1))
+        assert (rep.passes, rep.passed) == (2, False)
+        assert rep.failures == (FailureRecord(1, _digest_at(1), -0.25,
+                                              "ceiling (gap=-2.500000e-01)"),)
+
+    def test_verify_prints_failures(self, monkeypatch, capsys):
+        monkeypatch.setitem(SUITES, "S1", dataclasses.replace(SUITES["S1"],
+                                                              runner=_failing_runner))
+        assert main(["verify", "S1", "--trials", "2", "--seed", "1"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"S1: 1/2 trials passed [FAIL] - {SUITES['S1'].title}",
+            f"  failure offset=1 digest={_digest_at(1)} gap=-2.500000e-01",
+            "    ceiling (gap=-2.500000e-01)",
+            "verify: FAILURES present",
+        ]
 
 
 class TestFixtures:

@@ -314,6 +314,18 @@ class TestEvaluator:
                     pytest.raises(ValueError, match="evaluated to inf"):
                 norm_value_batch(stack, spec)
 
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(p) for p in (1.0, 1.5, 3.0, INF)] + [
+        NormSpec.induced(p) for p in (2.0, 3.0)], ids=str)
+    def test_entry_moduli_above_the_float_range(self, spec):
+        # Finite parts whose moduli overflow: the SVD reads NaN and the power
+        # iteration overflows on the way, yet both forms name the float
+        # range, and no numpy warning escapes (the suite makes one an error).
+        x = (1.5e308 + 1.5e308j) * np.ones((4, 4))
+        batch, scalar, _ = evaluator(spec)
+        for call in (lambda: scalar(x), lambda: batch(x[None])):
+            with pytest.raises(ValueError, match=r"evaluated to inf .*\(above the float range\)"):
+                call()
+
 
 _EXACT_SPECS = tuple(s for s in _MATRIX_SPECS + (NormSpec.lp(2.0),) + _VECTOR_SPECS
                      if evaluator(s)[2] and s.p >= 1.0)

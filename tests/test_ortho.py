@@ -430,6 +430,25 @@ def _loewner_pairs():
     return pairs
 
 
+def _rank_drop_pairs(samples):
+    """Seeded (b, a) pairs with b = U S V* and a = -U_k S_k V_k* / gamma0 +
+    eps G for gamma0 in ``samples``: at eps = 0, b + gamma0 a loses rank k."""
+    rng = _rng(191)
+    pairs = []
+    for i in range(30):
+        n = 2 + i % 5
+        eps = (0.0, 1e-14, 1e-9, 1e-6, 1e-3)[(i // 5) % 5]
+        g0 = samples[rng.integers(len(samples))]
+        u, _ = np.linalg.qr(_draw(rng, (n, n)))
+        v, _ = np.linalg.qr(_draw(rng, (n, n)))
+        s = np.sort(rng.uniform(0.5, 2.0, size=n))[::-1]
+        k = 1 + int(rng.integers(n))
+        b = (u * s) @ v.conj().T
+        a = -(u[:, :k] * s[:k]) @ v[:, :k].conj().T / g0 + eps * _draw(rng, (n, n))
+        pairs.append((b, a))
+    return pairs
+
+
 def _same_subspace(n1, n2, tol):
     if n1.shape[1] != n2.shape[1]:
         return False
@@ -439,13 +458,13 @@ def _same_subspace(n1, n2, tol):
 
 
 class TestLoewnerBatch:
-    def test_moduli_and_kernels_match_per_member_routines(self):
+    def test_moduli_and_ranks_match_per_member_routines(self):
         for b, a in _loewner_pairs():
             gammas = default_gamma_samples(seed=3)
-            moduli, kernels = cmatrix.moduli_and_kernels(b + gammas[:, None, None] * a)
-            for g, m, k in zip(gammas, moduli, kernels):
+            moduli, ranks = cmatrix.moduli_and_ranks(b + gammas[:, None, None] * a)
+            for g, m, r in zip(gammas, moduli, ranks):
                 assert np.array_equal(m, cmatrix.modulus(b + g * a))
-                assert np.array_equal(k, cmatrix.null_space(b + g * a))
+                assert r == b.shape[1] - cmatrix.null_space(b + g * a).shape[1]
 
     def test_loewner_geq_batch_matches_loewner_geq(self):
         for b, a in _loewner_pairs():
@@ -482,6 +501,21 @@ class TestLoewnerBatch:
             seen.add((dominates, joint.shape[1]))
         # Both verdicts occur, with and without a shared kernel.
         assert seen == {(True, 0), (False, 0), (True, 1), (False, 1)}
+
+    def test_kernel_identity_matches_subspace_reference(self):
+        # Pairs that drop rank at a sampled gamma0: b = U S V*, and a cancels
+        # b's top k singular directions at gamma0, up to eps G.  The rank
+        # test must agree with comparing kernels by principal angles.
+        samples = default_gamma_samples(seed=7)
+        seen = set()
+        for b, a in _loewner_pairs() + _rank_drop_pairs(samples):
+            rep = loewner_domination(b, a, samples, bj_ps=())
+            joint = cmatrix.null_space(np.vstack([b, a]))
+            kernel_identity = all(_same_subspace(cmatrix.null_space(b + g * a), joint, 1e-6)
+                                  for g in samples)
+            assert rep.kernel_identity == kernel_identity
+            seen.add(kernel_identity)
+        assert seen == {True, False}
 
     def test_identity_test_matches_per_gamma_loop(self):
         eye = np.eye(3, dtype=complex)

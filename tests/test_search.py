@@ -256,7 +256,8 @@ class TestGammaMin:
     @pytest.mark.parametrize("spec", _BJ_SPECS, ids=str)
     def test_non_finite_start_raises(self, spec):
         # ||a|| above the float range: the evaluator rejects the start, the
-        # first value gamma_min asks for.
+        # first value gamma_min asks for, naming the float range under every
+        # norm although only the entries' moduli overflow.
         batch, scalar, _ = evaluator(spec)
         shape = (6,) if spec.is_vector else (4, 4)
         a, b = (1.5e308 + 1.5e308j) * np.ones(shape), np.ones(shape, dtype=complex)
@@ -266,8 +267,7 @@ class TestGammaMin:
             seen.append(len(gs))
             return batch(a[None] + np.asarray(gs).reshape((-1,) + (1,) * a.ndim) * b[None])
 
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="evaluated to"):
+        with pytest.raises(ValueError, match="evaluated to inf .*above the float range"):
             gamma_min(f_batch, lambda g: scalar(a + g * b), 1.0, spec.smooth, cuts=None)
         assert seen == [1]
 
@@ -390,6 +390,27 @@ class TestNewtonRefiner:
         assert scalar_calls == [2] and cut_calls[0] <= 3
         assert abs(g + (0.7 - 0.4j)) <= 1e-12
         assert 0.0 <= lower <= v <= 1e-15 * na
+
+    def test_indefinite_model_hands_over_at_once(self):
+        # A ridge, f = |Re(g - c) - Im(g - c)| + 1/2, declared smooth: the
+        # first model is not positive definite (flat along the ridge), so
+        # after the start and one stencil the cutting plane takes over and
+        # certifies the minimum.  A dyadic c keeps the values exact.
+        c = 0.5 + 0.25j
+
+        def ridge(gs):
+            d = np.asarray(gs) - c
+            return np.abs(d.real - d.imag) + 0.5
+
+        def cuts(gs):
+            d = np.asarray(gs) - c
+            return ridge(gs), np.sign(d.real - d.imag) * (1.0 + 1.0j)
+
+        f_batch, calls = _counted(ridge)
+        g, v, lower = gamma_min(f_batch, lambda z: float(ridge([z])[0]), 1.0, smooth=True,
+                                cuts=cuts)
+        assert calls == [2]
+        assert v == lower == 0.5 and ridge([g])[0] == 0.5
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_few_evaluations_on_smooth_norms(self, p):
