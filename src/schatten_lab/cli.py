@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .laws import EnsembleConfig, EnsembleMiscalibration, SUITES, fixtures, run_suite
+from .laws import (EnsembleConfig, EnsembleMiscalibration, SUITES, fixtures,
+                   run_fixtures, run_suite)
 from .norms import INF, NormSpec
 from .ortho import (
     PREDICATE_RTOL,
@@ -292,25 +293,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    registry = fixtures()
     if not args.run:
+        registry = fixtures()
         width = max(len(f.name) for f in registry)
         for f in registry:
             print(f"{f.name.ljust(width)}  {f.summary}")
         return 0
+    results = run_fixtures()
     failed = None
-    for f in registry:
-        result = f.run()
-        print(f"{'PASS' if result.ok else 'FAIL'}  {f.name}")
+    for result in results:
+        print(f"{'PASS' if result.ok else 'FAIL'}  {result.name}")
         if not result.ok:
             for line in result.details:
                 print(f"    {line}")
             if failed is None:
-                failed = f.name
+                failed = result.name
     if failed is not None:
         print(f"fixture failed: {failed}", file=sys.stderr)
         return 1
-    print(f"fixtures: {len(registry)}/{len(registry)} passed")
+    print(f"fixtures: {len(results)}/{len(results)} passed")
     return 0
 
 

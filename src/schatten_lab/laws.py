@@ -57,7 +57,6 @@ from .ortho import (
 from .parallel import (
     DEPENDENCE_RTOL,
     LP_RADIUS_RTOL,
-    RADIUS_RTOL,
     _trace_residuals,
     eigen_parallel_identity,
     epsilon_isometry_transfer,
@@ -1115,7 +1114,7 @@ SUITES: dict[str, SuiteSpec] = {
     "S11": SuiteSpec(
         11, _suite_radius,
         "Numerical radius laws and parallelism to the identity",
-        (), (2, 8), {"radius": RADIUS_RTOL, "functional_radius": LP_RADIUS_RTOL},
+        (), (2, 8), {"radius": PREDICATE_RTOL, "functional_radius": LP_RADIUS_RTOL},
     ),
     "S12": SuiteSpec(
         12, _suite_eigenvalue_criterion,

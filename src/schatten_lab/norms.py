@@ -8,9 +8,9 @@ A ``NormSpec`` names the norm every predicate works under:
   the entries with no SVD), rescaled by a power of two where a plain sum
   would overflow or underflow;
 * ``induced_lp`` with ``1 <= p <= inf`` -- operator norm induced by the
-  vector lp norm (exact for p in {1, 2, inf}; otherwise Boyd's power
-  iteration, run on a whole stack at once, whose value is attained at a unit
-  vector and so is a certified lower bound);
+  vector lp norm (exact for p in {1, inf}, and p = 2 is ``SPECTRAL``;
+  otherwise Boyd's power iteration, run on a whole stack at once, whose
+  value is attained at a unit vector and so is a certified lower bound);
 * ``vector_lp`` with ``1 <= p <= inf`` -- vector norms, the max norm at
   p = inf; every lp sum here, vectors' or singular values', is rescaled.
 
@@ -60,7 +60,11 @@ def _exponent(p, domain: str, who: str) -> float:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm a predicate runs under, and its exponent ``p``."""
+    """Which norm a predicate runs under, and its exponent ``p``.
+
+    Each norm has one spelling: induced p = 2 is stored as the operator
+    norm, Schatten p = inf, so ``NormSpec.induced(2) == SPECTRAL``, as the
+    max norm is vector lp at p = inf."""
 
     kind: str
     p: float | None = None
@@ -72,6 +76,9 @@ class NormSpec:
             raise ValueError(f"{self.kind} requires an exponent p")
         domain = "(0, inf]" if self.kind == "schatten" else "[1, inf]"
         object.__setattr__(self, "p", _exponent(self.p, domain, f"{self.kind} norm"))
+        if self.kind == "induced_lp" and self.p == 2.0:
+            object.__setattr__(self, "kind", "schatten")
+            object.__setattr__(self, "p", INF)
 
     @classmethod
     def schatten(cls, p) -> "NormSpec":
@@ -311,9 +318,9 @@ def evaluator(spec: NormSpec):
     are power-iteration bounds.
 
     Schatten norms read the singular values alone, except at p = 2, where
-    ``_frobenius`` sums the squared entries; induced p in {1, inf} the
-    column or row sums, induced p = 2 the top singular value (no singular
-    vectors); generic induced p runs ``_induced_power`` on the whole stack.
+    ``_frobenius`` sums the squared entries; induced p = 1 (inf) the largest
+    column (row) sum; generic induced p runs ``_induced_power`` on the whole
+    stack.
     """
     p = spec.p
     exact = True
@@ -323,15 +330,11 @@ def evaluator(spec: NormSpec):
     elif spec.is_vector:
         def norm(x):
             return _lp_sum(np.abs(x), p)
-    elif p == 1:
+    elif p in (1, INF):
+        axis = -2 if p == 1 else -1
+
         def norm(x):
-            return np.abs(x).sum(axis=-2).max(axis=-1)
-    elif p == INF:
-        def norm(x):
-            return np.abs(x).sum(axis=-1).max(axis=-1)
-    elif p == 2:
-        def norm(x):
-            return np.linalg.svd(x, compute_uv=False)[..., 0]
+            return np.abs(x).sum(axis=axis).max(axis=-1)
     else:
         exact = False
 
@@ -376,74 +379,56 @@ def _cut_oracle(spec: NormSpec, d: np.ndarray):
     functional of X: ``phi_X(X) = ||X||`` and dual norm at most 1.  So
     ``||X + delta d|| >= ||X|| + Re(delta phi_X(d))`` for every complex
     ``delta``: each member of a pencil ``X = a + gamma d`` gives a cut
-    (a supporting plane) of ``gamma -> ||a + gamma d||``.  The functionals:
+    (a supporting plane) of ``gamma -> ||a + gamma d||``.
 
-    * Schatten p = 1: ``tr(V U* .)`` from the full SVD ``X = U S V*``; weight
-      1 on every singular direction, since ``U V*`` norms X at any rank;
-    * Schatten 1 < p < inf: ``sum_k (s_k / ||s||_p)^{p-1} (U* . V)_kk``, at
-      p = 2 ``tr(X* .) / ||X||_F`` with no SVD;
-    * Schatten inf and induced 2: ``u_1* . v_1``, the top singular pair;
-    * induced 1 (inf): the conjugate phases of the top column (row) of X,
-      applied to that column (row);
-    * vector lp: the duality map, at p = inf the phase of the top entry.
+    Each exact norm here is the lq sum of a row of moduli, each paired with d:
 
-    A zero member gets the zero functional.  ``d`` is read as ``2^e du``,
-    with the parts of ``du`` below 2 (``cmatrix._unit_parts``): exact, and
-    no product with it overflows; a slope is at most ``||d||`` in modulus.
-    A non-finite norm raises ``ValueError``, as the evaluator does; a
-    Schatten quasi-norm (p < 1) has no norming functional, and generic
-    induced p no exact one: both raise at once.
+    * the singular values (thin SVD ``X = U S V*``) with ``(U* d V)_rr``:
+      Schatten p != 2, q = p (the operator norm at q = inf);
+    * the column (induced 1) or row (induced inf) sums of ``|X|`` with the
+      same sums of ``conj(sign X) d``, q = inf;
+    * the entries' moduli with ``conj(sign x) d``: vector lp, q = p, and
+      Frobenius, q = 2.
+
+    ``phi_X(d)`` is the lq duality map on the pairings: their sum at q = 1
+    (``U V*`` norms X at any rank), weighted by ``(mod / ||mod||_q)^{q-1}``
+    at 1 < q < inf, and the top modulus's pairing (the first on ties) at
+    q = inf.  A zero member gets the zero functional.  ``d`` is read as
+    ``2^e du``, with the parts of ``du`` below 2 (``cmatrix._unit_parts``):
+    exact, and no product with it overflows; a slope is at most ``||d||`` in
+    modulus.  A non-finite norm raises ``ValueError``, as the evaluator
+    does; a Schatten quasi-norm (p < 1) has no norming functional, and
+    generic induced p no exact one: both raise at once.
     """
     p = spec.p
-    if spec.kind == "induced_lp" and p not in (1, 2, INF) or p < 1.0:
+    if spec.kind == "induced_lp" and p not in (1, INF) or p < 1.0:
         raise ValueError(f"no exact norming functional under {spec}")
     du, e = cmatrix._unit_parts(d.reshape(1, -1))
     du, factor = 2.0 * du.reshape(d.shape), math.ldexp(1.0, int(e) - 1)
     dc = du.conj()
-    spectral = spec.kind == "induced_lp" and p == 2
-    singular = spectral or spec.kind == "schatten" and p != 2.0
-    q = INF if spectral else p  # the exponent of the singular values' sum
     tiny = float(np.finfo(float).tiny)
 
-    def phases(z, az):  # conj(sign z) from az = |z|: 0 at 0, at most 1 in modulus
-        return z.conj() / np.maximum(az, tiny)
-
-    def unit(v, nrm):  # v / nrm along the leading axis, 0 where nrm = 0
-        nrm = nrm.reshape(nrm.shape + (1,) * (v.ndim - 1))
-        return np.divide(v, nrm, out=np.zeros_like(v), where=nrm > 0)
-
-    def norms_and_slopes(x):
-        if singular:
+    def moduli_and_pairings(x):  # (moduli, pairings, q), one row per member
+        if spec.kind == "schatten" and p != 2.0:
             u, s, vh = np.linalg.svd(x, full_matrices=False)
-            diag = np.einsum("kir,ij,krj->kr", u, dc, vh).conj()  # (U* d V)_rr
-            if q == INF:
-                return s[:, 0], diag[:, 0]
-            nrm = _lp_sum(s, q, s[:, 0])
-            if q != 1.0:
-                diag *= unit(s, nrm) ** (q - 1.0)
-            return nrm, diag.sum(axis=-1)
-        if spec.kind == "schatten":  # p = 2
-            nrm = _frobenius(x)
-            return nrm, np.einsum("kij,ij->k", unit(x, nrm).conj(), du)
+            return s, np.einsum("kir,ij,krj->kr", u, dc, vh).conj(), p
         ax = np.abs(x)
-        terms = phases(x, ax) * du
-        if spec.kind == "induced_lp":  # p in {1, inf}: the top column or row
+        terms = x.conj() / np.maximum(ax, tiny) * du  # 0 where X is 0
+        if spec.kind == "induced_lp":
             axis = -2 if p == 1 else -1
-            sums, lines = ax.sum(axis=axis), terms.sum(axis=axis)
-            top = sums.argmax(axis=-1)
-            pick = np.arange(len(x))
-            return sums[pick, top], lines[pick, top]
-        nrm = _lp_sum(ax, p)  # vector lp
-        if p == INF:
-            pick = np.arange(len(x))
-            top = ax.argmax(axis=-1)
-            return nrm, terms[pick, top]
-        if p > 1.0:
-            terms *= unit(ax, nrm) ** (p - 1.0)
-        return nrm, terms.sum(axis=-1)
+            return ax.sum(axis=axis), terms.sum(axis=axis), INF
+        return ax.reshape(len(x), -1), terms.reshape(len(x), -1), p
 
     def cut(x):
-        nrm, slopes = norms_and_slopes(x)
+        mod, pairs, q = moduli_and_pairings(x)
+        if q == INF:
+            top = np.arange(len(x)), mod.argmax(axis=-1)
+            nrm, slopes = mod[top], pairs[top]
+        else:
+            nrm = _lp_sum(mod, q)
+            if q > 1.0:  # a zero row's moduli are 0, over any positive norm
+                pairs = pairs * (mod / np.where(nrm > 0, nrm, 1.0)[:, None]) ** (q - 1.0)
+            slopes = pairs.sum(axis=-1)
         if not _within(nrm, math.ulp(0.0), _HUGE):  # a zero or non-finite member
             if not np.isfinite(nrm).all():
                 raise _not_finite(nrm, x, spec)

@@ -24,10 +24,9 @@ from .search import _EPS, circle_max, hill_climb
 
 # Relative scale below which the smaller singular value means dependence.
 DEPENDENCE_RTOL = 1e-9
-# Relative tolerances of ``parallel_identity_radius`` on the gap between the
-# norm and the numerical radius: the operator norm against the l2 radius
-# (a phase sweep), and an induced lp norm against the lp radius (an ascent).
-RADIUS_RTOL = 1e-7
+# Relative tolerance of ``parallel_identity_radius`` on the gap between an
+# induced lp norm and the lp radius (an ascent); the operator norm takes the
+# l2 witness at its default, ``PREDICATE_RTOL``.
 LP_RADIUS_RTOL = 1e-6
 
 
@@ -226,14 +225,14 @@ def parallel_identity_trace(a, p: float, tol_rel: float = PREDICATE_RTOL) -> boo
 def parallel_identity_radius(a, spec: NormSpec = SPECTRAL) -> bool:
     """Parallelism to the identity via the numerical radius.
 
-    Under the operator norm ``a`` is parallel to ``I`` iff the numerical
-    radius equals the norm: ``hilbert_parallel_witness(a, I)``.  On lp^n
-    (1 < p < inf) the same holds for the lp numerical radius against the
-    induced norm.
+    Under the operator norm (``SPECTRAL``, which ``NormSpec.induced(2)``
+    is) ``a`` is parallel to ``I`` iff the numerical radius equals the norm:
+    ``hilbert_parallel_witness(a, I)``.  On lp^n (1 < p < inf, p != 2) the
+    same holds for the lp numerical radius against the induced norm.
     """
     a = cmatrix.as_square(a)
-    if spec.kind == "schatten" and spec.p == INF:
-        return hilbert_parallel_witness(a, np.eye(a.shape[0]), tol_rel=RADIUS_RTOL).holds
+    if spec == SPECTRAL:
+        return hilbert_parallel_witness(a, np.eye(a.shape[0])).holds
     if spec.kind == "induced_lp" and 1 < spec.p < INF:
         radius = numerical_radius_banach(a, spec.p)
         nrm = induced_norm(a, spec.p).value
@@ -254,7 +253,7 @@ def eigen_parallel_identity(a, spec: NormSpec = SPECTRAL,
     Returns None when no eigenvalue reaches the norm (no conclusion), and
     ``1 + 0j`` for the zero matrix.
     """
-    if not (spec.kind == "induced_lp" or (spec.kind == "schatten" and spec.p == INF)):
+    if not (spec.kind == "induced_lp" or spec == SPECTRAL):
         raise ValueError(f"eigenvalue test needs an operator or induced norm, got {spec}")
     a = cmatrix.as_square(a)
     nrm = norm_value(a, spec)
@@ -277,7 +276,7 @@ def _canonical_phase(x: np.ndarray) -> np.ndarray:
 def norming_set(a, spec: NormSpec = SPECTRAL, *, seed: int = 0) -> NormingSet:
     """Unit vectors where ``a`` attains its operator norm under ``spec``.
 
-    Exact for the operator norm / induced l2 (top right-singular cluster),
+    Exact for the operator norm (top right-singular cluster),
     induced l1 (norm-achieving coordinate vectors) and induced l-inf
     (conjugate-phase vectors of norm-achieving rows), read from
     ``norms._attaining`` with each member's phase made canonical; the zero
@@ -291,7 +290,7 @@ def norming_set(a, spec: NormSpec = SPECTRAL, *, seed: int = 0) -> NormingSet:
     # norm induced by it (max-norm domain -> induced l-inf operator norm).
     if spec.is_vector:
         spec = NormSpec.induced(spec.p)
-    hilbert = spec.kind == "schatten" and spec.p == INF
+    hilbert = spec == SPECTRAL
     if not hilbert and spec.kind != "induced_lp":
         raise ValueError(f"norming sets are defined for operator/induced norms, got {spec}")
 

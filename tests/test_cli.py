@@ -69,6 +69,17 @@ class TestCheckCommand:
         assert "extremal scalar:" in out
         assert "gap:" in out and "tolerance:" in out
 
+    def test_bj_induced_two_is_the_operator_norm(self, files, capsys):
+        # One spelling: induced 2 prints, and decides, as Schatten inf.
+        a = files("a", np.diag([1.0, 0.0]))
+        b = files("b", np.diag([0.0, 1.0]))
+        outs = []
+        for norm, p in (("induced", "2"), ("schatten", "inf")):
+            assert main(["check", "bj", a, b, "--norm", norm, "--p", p]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "norm: schatten p=inf" in outs[0].splitlines()
+        assert outs[0] == outs[1]
+
     def test_bj_fails_on_dependent_pair(self, files, capsys):
         a = files("a", np.eye(2))
         b = files("b", 2.0 * np.eye(2))
@@ -151,7 +162,7 @@ class TestCheckCommand:
         b = files("b", np.diag([0.0, 1.0]))
         assert main(["check", "isosceles", a, b, "--p", "1.5"]) == 0
         capsys.readouterr()
-        code = main(["check", "isosceles", a, b, "--norm", "induced"])
+        code = main(["check", "isosceles", a, b, "--norm", "induced", "--p", "3"])
         assert code == 2
         assert "schatten" in capsys.readouterr().err
 
@@ -490,6 +501,23 @@ class TestFixturesCommand:
         assert sum(1 for line in lines if line.startswith("PASS  ")) == 7
         assert lines[-1] == "fixtures: 7/7 passed"
         assert captured.err == ""
+
+    def test_run_reports_a_failing_fixture(self, monkeypatch, capsys):
+        # The command prints what laws.run_fixtures returns: each failing
+        # fixture's checks, and the first failing name on stderr.
+        def broken(t):
+            t.check("one is two", False)
+            t.check("one is one", True)
+
+        monkeypatch.setattr(laws, "_FIXTURES", (
+            laws.Fixture("broken", "always fails", broken),
+            laws.Fixture("sound", "always passes", lambda t: t.check("ok", True))))
+        code = main(["fixtures", "--run"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == [
+            "FAIL  broken", "    FAIL  one is two", "    PASS  one is one", "PASS  sound"]
+        assert captured.err == "fixture failed: broken\n"
 
 
 def _distribution_installed(name):
