@@ -32,6 +32,7 @@ so the radius passes only the exponent, value and gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,7 +127,14 @@ class RadiusResult:
 
 def schatten_norm(a, p) -> float:
     """Schatten p-(quasi-)norm, ``norm_value`` under ``NormSpec.schatten(p)``."""
-    return norm_value(a, NormSpec.schatten(p))
+    return norm_value(a, _schatten_spec(float(p)))
+
+
+@functools.lru_cache(maxsize=16)
+def _schatten_spec(p: float) -> NormSpec:
+    """``NormSpec.schatten(p)``, parsed once per exponent (a spec is frozen,
+    so one object serves every call; an invalid p raises and is not kept)."""
+    return NormSpec.schatten(p)
 
 
 # A sum of squares or p-th powers at or above _SUM_LO lost nothing that
@@ -393,7 +401,9 @@ def _cut_oracle(spec: NormSpec, d: np.ndarray):
     ``phi_X(d)`` is the lq duality map on the pairings: their sum at q = 1
     (``U V*`` norms X at any rank), weighted by ``(mod / ||mod||_q)^{q-1}``
     at 1 < q < inf, and the top modulus's pairing (the first on ties) at
-    q = inf.  A zero member gets the zero functional.  ``d`` is read as
+    q = inf.  The singular values come sorted, so under the operator norm
+    the producer hands over the top one alone, with its pairing, and no
+    ``argmax`` is needed.  A zero member gets the zero functional.  ``d`` is read as
     ``2^e du``, with the parts of ``du`` below 2 (``cmatrix._unit_parts``):
     exact, and no product with it overflows; a slope is at most ``||d||`` in
     modulus.  A non-finite norm raises ``ValueError``, as the evaluator
@@ -411,6 +421,9 @@ def _cut_oracle(spec: NormSpec, d: np.ndarray):
     def moduli_and_pairings(x):  # (moduli, pairings, q), one row per member
         if spec.kind == "schatten" and p != 2.0:
             u, s, vh = np.linalg.svd(x, full_matrices=False)
+            if p == INF:  # sorted: the top, first, is the one the rule reads
+                top = np.einsum("ki,ij,kj->k", u[..., 0], dc, vh[:, 0]).conj()
+                return s[:, :1], top[:, None], p
             return s, np.einsum("kir,ij,krj->kr", u, dc, vh).conj(), p
         ax = np.abs(x)
         terms = x.conj() / np.maximum(ax, tiny) * du  # 0 where X is 0
@@ -422,8 +435,11 @@ def _cut_oracle(spec: NormSpec, d: np.ndarray):
     def cut(x):
         mod, pairs, q = moduli_and_pairings(x)
         if q == INF:
-            top = np.arange(len(x)), mod.argmax(axis=-1)
-            nrm, slopes = mod[top], pairs[top]
+            if mod.shape[-1] == 1:  # the top alone
+                nrm, slopes = mod[:, 0], pairs[:, 0]
+            else:
+                top = np.arange(len(x)), mod.argmax(axis=-1)
+                nrm, slopes = mod[top], pairs[top]
         else:
             nrm = _lp_sum(mod, q)
             if q > 1.0:  # a zero row's moduli are 0, over any positive norm

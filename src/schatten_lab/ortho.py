@@ -12,13 +12,14 @@ Clarkson-type inequality gaps, and Loewner-order modulus tests.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cmatrix
 from .norms import INF, NormSpec, _cut_oracle, _exponent, _lp_sum, evaluator, schatten_norm
-from .search import gamma_min
+from .search import _CUT_GAP, gamma_min
 
 # Default decision tolerance, relative (for Birkhoff-James, to ||a||).
 PREDICATE_RTOL = 1e-7
@@ -38,8 +39,11 @@ class Verdict:
     1e-7 of the search radius, and where the minimizers form a set it is
     any point of it.  ``lower``
     is a certified lower bound on the gap, ``lower <= gap``: the cutting
-    plane's bound less ``||a||``, 0.0 for a degenerate verdict, and None
-    where the Newton model converged.
+    plane's bound less ``||a||`` (under Schatten 1 and the operator norm
+    also the bound of the nine cuts that certify a Newton point), ``-||a||``
+    for a dependent pair, 0.0 for a degenerate verdict, and None where the
+    Newton model converged under a smooth norm (Schatten and vector lp with
+    1 < p < inf), which carries no certificate.
     """
 
     holds: bool
@@ -91,13 +95,22 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     ``search.gamma_min``, from gamma = 0.  Under a norm smooth away from 0
     (``NormSpec.smooth``: Schatten and vector lp with 1 < p < inf) it takes
     Newton steps on batched quadratic models and hands over to Kelley's
-    cutting planes at a kink (the cone of a dependent pair); under the
-    others (p = 1 or inf, induced 2, max) it is the cutting plane.  Its cuts
-    come from norming functionals of ``a + gamma b``
-    (``norms._cut_oracle``), and the minimum of the cut model over the box
-    ``|Re gamma|, |Im gamma| <= 4 ||a|| / ||b||``, which holds every
-    minimizer (each lies within ``2 ||a|| / ||b||`` of 0), bounds the
-    minimum from below: ``Verdict.lower``.  Every search tolerance is
+    cutting planes at a kink (as where two models running undershoot the
+    gain); under Schatten 1 and the operator norm (induced 2), whose kinks
+    are isolated or rare, Newton runs first too, and its point stands once
+    nine cuts around it bound the minimum to within 1e-9 ``||a||``; under
+    the others (induced 1 and inf, whose kinks lie along curves, vector lp 1
+    and max) it is the cutting plane.  Its cuts come from norming
+    functionals of ``a + gamma b`` (``norms._cut_oracle``), and the minimum
+    of the cut model over the box ``|Re gamma|, |Im gamma| <= 4 ||a|| /
+    ||b||``, which holds every minimizer (each lies within ``2 ||a|| /
+    ||b||`` of 0), bounds the minimum from below: ``Verdict.lower``.  A
+    self-conjugate pencil, ``||a + conj(gamma) b|| = ||a + gamma b||`` (real
+    operands, or Hermitian ones under a Schatten norm; ``_self_conjugate``),
+    has a minimizer on the real axis, so the cutting plane searches the
+    segment ``[-4 ||a|| / ||b||, 4 ||a|| / ||b||]`` alone, without Newton
+    under the non-smooth norms.  A dependent pair, ``a = c b``, takes its
+    closed form (``_apex``): the minimum 0, at -c.  Every search tolerance is
     relative to that radius or to ``||a||``, so the verdict does not
     depend on the operands' separate scales.  The map is convex, so the
     refined minimum is global.  Both operands are validated once, up front;
@@ -120,6 +133,11 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     if nb == 0.0 or na == 0.0:
         return Verdict(True, 0j, 0.0, tol, degenerate=True, lower=0.0)
 
+    apex = _apex(a, b, na, nb, scalar)
+    if apex is not None:  # a dependent pair: the minimum 0 at -c, and f >= 0
+        gamma, gap = apex[0], apex[1] - na
+        return Verdict(bool(gap >= -tol), gamma, float(gap), tol, lower=-na)
+
     shape_pad = (1,) * a.ndim
     a1, b1 = a[None, ...], b[None, ...]
     cut = _cut_oracle(spec, b)
@@ -136,12 +154,47 @@ def bj_definitional(a, b, spec: NormSpec, tol_rel: float = PREDICATE_RTOL) -> Ve
     def cuts(gammas):
         return cut(pencil(gammas))
 
+    schatten = spec.kind == "schatten"
     with np.errstate(over="ignore", invalid="ignore"):  # the evaluator rejects inf, NaN
         gamma, vmin, lower = gamma_min(f_batch, f_scalar, radius=4.0 * (na / nb),
-                                       smooth=spec.smooth, cuts=cuts)
+                                       smooth=spec.smooth, cuts=cuts, newton=schatten,
+                                       real=_self_conjugate(a, b, schatten))
     gap = vmin - na
     return Verdict(bool(gap >= -tol), gamma, float(gap), tol,
                    lower=None if lower is None else float(lower - na))
+
+
+def _apex(a: np.ndarray, b: np.ndarray, na: float, nb: float,
+          scalar) -> tuple[complex, float] | None:
+    """``(-c, ||a - c b||)`` for a dependent pair, ``a = c b``, once that
+    value is within ``_CUT_GAP ||a||``, else None.  The minimum of ``||a +
+    gamma b||`` is then 0, at -c, so the bound ``f >= 0`` certifies the
+    value as the cutting plane's stop would.  The unit operands ``a / ||a||``
+    and ``b / ||b||`` (entries at most 1 in modulus, which every norm here
+    bounds, so no product overflows) give c by projection, and their
+    Cauchy-Schwarz defect, ``|a|^2 |b|^2 sin^2`` of their angle, turns the
+    other pairs away before any norm is evaluated: 1e-12 of it is some 1e4
+    rounding units, far above a dependent pair's."""
+    au, bu = a / na, b / nb
+    ab, bb, aa = complex(np.vdot(bu, au)), np.vdot(bu, bu).real, np.vdot(au, au).real
+    if aa * bb - (ab.real ** 2 + ab.imag ** 2) > 1e-12 * aa * bb:
+        return None
+    with np.errstate(over="ignore"):  # c itself may lie above the float range
+        gamma = complex(-ab / bb * (na / nb))
+    if not cmath.isfinite(gamma):
+        return None
+    v = scalar(a + gamma * b)
+    return (gamma, v) if v <= _CUT_GAP * na else None
+
+
+def _self_conjugate(a: np.ndarray, b: np.ndarray, schatten: bool) -> bool:
+    """Whether ``||a + conj(gamma) b|| = ||a + gamma b||`` for every gamma:
+    when ``a`` and ``b`` are both real (every norm here is invariant under
+    entrywise conjugation), or both Hermitian under a Schatten norm (which
+    is invariant under the adjoint; induced 1 and inf are not)."""
+    if not (a.imag.any() or b.imag.any()):
+        return True
+    return schatten and np.array_equal(a, a.conj().T) and np.array_equal(b, b.conj().T)
 
 
 def _trace_form(b: np.ndarray, a: np.ndarray, p: float,

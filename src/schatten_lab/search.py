@@ -11,10 +11,13 @@ Three optimization shapes recur across the package:
 * minimize a convex function over a complex scalar (Birkhoff-James
   orthogonality) -- ``gamma_min``, from gamma = 0: for a function its
   caller declares smooth, Newton steps on quadratic models fitted to
-  batched six-point stencils, and otherwise, or where a model fails (a
-  kink), Kelley's cutting planes from the caller's subgradients, whose
-  model minimum over a box is a certified lower bound (the master LP a
-  dual simplex in plain floats; no SciPy dependency); every refinement
+  batched six-point stencils; for one whose kinks are rare (Schatten 1, the
+  operator norm), the same Newton steps, whose point stands only once nine
+  cuts around it certify it; otherwise, or where a model fails (a kink),
+  Kelley's cutting planes from the caller's subgradients, whose model
+  minimum over a box is a certified lower bound (the master LP a dual
+  simplex in plain floats; no SciPy dependency), on the real segment alone
+  where the caller states ``f(conj gamma) = f(gamma)``; every refinement
   tolerance is relative to the search radius or to the value at 0;
 * maximize a functional over the unit lp sphere of C^n, with complex
   starts for real operands too (Banach radius, norm attainment sets) --
@@ -199,11 +202,12 @@ def circle_max(f_batch, f_scalar, grid: int = 720, windows: int = 3,
 
 
 def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False, *,
-              cuts) -> tuple[complex, float, float | None]:
+              cuts, newton: bool = False, real: bool = False
+              ) -> tuple[complex, float, float | None]:
     """Minimize a convex, nonnegative ``gamma -> f(gamma)`` over the complex
     plane from gamma = 0; returns the minimizer found, its value, never
     above ``f(0)``, and a certified lower bound on the minimum (None where
-    the Newton model converged).
+    the Newton model converged under a ``smooth`` f).
 
     ``f(0)``, from one ``f_batch`` call, is the unit of every value
     tolerance, and ``radius`` of every position tolerance, so scaling the
@@ -213,25 +217,40 @@ def gamma_min(f_batch, f_scalar, radius: float, smooth: bool = False, *,
     ``radius / 16`` and values resolved to 1e-14 ``f(0)``; if its model
     converges, that is the result.  It sees the values scaled by the power
     of two that takes ``f(0)`` into [0.5, 1): exact, so no step changes,
-    and no curvature overflows or underflows.  Otherwise, and wherever the
-    model fails (one that is not positive definite hands over at once),
-    Kelley's cutting planes (``_cutting_plane``) continue from the best
-    point so far.  ``cuts`` maps an array of gammas to their
-    values and slopes ``s``, each a cut ``f(gamma + delta) >= f(gamma) +
-    Re(delta s)`` (``norms._cut_oracle``).  The cutting plane's lower bound
-    holds where every minimizer lies in the box ``|Re gamma|, |Im gamma| <=
+    and no curvature overflows or underflows.  With ``newton`` (an f whose
+    kinks are rare, as Schatten 1's at the pencil's eigenvalues and the
+    operator norm's where the top singular value repeats) Newton runs first
+    too, but its converged point stands only under a certificate: the
+    nine cuts at ``gamma* + 1e-6 radius _PATTERN``, whose model minimum
+    over the box must lie within ``_CERTIFY f(0)`` of the value; otherwise
+    the cutting plane goes on from them.  Wherever the model fails (one
+    that is not positive definite hands over at once), and under the other
+    norms, Kelley's cutting planes (``_cutting_plane``) continue from the
+    best point so far.  ``cuts`` maps an array of gammas to their values
+    and slopes ``s``, each a cut ``f(gamma + delta) >= f(gamma) + Re(delta
+    s)`` (``norms._cut_oracle``).  The cutting plane's lower bound holds
+    where every minimizer lies in the box ``|Re gamma|, |Im gamma| <=
     radius``.
+
+    With ``real`` the caller states ``f(conj gamma) = f(gamma)``.  Then
+    convexity gives ``f(Re gamma) <= (f(gamma) + f(conj gamma)) / 2 =
+    f(gamma)``, so the minimum over the box is the minimum over the segment
+    ``[-radius, radius]``: the cutting plane runs on it, and Newton is not
+    tried unless ``f`` is ``smooth``.
     """
     v0 = float(f_batch(np.zeros(1, dtype=complex))[0])
     g, v = 0j, v0
-    if smooth:
+    if smooth or (newton and not real):
         s0, e = np.frexp(v0)  # v0 = s0 2^e exactly
         g, v, converged = _newton_min(lambda pts: np.ldexp(f_batch(pts), -e),
                                          g, float(s0), radius / 16, radius, 1e-14 * float(s0))
         v = float(np.ldexp(v, e))
         if converged:
-            return g, v, None
-    return _cutting_plane(cuts, f_scalar, g, v, v0, radius)
+            if smooth:
+                return g, v, None
+            return _cutting_plane(cuts, f_scalar, g, v, v0, radius, width=1e-6,
+                                  accept=_CERTIFY)
+    return _cutting_plane(cuts, f_scalar, g, v, v0, radius, real=real)
 
 
 # Offsets of the quadratic model's stencil around its centre c, in units of
@@ -264,13 +283,18 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
     stencil is narrowed to that and refitted first, because far from the
     minimum its differences can balance.  Not converged, so the caller hands
     over to the cutting plane, when a model is not positive definite (it
-    offers no Newton step), when a step within
-    1e-10 ``radius`` still promises a gain above ``ftol`` (a kink, such as
-    the cone of a dependent pair), when the trust radius falls within
+    offers no Newton step), when two accepted steps running each gain more
+    than three times what their models promised at the step taken (a
+    kink, such as the cone of a dependent pair, whose models take their
+    curvature from the stencil and so undershoot, step after shrinking
+    step; on the benchmark's ortho-pairs rounds no converged search ever
+    did so twice running), when a step within 1e-10 ``radius`` still
+    promises a gain above ``ftol``, when the trust radius falls within
     1e-10 ``radius``, or after 50 models.
     """
     xtol, hfine, hmin = 1e-10 * radius, 1e-3 * radius, 1e-6 * radius
     trust = 4.0 * h
+    under = 0  # accepted steps running whose model undershot the gain threefold
     vals = f_batch(g + h * _STENCIL)
     for _ in range(50):
         fx, fmx, fy, fmy, fxy = vals
@@ -284,18 +308,25 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
         gain = -0.5 * (gx * d.real + gy * d.imag)  # the model's, at g + d
         step = abs(d)
         if step > xtol:
+            t = 1.0
             if step > trust:
-                d *= trust / step
+                t = trust / step
+                d *= t
                 step = trust
             hn = min(h, max(step, hmin))
             pts = (g + d) + hn * _TRIAL
             out = f_batch(pts)
             k = int(np.argmin(out))
             if out[k] < v:
+                # The model's gain at the step taken is t (2 - t) gain.
+                under = under + 1 if v - out[0] > 3.0 * t * (2.0 - t) * gain else 0
                 g, v, h = complex(pts[k]), float(out[k]), hn
+                if under == 2:
+                    break
                 vals = out[1:] if k == 0 else f_batch(g + h * _STENCIL)
                 trust = max(trust, 2.0 * step)
                 continue
+            under = 0
             if gain > ftol or out[0] - v > ftol:
                 slope = gx * d.real + gy * d.imag
                 curve = out[0] - v - slope
@@ -313,9 +344,10 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
     return g, v, False
 
 
-# The cutting plane's first cuts: its start and the eight points around it
-# at radius / 16, along the axes and the diagonals.
-_NINE = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / 16
+# The cutting plane's first cuts, in units of their spread: the start and
+# the eight points around it, along the axes and the diagonals; on the real
+# segment, the first three.
+_PATTERN = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 # Its stopping gap, and the master's feasibility slack: both in units of
 # f(0), so relative.  Where f is smooth at its minimum a value gap e leaves
 # the position uncertain by about sqrt(e) (times the curvature's scale), so
@@ -324,46 +356,60 @@ _NINE = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / 16
 # never holds the bound back.
 _CUT_GAP = 1e-14
 _FEAS = 1e-15
+# The gap at which the nine cuts around a converged Newton point certify
+# it: 1e-9 f(0), a hundredth of the predicates' default tolerance, so no
+# verdict decided at that tolerance can turn on it.  A Newton point at a
+# smooth minimum passes at a median of some 2e-16 f(0).
+_CERTIFY = 1e-9
 
 
-def _cutting_plane(cuts, f_scalar, g: complex, v: float, scale: float,
-                   radius: float) -> tuple[complex, float, float]:
+def _cutting_plane(cuts, f_scalar, g: complex, v: float, scale: float, radius: float,
+                   real: bool = False, width: float = 1 / 16,
+                   accept: float = _CUT_GAP) -> tuple[complex, float, float]:
     """Kelley's cutting-plane method (Kelley 1960, J. SIAM 8) for a convex,
     nonnegative ``f`` from ``(g, v = f(g))``; returns the best point, its
     value and a lower bound on the minimum of ``f`` over the box
-    ``|Re gamma|, |Im gamma| <= radius``.
+    ``|Re gamma|, |Im gamma| <= radius``, or, with ``real``, over the
+    segment ``[-radius, radius]``.
 
-    It works in ``z = (gamma - g) / radius``, with values in units of
+    It works in ``z = (gamma - c) / radius``, with values in units of
     ``scale`` (``gamma_min`` passes ``f(0)``), so every tolerance is
-    relative.  The model is the maximum of the cuts ``f_k + Re((gamma -
-    gamma_k) s_k)`` that ``cuts`` gives; its minimum over the box, from
-    ``_CutModel``, is the lower bound, and its argmin is the next point.
-    The first nine cuts, at ``g + _NINE radius``, come from one call.  Each
-    later call evaluates one point, until the best value is within
-    ``_CUT_GAP`` of the bound (floored at 0, as ``f`` is), or after 200
-    points.  The best point is re-evaluated by ``f_scalar``, so its value is
-    the evaluator's; if that is not below ``v``, ``(g, v)`` is returned.  A
-    bound rounded above the value is lowered to it.
+    relative; ``c`` is ``g``, or with ``real`` its real part, where the
+    box's y-range collapses to the axis and the cuts' y-slopes, which
+    multiply 0 there, are dropped.  The model is the maximum of the cuts
+    ``f_k + Re((gamma - gamma_k) s_k)`` that ``cuts`` gives; its minimum
+    over the box, from ``_CutModel``, is the lower bound, and its argmin is
+    the next point.  The first cuts, at ``c + width radius _PATTERN`` (its
+    first three with ``real``), come from one call, and the search stops
+    there if the best value is within ``accept`` of the bound: with a small
+    ``width`` that certifies a point already found.  Each later call
+    evaluates one point, until the best value is within ``_CUT_GAP`` of the
+    bound (floored at 0, as ``f`` is), or after 200 points.  The best point
+    is re-evaluated by ``f_scalar``, so its value is the evaluator's; if
+    that is not below ``v``, ``(g, v)`` is returned.  A bound rounded above
+    the value is lowered to it.
     """
     if scale == 0.0 or not math.isfinite(radius / scale):  # f >= 0 bounds a zero minimum
         return g, v, 0.0
     unit = radius / scale
-    lo_x, hi_x = -1.0 - g.real / radius, 1.0 - g.real / radius
-    lo_y, hi_y = -1.0 - g.imag / radius, 1.0 - g.imag / radius
+    c = complex(g.real, 0.0) if real else g
+    lo_x, hi_x = -1.0 - c.real / radius, 1.0 - c.real / radius
+    lo_y, hi_y = (0.0, 0.0) if real else (-1.0 - c.imag / radius, 1.0 - c.imag / radius)
     model = _CutModel(lo_x, hi_x, lo_y, hi_y)
     best, ub, lb = None, v / scale, -math.inf
-    zs = _NINE.tolist()
+    zs = (width * _PATTERN[:3 if real else 9]).tolist()
     for _ in range(200):
-        gammas = [g + radius * z for z in zs]
+        gammas = [c + radius * z for z in zs]
         vals, slopes = cuts(np.array(gammas))
         for z, gamma, f, s in zip(zs, gammas, vals.tolist(), slopes.tolist()):
             f, s = f / scale, s * unit
-            model.add(z.real, z.imag, f, s.real, -s.imag)
+            model.add(z.real, z.imag, f, s.real, 0.0 if real else -s.imag)
             if f < ub:
                 best, ub = gamma, f
         lb = max(lb, model.solve())
-        if ub - max(lb, 0.0) <= _CUT_GAP:
+        if ub - max(lb, 0.0) <= accept:
             break
+        accept = _CUT_GAP
         # The argmin, kept in the box should the master stop with a row unmet.
         zs = [complex(min(max(model.x, lo_x), hi_x), min(max(model.y, lo_y), hi_y))]
     lower = max(lb, 0.0) * scale

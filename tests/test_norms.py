@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from schatten_lab import norms
 from schatten_lab.ensembles import ginibre
 from schatten_lab.norms import (
     FROBENIUS,
@@ -67,6 +68,16 @@ class TestNormSpec:
 
 
 class TestSchattenNorm:
+    def test_one_spec_per_exponent(self):
+        # schatten_norm parses each exponent once and reuses the frozen
+        # spec; an invalid exponent is rejected on every call.
+        a = np.diag([3.0, 4.0])
+        assert schatten_norm(a, 3) == schatten_norm(a, 3.0)
+        assert norms._schatten_spec(3.0) is norms._schatten_spec(3.0) == NormSpec.schatten(3)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                schatten_norm(a, 0.0)
+
     def test_diagonal_closed_forms(self):
         a = np.diag([3.0, 4.0])
         assert abs(schatten_norm(a, 1.0) - 7.0) <= 1e-12

@@ -103,6 +103,35 @@ class TestBjDefinitional:
             assert abs(v.extremal_scalar + 1.0 / 0.7) <= 1e-3
             assert v.gap <= -0.9 * schatten_norm(a, spec.p)
 
+    @pytest.mark.parametrize("spec", _EXACT_SPECS + [NormSpec.lp(1.5)], ids=str)
+    def test_dependent_pair_takes_its_apex(self, spec, monkeypatch):
+        # a = c b: the minimum is 0 at -c, certified by f >= 0, with no
+        # search, at any scale of either operand.  A pair off dependence by
+        # 1e-9 of its scale is searched.
+        from schatten_lab import ortho
+
+        searched = []
+
+        def counted(*args, **kwargs):
+            searched.append(1)
+            return gamma_min(*args, **kwargs)
+
+        gamma_min = ortho.gamma_min
+        monkeypatch.setattr(ortho, "gamma_min", counted)
+        rng = _rng(131)
+        shape = (5,) if spec.is_vector else (4, 4)
+        b, c = _draw(rng, shape), 0.7 - 0.4j
+        for sa, sb in ((1.0, 1.0), (1e-150, 1e100), (1e150, 1e-100)):
+            a = sa * c * b
+            v = bj_definitional(a, sb * b, spec)
+            na = norm_value(a, spec)
+            assert not v.holds and v.lower == -na
+            assert abs(v.extremal_scalar + c * sa / sb) <= 1e-15 * abs(c * sa / sb)
+            assert -na <= v.gap <= -na + 1e-14 * na
+        assert searched == []
+        v = bj_definitional(c * b + 1e-9 * _draw(rng, shape), b, spec)
+        assert searched == [1] and not v.holds
+
     @pytest.mark.parametrize("spec", _EXACT_SPECS, ids=str)
     def test_zero_minimum_of_the_pencil(self, spec):
         # b = -a: the pencil vanishes at gamma = 1, a cone's apex, which the
@@ -206,6 +235,27 @@ class TestBjDefinitional:
         v = bj_definitional(pair.a, pair.b, spec)
         assert abs(v.gap - gap) <= 1e-9
         assert v.lower <= v.gap <= v.lower + 1e-10 * norm_value(pair.a, spec)
+
+    @pytest.mark.parametrize("spec", _EXACT_SPECS + [NormSpec.lp(1.0), NormSpec.max_norm()],
+                             ids=str)
+    def test_self_conjugate_pencils_search_the_real_segment(self, spec):
+        # ||a + conj(g) b|| = ||a + g b|| for real pairs under every norm,
+        # and for Hermitian pairs under Schatten norms: the cutting plane
+        # then runs on the real axis, and Newton, where it runs (the smooth
+        # norms), lands on it to its resolution.
+        rng = _rng(127)
+        shape = (5,) if spec.is_vector else (4, 4)
+        pairs = [(rng.standard_normal(shape), rng.standard_normal(shape))]
+        if spec.kind == "schatten":
+            h = [_draw(rng, shape) for _ in range(2)]
+            pairs.append((h[0] + h[0].conj().T, h[1] + h[1].conj().T))
+        for a, b in pairs:
+            v = bj_definitional(a, b, spec)
+            radius = 4.0 * norm_value(a, spec) / norm_value(b, spec)
+            if spec.smooth:
+                assert abs(v.extremal_scalar.imag) <= 1e-9 * radius
+            else:
+                assert v.extremal_scalar.imag == 0.0 and v.lower <= v.gap
 
     def test_quasi_norm_rejected(self):
         with pytest.raises(ValueError):

@@ -357,40 +357,83 @@ class TestNewtonRefiner:
         assert _bj_min(a, b, NormSpec.schatten(1.5)) == _bj_min(a, b, NormSpec.schatten(1.5))
 
     def test_other_norms_refine_by_cutting_plane(self):
+        # Off the smooth norms every result carries a certified bound.
+        # Schatten 1 and inf (the operator norm) take Newton first, as
+        # bj_definitional asks, and keep its point only within _CERTIFY f(0)
+        # of the bound of the nine cuts around it, one oracle call; the
+        # others go straight to the cutting plane, which stops within
+        # _CUT_GAP f(0).
         smooth = [spec for spec in _BJ_SPECS if spec.smooth]
         assert smooth == [NormSpec.schatten(p) for p in (1.5, 2.0, 3.0)] + [
             NormSpec.lp(p) for p in (1.5, 2.0, 3.0)]
+        certified = 0
         for spec in _BJ_SPECS:
             if spec.smooth:
                 continue
+            newton = spec.kind == "schatten"
             for a, b in _bj_pairs(spec):
                 f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
-                g, v, lower = gamma_min(f_batch, f_scalar, radius, cuts=cuts)
+                cuts, cut_calls = _counted(cuts)
+                g, v, lower = gamma_min(f_batch, f_scalar, radius, cuts=cuts, newton=newton)
                 verdict = bj_definitional(a, b, spec)
                 assert verdict.extremal_scalar == g
                 assert verdict.gap == v - f_scalar(0j)
                 assert verdict.lower == lower - f_scalar(0j) <= verdict.gap
-                # The stop: within _CUT_GAP f(0) of the bound (the gap is the
-                # oracle's values; the scalar form may round apart from them
-                # by a few units).
+                # The stop (the gap is the oracle's values; the scalar form
+                # may round apart from them by a few units).
                 v0 = f_batch(np.array([0j]))[0]
-                assert v <= lower + search._CUT_GAP * v0 + 8 * np.finfo(float).eps * v
+                stop = search._CERTIFY if newton and cut_calls == [1] else search._CUT_GAP
+                assert v <= lower + stop * v0 + 8 * np.finfo(float).eps * v
+                certified += newton and cut_calls == [1]
+        # Newton's point is certified on the generic pairs at least.
+        assert certified >= 6
 
-    @pytest.mark.parametrize("spec", [NormSpec.schatten(p) for p in (1.5, 2.0, 3.0)] + [
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
         NormSpec.lp(p) for p in (1.5, 2.0, 3.0)], ids=str)
     def test_dependent_pair_hands_over_to_cutting_plane(self, spec):
         # a = c b: the minimum is a cone's apex, where no quadratic model
-        # converges.  Its first nine cuts and one more point certify the
-        # apex; the scalar form only re-evaluates the best point.
+        # converges.  Newton hands over once two accepted steps running gain
+        # over three times what their models promised (measured: 4 batched
+        # calls after the start's), and the first nine cuts and one more
+        # point certify the apex; the scalar form only re-evaluates the best
+        # point.  Schatten 1 and inf take Newton as bj_definitional asks.
         *_, (a, b) = _smooth_pairs(spec)
         f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+        f_batch, batch_calls = _counted(f_batch)
         f_scalar, scalar_calls = _counted(f_scalar)
         cuts, cut_calls = _counted(cuts)
-        g, v, lower = gamma_min(f_batch, f_scalar, radius, smooth=True, cuts=cuts)
+        g, v, lower = gamma_min(f_batch, f_scalar, radius, smooth=spec.smooth, cuts=cuts,
+                                newton=True)
         na = f_scalar(0j)
+        assert batch_calls[0] <= 6
         assert scalar_calls == [2] and cut_calls[0] <= 3
         assert abs(g + (0.7 - 0.4j)) <= 1e-12
         assert 0.0 <= lower <= v <= 1e-15 * na
+
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(1.0), NormSpec.schatten(INF)], ids=str)
+    def test_refused_certificate_hands_over(self, spec, monkeypatch):
+        # A Newton point that claims convergence at a kink, here short of a
+        # dependent pair's apex, fails its certificate: the nine cuts around
+        # it meet at the apex, far below its value.  The cutting plane goes
+        # on from them to the apex, whose bound holds.
+        newton_min = search._newton_min
+
+        def claims_convergence(*args):
+            g, v, _ = newton_min(*args)
+            newton_at.append((g, v))
+            return g, v, True
+
+        newton_at = []
+        monkeypatch.setattr(search, "_newton_min", claims_convergence)
+        *_, (a, b) = _smooth_pairs(spec)
+        f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+        cuts, cut_calls = _counted(cuts)
+        g, v, lower = gamma_min(f_batch, f_scalar, radius, cuts=cuts, newton=True)
+        [(gn, vn)] = newton_at
+        na = f_scalar(0j)
+        assert vn - lower > search._CERTIFY * na and cut_calls[0] >= 2
+        assert v < vn and 0.0 <= lower <= v <= lower + search._CUT_GAP * na
+        assert abs(g + (0.7 - 0.4j)) <= 1e-12
 
     def test_indefinite_model_hands_over_at_once(self):
         # A ridge, f = |Re(g - c) - Im(g - c)| + 1/2, declared smooth: the
@@ -452,6 +495,98 @@ class TestNewtonRefiner:
             assert verdict.holds == ref.holds
             assert abs(verdict.extremal_scalar - ref.extremal_scalar) <= 1e-9 * radius
         assert scalar_calls == [[0]] * 4
+
+
+def _hermitian(rng, n):
+    g = ginibre(rng, n)
+    return g + g.conj().T
+
+
+class TestRealSegment:
+    """``gamma_min(..., real=True)``: a self-conjugate pencil, ``f(conj
+    gamma) = f(gamma)``, is searched on the real segment."""
+
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(p) for p in (1.0, 3.0, INF)] + [
+        NormSpec.induced(1.0), NormSpec.induced(INF), NormSpec.lp(1.0)], ids=str)
+    def test_matches_the_plane(self, spec):
+        # Hermitian pairs under Schatten norms (adjoint-invariant), real
+        # pairs under the others (invariant under entrywise conjugation).
+        # The cutting plane's scalar is real; smooth Schatten 3 keeps
+        # Newton in the plane, which lands on the axis to its resolution.
+        rng = np.random.default_rng(43)
+        shape = (6,) if spec.is_vector else (4, 4)
+        for _ in range(3):
+            if spec.kind == "schatten":
+                a, b = _hermitian(rng, 4), _hermitian(rng, 4)
+            else:
+                a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+            f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+            newton = spec.kind == "schatten"
+            gp, vp, lp = gamma_min(f_batch, f_scalar, radius, spec.smooth, cuts=cuts,
+                                   newton=newton)
+            g, v, lower = gamma_min(f_batch, f_scalar, radius, spec.smooth, cuts=cuts,
+                                    newton=newton, real=True)
+            na = f_scalar(0j)
+            assert (v - na >= -1e-7 * na) == (vp - na >= -1e-7 * na)
+            assert abs(v - vp) <= 1e-9 * na
+            if spec.smooth:
+                assert abs(g.imag) <= 1e-9 * radius and lower is None
+            else:
+                assert g.imag == 0.0 and lower <= v
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_smooth_hand_over_goes_to_the_segment(self, p):
+        # A dependent Hermitian pair, a = c b with c real, under a smooth
+        # norm: Newton hands over at the cone, and the cutting plane finds
+        # its apex on the axis.
+        rng = np.random.default_rng(43)
+        b = _hermitian(rng, 4)
+        f_batch, f_scalar, radius, cuts = _bj_problem(-0.6 * b, b, NormSpec.schatten(p))
+        g, v, lower = gamma_min(f_batch, f_scalar, radius, True, cuts=cuts, real=True)
+        assert g.imag == 0.0 and abs(g - 0.6) <= 1e-12
+        assert 0.0 <= lower <= v <= search._CUT_GAP * f_scalar(0j)
+
+    def test_segment_starts_from_three_cuts(self):
+        # The operator norm on a Hermitian pair: no Newton, three cuts in
+        # the first call, one point per later call.
+        rng = np.random.default_rng(43)
+        a, b = _hermitian(rng, 4), _hermitian(rng, 4)
+        f_batch, f_scalar, radius, cuts = _bj_problem(a, b, NormSpec.schatten(INF))
+        f_batch, batch_calls = _counted(f_batch)
+        sizes = []
+
+        def sized(gs):
+            sizes.append(len(gs))
+            return cuts(gs)
+
+        gamma_min(f_batch, f_scalar, radius, cuts=sized, newton=True, real=True)
+        assert batch_calls == [1] and sizes[0] == 3 and set(sizes[1:]) == {1}
+
+    def test_complex_pair_keeps_the_plane(self):
+        # A generic complex pair is not self-conjugate: its minimizer is
+        # off the axis, and bj_definitional finds it.
+        rng = np.random.default_rng(31)
+        a, b = ginibre(rng, 4), ginibre(rng, 4)
+        spec = NormSpec.schatten(1.0)
+        verdict = bj_definitional(a, b, spec)
+        f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+        _, v, _ = gamma_min(f_batch, f_scalar, radius, cuts=cuts, real=True)
+        assert abs(verdict.extremal_scalar.imag) >= 0.1
+        assert verdict.gap <= v - f_scalar(0j) - 1e-3
+
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_hermitian_pair_keeps_the_plane_under_induced_norms(self, p):
+        # Induced 1 and inf are not adjoint-invariant: on a Hermitian pair
+        # the minimizer is off the axis, well below the segment's minimum.
+        rng = np.random.default_rng(43)
+        a, b = _hermitian(rng, 4), _hermitian(rng, 4)
+        spec = NormSpec.induced(p)
+        verdict = bj_definitional(a, b, spec)
+        f_batch, f_scalar, radius, cuts = _bj_problem(a, b, spec)
+        _, v, _ = gamma_min(f_batch, f_scalar, radius, cuts=cuts, real=True)
+        assert abs(verdict.extremal_scalar.imag) >= 0.1
+        assert verdict.gap <= v - f_scalar(0j) - 0.05
+        assert verdict.lower <= verdict.gap
 
 
 def _probed(f):
