@@ -287,10 +287,10 @@ def _newton_min(f_batch, g: complex, v: float, h: float, radius: float,
     than three times what their models promised at the step taken (a
     kink, such as the cone of a dependent pair, whose models take their
     curvature from the stencil and so undershoot, step after shrinking
-    step; on the benchmark's ortho-pairs rounds no converged search ever
-    did so twice running), when a step within 1e-10 ``radius`` still
-    promises a gain above ``ftol``, when the trust radius falls within
-    1e-10 ``radius``, or after 50 models.
+    step; of 1,167 converged searches on the benchmark's ortho-pairs rounds
+    1-5 under Schatten 1, 1.5, 3 and inf, none did so twice running), when
+    a step within 1e-10 ``radius`` still promises a gain above ``ftol``,
+    when the trust radius falls within 1e-10 ``radius``, or after 50 models.
     """
     xtol, hfine, hmin = 1e-10 * radius, 1e-3 * radius, 1e-6 * radius
     trust = 4.0 * h
